@@ -20,17 +20,18 @@ Three solvers live here:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasiblePlanError, InstanceTooLargeError, ValidationError
+from .tables import read_table, write_table
 
 BUDGET_TOLERANCE = 1e-9
 _BRUTE_FORCE_LIMIT = 10_000_000
 # Auto-resolution targets this many DP cells (about 100 MB of choice table).
 _DP_CELL_BUDGET = 50_000_000
+PLAN_HEADER = ("customer_id", "chosen_arm")
 
 
 @dataclass
@@ -83,24 +84,12 @@ class AllocationPlan:
 
     def to_csv(self, path, customer_id: np.ndarray | None = None):
         ids = np.arange(len(self.arms)) if customer_id is None else customer_id
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["customer_id", "chosen_arm"])
-            for cid, arm in zip(ids, self.arms):
-                writer.writerow([int(cid), int(arm)])
+        write_table(path, PLAN_HEADER, [np.asarray(ids, dtype=np.int64), self.arms])
 
 
 def load_plan_csv(path):
     """(customer_id, chosen_arm) arrays from a plan CSV."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ["customer_id", "chosen_arm"]:
-            raise ValidationError(f"unexpected plan header {header}")
-        rows = [(int(r[0]), int(r[1])) for r in reader]
-    ids = np.array([r[0] for r in rows], dtype=np.int64)
-    arms = np.array([r[1] for r in rows], dtype=np.int64)
-    return ids, arms
+    return tuple(read_table(path, PLAN_HEADER, PLAN_HEADER))
 
 
 def plan_totals(problem: AllocationProblem, arms: np.ndarray):
@@ -300,6 +289,9 @@ def solve_lagrangian(
     best_feasible = (arms_hi, value_hi, cost_hi)
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            # lo and hi are adjacent floats: every further step re-evaluates one of them
+            break
         arms_m, value_m, cost_m, dual_m = evaluate(mid)
         best_dual = min(best_dual, dual_m)
         if cost_m <= problem.budget + BUDGET_TOLERANCE:

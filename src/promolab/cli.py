@@ -24,7 +24,6 @@ never leaves a truncated artifact behind.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
@@ -62,6 +61,7 @@ from .model import (
     train_model,
 )
 from .report import write_report
+from .tables import pair_columns, write_table
 
 ENV_LOG_LEVEL = "PROMOLAB_LOG_LEVEL"
 
@@ -191,17 +191,6 @@ def _atomic_write(path: Path, writer, suffix: str = ".tmp"):
             tmp.unlink()
 
 
-def _atomic_save_npz(path: Path, model):
-    # np.savez appends ".npz" to names that lack it, so the temp name keeps it
-    tmp = Path(str(path) + ".tmp.npz")
-    try:
-        save_model(model, tmp)
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
-
-
 def _load_dataset(path, n_arms: int) -> RctDataset:
     dataset = RctDataset.from_csv(path)
     if dataset.n == 0:
@@ -235,7 +224,8 @@ def _cmd_train(args) -> int:
         dataset.features, dataset.arm, dataset.s, dataset.y, n_arms,
         config=cfg.model, seed=args.seed,
     )
-    _atomic_save_npz(out / "model.npz", result.model)
+    # np.savez appends ".npz" to names that lack it, so the temp name keeps it
+    _atomic_write(out / "model.npz", lambda p: save_model(result.model, p), suffix=".tmp.npz")
     history = {
         "variant": cfg.model.variant,
         "best_epoch": result.best_epoch,
@@ -255,21 +245,9 @@ def _cmd_train(args) -> int:
 
 
 def _write_predictions_csv(path, customer_id, pm):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["customer_id", "arm", "f_direct", "f_enduring", "f_amount"])
-        n, m = pm.direct.shape
-        for i in range(n):
-            for j in range(m):
-                writer.writerow(
-                    [
-                        int(customer_id[i]),
-                        j,
-                        repr(float(pm.direct[i, j])),
-                        repr(float(pm.enduring_propensity[i, j])),
-                        repr(float(pm.amount[i, j])),
-                    ]
-                )
+    scores = (pm.direct, pm.enduring_propensity, pm.amount)
+    columns = [*pair_columns(customer_id, pm.direct.shape[1]), *(a.ravel() for a in scores)]
+    write_table(path, ("customer_id", "arm", "f_direct", "f_enduring", "f_amount"), columns)
 
 
 def _cmd_predict(args) -> int:

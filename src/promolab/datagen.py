@@ -25,17 +25,17 @@ is order-independent and could be parallelized without changing output.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
 from .nncore import make_rng
+from .tables import pair_columns, read_table, write_table
 
 FEATURE_NAMES = ("recency", "freq_long", "freq_short", "money_long", "money_short")
 N_FEATURES = len(FEATURE_NAMES)
+GROUND_TRUTH_HEADER = ("customer_id", "arm", "p_true", "mu_true")
 
 # Response surfaces see standardized features squashed to this magnitude.
 _Z_SATURATION = 3.0
@@ -283,10 +283,16 @@ class RctDataset:
         for name, arr in (("arm", self.arm), ("s", self.s), ("y", self.y)):
             if arr.shape != (n,):
                 raise ValidationError(f"{name} must have length {n}")
+        if np.any(self.arm < 0):
+            raise ValidationError("arm indices must be nonnegative")
         if not np.all((self.s == 0) | (self.s == 1)):
             raise ValidationError("s must be 0 or 1")
+        if not (np.all(np.isfinite(self.features)) and np.all(np.isfinite(self.y))):
+            raise ValidationError("features and y must be finite")
         if np.any(self.y < 0):
             raise ValidationError("y must be nonnegative")
+        if len(np.unique(self.customer_id)) != n:
+            raise ValidationError("customer_id values must be unique")
 
     @property
     def n(self) -> int:
@@ -303,42 +309,17 @@ class RctDataset:
         )
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["customer_id"] + list(self.feature_names) + ["arm", "s", "y"])
-            for i in range(self.n):
-                row = [int(self.customer_id[i])]
-                row += [_format_number(v) for v in self.features[i]]
-                row += [int(self.arm[i]), int(self.s[i]), _format_number(self.y[i])]
-                writer.writerow(row)
+        header = ("customer_id", *self.feature_names, "arm", "s", "y")
+        write_table(path, header, [self.customer_id, *self.features.T, self.arm, self.s, self.y])
 
     @classmethod
     def from_csv(cls, path) -> "RctDataset":
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader)
-            expected = ["customer_id"] + list(FEATURE_NAMES) + ["arm", "s", "y"]
-            if header != expected:
-                raise ValidationError(f"unexpected dataset header {header}; expected {expected}")
-            rows = list(reader)
-        n = len(rows)
-        customer_id = np.empty(n, dtype=np.int64)
-        features = np.empty((n, N_FEATURES))
-        arm = np.empty(n, dtype=np.int64)
-        s = np.empty(n, dtype=np.int64)
-        y = np.empty(n)
-        for i, row in enumerate(rows):
-            customer_id[i] = int(row[0])
-            features[i] = [float(v) for v in row[1 : 1 + N_FEATURES]]
-            arm[i] = int(row[1 + N_FEATURES])
-            s[i] = int(row[2 + N_FEATURES])
-            y[i] = float(row[3 + N_FEATURES])
-        return cls(customer_id=customer_id, features=features, arm=arm, s=s, y=y)
-
-
-def _format_number(v: float) -> str:
-    # repr of a Python float round-trips exactly and is deterministic.
-    return repr(float(v))
+        header = ("customer_id", *FEATURE_NAMES, "arm", "s", "y")
+        customer_id, *features, arm, s, y = read_table(path, header, ("customer_id", "arm", "s"))
+        try:
+            return cls(customer_id=customer_id, features=np.stack(features, axis=1), arm=arm, s=s, y=y)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -382,34 +363,18 @@ class GroundTruth:
 
     def to_csv(self, path, customer_id: np.ndarray | None = None):
         ids = np.arange(self.n) if customer_id is None else customer_id
-        mu = self.mean_enduring
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["customer_id", "arm", "p_true", "mu_true"])
-            for i in range(self.n):
-                for j in range(self.n_arms):
-                    writer.writerow(
-                        [int(ids[i]), j, _format_number(self.p_direct[i, j]), _format_number(mu[i, j])]
-                    )
+        columns = [*pair_columns(ids, self.n_arms), self.p_direct.ravel(), self.mean_enduring.ravel()]
+        write_table(path, GROUND_TRUTH_HEADER, columns)
 
 
 def load_ground_truth_csv(path):
     """(customer_id, p_true, mu_true) arrays from a ground-truth CSV; p/mu are (N, M)."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ["customer_id", "arm", "p_true", "mu_true"]:
-            raise ValidationError(f"unexpected ground-truth header {header}")
-        rows = [(int(r[0]), int(r[1]), float(r[2]), float(r[3])) for r in reader]
-    ids = sorted({r[0] for r in rows})
-    id_index = {cid: i for i, cid in enumerate(ids)}
-    n_arms = max(r[1] for r in rows) + 1
-    p = np.zeros((len(ids), n_arms))
-    mu = np.zeros((len(ids), n_arms))
-    for cid, arm, pv, mv in rows:
-        p[id_index[cid], arm] = pv
-        mu[id_index[cid], arm] = mv
-    return np.asarray(ids, dtype=np.int64), p, mu
+    cid, arm, p_true, mu_true = read_table(path, GROUND_TRUTH_HEADER, ("customer_id", "arm"))
+    n_arms = int(arm.max(initial=0)) + 1
+    ids = cid[::n_arms]
+    if not all(map(np.array_equal, (cid, arm), pair_columns(ids, n_arms))):
+        raise ValidationError(f"{path}: rows must list arms 0, 1, ... of each customer in turn")
+    return ids, p_true.reshape(-1, n_arms), mu_true.reshape(-1, n_arms)
 
 
 def generate_rct(config: GenConfig):

@@ -15,7 +15,6 @@ all-control plan.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import asdict, dataclass, field
@@ -27,6 +26,7 @@ from .errors import EstimationError, ValidationError
 from .metrics import MetricReport, metric_report
 from .model import ModelConfig, PredictionTriple, predict, predict_matrix, train_model
 from .nncore import make_rng
+from .tables import read_table, write_table
 
 logger = logging.getLogger("promolab.evaluator")
 
@@ -35,6 +35,8 @@ SMALL_MATCH_WARNING = 30
 
 _STREAM_FOLDS = 100
 _STREAM_FOLD_TRAIN = 200
+
+CURVE_HEADER = ("budget", "cost", "lpa", "value")
 
 
 @dataclass
@@ -180,23 +182,13 @@ def budget_sweep(
 
 
 def curve_to_csv(points, path):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["budget", "cost", "lpa", "value"])
-        for pt in points:
-            writer.writerow([repr(pt.budget), repr(pt.cost), repr(pt.lpa), repr(pt.value)])
+    columns = [np.array([getattr(pt, name) for pt in points], dtype=np.float64) for name in CURVE_HEADER]
+    write_table(path, CURVE_HEADER, columns)
 
 
 def load_curve_csv(path):
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ["budget", "cost", "lpa", "value"]:
-            raise ValidationError(f"unexpected curve header {header}")
-        return [
-            CurvePoint(budget=float(r[0]), cost=float(r[1]), lpa=float(r[2]), value=float(r[3]))
-            for r in reader
-        ]
+    columns = read_table(path, CURVE_HEADER)
+    return [CurvePoint(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 @dataclass

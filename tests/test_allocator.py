@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from promolab import allocator
 from promolab.allocator import (
+    AllocationPlan,
     AllocationProblem,
     brute_force,
     build_problem,
@@ -13,6 +15,7 @@ from promolab.allocator import (
     solve_exact_dp,
     solve_lagrangian,
 )
+from promolab.datagen import GenConfig, generate_rct
 from promolab.errors import InfeasiblePlanError, InstanceTooLargeError, ValidationError
 from promolab.nncore import make_rng
 
@@ -107,6 +110,73 @@ class TestDpAgainstBruteForce:
         assert plan.total_value >= 2.0
 
 
+def full_bisection_lagrangian(problem, iterations=100, lambda_hi=1.0):
+    """Reference solver: ``solve_lagrangian`` with every bisection step run."""
+    rows = np.arange(problem.n)
+    tol = allocator.BUDGET_TOLERANCE
+
+    def evaluate(lam):
+        arms = allocator._lagrangian_argmax(problem, lam)
+        value = float(problem.value[rows, arms].sum())
+        cost = float(problem.cost[rows, arms].sum())
+        return arms, value, cost, value - lam * cost + lam * problem.budget
+
+    arms0, value0, cost0, dual0 = evaluate(0.0)
+    if cost0 <= problem.budget + tol:
+        return AllocationPlan(arms=arms0, total_value=value0, total_cost=cost0, dual_bound=value0)
+    lo, hi, best_dual = 0.0, lambda_hi, dual0
+    while True:
+        arms_hi, value_hi, cost_hi, dual_hi = evaluate(hi)
+        best_dual = min(best_dual, dual_hi)
+        if cost_hi <= problem.budget + tol:
+            break
+        lo, hi = hi, 2.0 * hi
+    best = (arms_hi, value_hi, cost_hi)
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        arms_m, value_m, cost_m, dual_m = evaluate(mid)
+        best_dual = min(best_dual, dual_m)
+        if cost_m <= problem.budget + tol:
+            hi = mid
+            if value_m > best[1]:
+                best = (arms_m, value_m, cost_m)
+        else:
+            lo = mid
+    arms_lo = allocator._lagrangian_argmax(problem, lo)
+    arms_hi = allocator._lagrangian_argmax(problem, hi)
+    arms, value = best[0].copy(), best[1]
+    diff = np.flatnonzero(arms_lo != arms_hi)
+    dv = problem.value[diff, arms_lo[diff]] - problem.value[diff, arms_hi[diff]]
+    dc = problem.cost[diff, arms_lo[diff]] - problem.cost[diff, arms_hi[diff]]
+    useful = (dv > 0) & (dc > 0)
+    diff, dv, dc = diff[useful], dv[useful], dc[useful]
+    cand = arms_hi.copy()
+    cand_value = float(problem.value[rows, cand].sum())
+    cand_cost = float(problem.cost[rows, cand].sum())
+    for idx in np.argsort(-dv / dc, kind="stable"):
+        if cand_cost + dc[idx] <= problem.budget + tol:
+            cand[diff[idx]] = arms_lo[diff[idx]]
+            cand_cost += dc[idx]
+            cand_value += dv[idx]
+    if cand_value > value:
+        arms = cand
+    value, cost = plan_totals(problem, arms)
+    return AllocationPlan(arms=arms, total_value=value, total_cost=cost, dual_bound=best_dual)
+
+
+def seven_arm_problems():
+    coupons = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    _, truth = generate_rct(GenConfig(n_customers=1500, coupon_values=coupons, seed=71))
+    for share in (0.05, 0.1, 0.2, 0.4):
+        yield build_problem(truth.mean_enduring, truth.p_direct, coupons, share * truth.n)
+    rng = make_rng(72)
+    for _ in range(4):
+        value = rng.uniform(0.0, 5.0, size=(400, 7))
+        cost = rng.uniform(0.05, 2.0, size=(400, 7))
+        cost[:, 0] = 0.0
+        yield AllocationProblem(value=value, cost=cost, budget=float(rng.uniform(0.05, 0.5) * 400))
+
+
 class TestLagrangian:
     def test_feasible_and_within_dual_gap(self):
         rng = make_rng(202)
@@ -120,6 +190,30 @@ class TestLagrangian:
             assert plan.total_value <= exact.total_value + 1e-9
             # certified gap: optimum is sandwiched between plan value and dual
             assert exact.total_value <= plan.dual_bound + 1e-6
+
+    def test_bisection_stops_once_converged(self, monkeypatch):
+        # once lo and hi are adjacent floats the remaining steps change
+        # nothing, so stopping early must give the full loop's plan exactly
+        argmax_calls = []
+        argmax = allocator._lagrangian_argmax
+
+        def counting(problem, lam):
+            argmax_calls.append(lam)
+            return argmax(problem, lam)
+
+        monkeypatch.setattr(allocator, "_lagrangian_argmax", counting)
+        for problem in seven_arm_problems():
+            argmax_calls.clear()
+            plan = solve_lagrangian(problem)
+            calls = len(argmax_calls)
+            argmax_calls.clear()
+            reference = full_bisection_lagrangian(problem)
+            np.testing.assert_array_equal(plan.arms, reference.arms)
+            assert plan.total_value == reference.total_value
+            assert plan.total_cost == reference.total_cost
+            assert plan.dual_bound == reference.dual_bound
+            # a float64 interval shrinks to adjacent floats in about 55 halvings
+            assert calls < len(argmax_calls) - 40
 
     def test_gap_bounded_by_one_customer_spread(self):
         rng = make_rng(203)

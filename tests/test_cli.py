@@ -1,16 +1,20 @@
 """Command line pipeline: end-to-end artifacts, exit codes, config handling."""
 
 import csv
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from promolab.cli import main, parse_config
 from promolab.datagen import RctDataset
 from promolab.errors import ValidationError
 from promolab.evaluator import EvalReport, load_curve_csv
-from promolab.model import load_model
+from promolab.model import ModelConfig, load_model
 
 CONFIG_YAML = """\
 generation:
@@ -233,6 +237,40 @@ class TestExitCodes:
         monkeypatch.setenv("PROMOLAB_LOG_LEVEL", "LOUD")
         assert main(["report", "--out", str(tmp_path), "x.json"]) == 1
 
+    @pytest.mark.parametrize(
+        "row, cell, value",
+        [
+            (1, 8, None),  # short row: the y cell is missing
+            (1, 6, "-1"),  # negative arm index
+            (2, 0, "0"),  # customer_id 0 appears twice
+            (1, 1, "nan"),  # non-finite feature
+            (1, 3, "abc"),  # non-numeric cell
+        ],
+        ids=["short_row", "negative_arm", "duplicate_id", "nan_feature", "non_numeric"],
+    )
+    @pytest.mark.parametrize("command", ["predict", "allocate"])
+    def test_malformed_dataset_rejected(self, workdir, tmp_path, capsys, command, row, cell, value):
+        root, cfg = workdir
+        lines = (root / "dataset.csv").read_text().splitlines()
+        cells = lines[row].split(",")
+        if value is None:
+            del cells[cell]
+        else:
+            cells[cell] = value
+        lines[row] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = [
+            command, "--config", str(cfg), "--model", str(root / "model.npz"),
+            "--data", str(bad), "--out", str(tmp_path),
+        ]
+        if command == "allocate":
+            argv += ["--budget", "40"]
+        assert main(argv) == 1
+        assert f"error: {bad}" in capsys.readouterr().err
+        assert not (tmp_path / "predictions.csv").exists()
+        assert not (tmp_path / "plan.csv").exists()
+
     def test_single_class_outcome_is_runtime_failure(self, workdir, tmp_path):
         # all-control outcomes break AUC during evaluation: exit 2, not a crash
         root, cfg = workdir
@@ -287,6 +325,21 @@ class TestParseConfig:
         path.write_text("model:\n  variant: full\n")
         cfg = parse_config(path, variant="two_model")
         assert cfg.model.variant == "two_model"
+
+    def test_readme_model_block_matches_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = [b for b in re.findall(r"```yaml\n(.*?)```", readme, re.S) if "\nmodel:" in b]
+        documented = yaml.safe_load(block)["model"]
+        defaults = ModelConfig()
+        assert set(documented) == {f.name for f in dataclasses.fields(ModelConfig)}
+        for name, value in documented.items():
+            default = getattr(defaults, name)
+            if name == "weights":
+                assert value == dataclasses.asdict(default)
+            elif name == "hidden_dims":
+                assert tuple(value) == default
+            else:
+                assert value == default, name
 
     def test_non_mapping_root_rejected(self, tmp_path):
         path = tmp_path / "cfg.yaml"

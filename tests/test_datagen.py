@@ -273,6 +273,21 @@ class TestCsvRoundTrips:
         np.testing.assert_array_equal(mu, truth.mean_enduring)
 
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "0,1,0.5,1.0\n0,0,0.5,1.0\n",  # arms out of order
+            "0,0,0.5,1.0\n0,1,0.5,1.0\n1,0,0.5,1.0\n",  # customer 1 lacks arm 1
+            "0,-1,0.5,1.0\n",  # negative arm
+        ],
+    )
+    def test_ground_truth_pairs_must_be_complete_and_ordered(self, tmp_path, rows):
+        path = tmp_path / "truth.csv"
+        path.write_text("customer_id,arm,p_true,mu_true\n" + rows)
+        with pytest.raises(ValidationError, match="arms 0, 1"):
+            load_ground_truth_csv(path)
+
+
 class TestWorldShapes:
     def test_default_world_is_heterogeneous(self, small_world):
         _, _, truth = small_world
