@@ -24,7 +24,7 @@ import numpy as np
 from .allocator import AllocationPlan, build_problem, solve_lagrangian
 from .errors import EstimationError, ValidationError
 from .metrics import MetricReport, metric_report
-from .model import ModelConfig, PredictionTriple, predict, predict_matrix, train_model
+from .model import ModelConfig, PredictionMatrix, predict, predict_matrix, train_model
 from .nncore import make_rng
 from .tables import read_table, write_table
 
@@ -204,7 +204,7 @@ class CrossValResult:
 
     fold_metrics: list
     pooled: MetricReport
-    oof: PredictionTriple
+    oof: PredictionMatrix
     models: list | None = None
 
 
@@ -238,9 +238,7 @@ def cross_validated_eval(
 
     perm = make_rng(seed, _STREAM_FOLDS).permutation(n)
     bounds = np.linspace(0, n, n_folds + 1).astype(int)
-    oof_direct = np.empty(n)
-    oof_enduring = np.empty(n)
-    oof_amount = np.empty(n)
+    oof = PredictionMatrix(np.empty(n), np.empty(n), np.empty(n))
     fold_metrics = []
     models = [] if keep_models else None
 
@@ -256,25 +254,25 @@ def cross_validated_eval(
             config=config,
             seed=make_rng(seed, _STREAM_FOLD_TRAIN, k).integers(2**31),
         )
-        triple = predict(result.model, features[test_idx], arms[test_idx])
-        oof_direct[test_idx] = triple.direct
-        oof_enduring[test_idx] = triple.enduring_propensity
-        oof_amount[test_idx] = triple.amount
+        held_out = predict(result.model, features[test_idx], arms[test_idx])
+        oof.direct[test_idx] = held_out.direct
+        oof.enduring_propensity[test_idx] = held_out.enduring_propensity
+        oof.amount[test_idx] = held_out.amount
         fold_metrics.append(
             FoldMetrics(
                 fold=k,
                 n_test=len(test_idx),
-                metrics=metric_report(triple.direct, s[test_idx], triple.amount, y[test_idx]),
+                metrics=metric_report(held_out.direct, s[test_idx], held_out.amount, y[test_idx]),
             )
         )
         if keep_models:
             models.append(result.model)
 
-    pooled = metric_report(oof_direct, s, oof_amount, y)
+    pooled = metric_report(oof.direct, s, oof.amount, y)
     return CrossValResult(
         fold_metrics=fold_metrics,
         pooled=pooled,
-        oof=PredictionTriple(direct=oof_direct, enduring_propensity=oof_enduring, amount=oof_amount),
+        oof=oof,
         models=models,
     )
 

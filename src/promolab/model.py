@@ -26,20 +26,25 @@ Ablation variants share this file so comparisons change exactly one thing:
 
 Variants without an enduring-propensity head report the direct propensity in
 that slot.
+
+Each variant is data: ``_VARIANTS`` lists its parts (embedding tables, trunk
+slices, heads) and its loss terms, and one forward and one backward walker
+interpret that list for building, training, prediction and checkpoints.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import zipfile
+from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ShapeError, TrainingError, ValidationError
-from .losses import LossWeights, cross_entropy_loss, hybrid_loss, l2_loss, tweedie_loss
+from .losses import LossWeights, cross_entropy_loss, l2_loss, tweedie_loss
 from .nncore import (
     _EXP_CLIP,
-    DenseLayer,
     DenseNet,
     adam_update,
     backward_pass,
@@ -52,8 +57,6 @@ from .nncore import (
     net_parameters,
 )
 
-VARIANTS = ("full", "no_enduring_ce", "l2_amount", "direct_only", "two_model")
-
 _AMOUNT_FLOOR = 1e-6  # positive floor for identity-link amount predictions
 
 # rng stream keys, so every consumer of the training seed is independent
@@ -63,6 +66,77 @@ _STREAM_BATCH = 2
 _STREAM_DROPOUT = 3
 
 _PREDICT_CHUNK = 8192
+
+# A variant is a graph of parts, each held in the ResponseModel field it names.
+# An embedding is an arm table; its output is the standardized features next
+# to each record's arm row. A trunk is the relu layers of ``hidden_dims``
+# between two cuts and reads an earlier part. A head is one unit over an
+# earlier part and fills a prediction slot.
+class _Part(NamedTuple):
+    kind: str  # "embedding", "trunk" or "head"
+    name: str
+    source: str | None = None
+    cuts: tuple[str, str] | None = None
+    slot: str | None = None
+
+
+_LAYERED = (
+    _Part("embedding", "embedding"),
+    _Part("trunk", "trunk_a", "embedding", cuts=("in", "direct_head_depth")),
+    _Part("head", "direct_head", "trunk_a", slot="direct"),
+    _Part("trunk", "trunk_b", "trunk_a", cuts=("direct_head_depth", "enduring_head_depth")),
+    _Part("head", "enduring_head", "trunk_b", slot="enduring"),
+    _Part("trunk", "trunk_c", "trunk_b", cuts=("enduring_head_depth", "out")),
+    _Part("head", "amount_head", "trunk_c", slot="amount"),
+)
+_TWO_TOWERS = (
+    _Part("embedding", "embedding"),
+    _Part("trunk", "trunk_a", "embedding", cuts=("in", "out")),
+    _Part("head", "direct_head", "trunk_a", slot="direct"),
+    _Part("embedding", "amount_embedding"),
+    _Part("trunk", "amount_trunk", "amount_embedding", cuts=("in", "out")),
+    _Part("head", "amount_head", "amount_trunk", slot="amount"),
+)
+
+# A loss term (slot, loss, weight) adds weight * loss(slot label, slot
+# prediction); ``weight`` names a LossWeights field or is a fixed number. The
+# loss also fixes the link of the head in that slot (see ``_LINKS``).
+_DIRECT = ("direct", "ce", "w_direct")
+_ENDURING = ("enduring", "ce", "w_enduring")
+_AMOUNT = ("amount", "tweedie", "w_amount")
+_SLOTS = ("direct", "enduring", "amount")  # in PredictionMatrix field order
+
+
+class _Spec(NamedTuple):
+    parts: tuple  # in build order: also the rng draw and forward order, reversed for backward
+    terms: tuple  # in summation order, which fixes the loss bytes
+
+
+_VARIANTS = {
+    "full": _Spec(_LAYERED, (_AMOUNT, _ENDURING, _DIRECT)),
+    "no_enduring_ce": _Spec(_LAYERED, (_AMOUNT, ("enduring", "ce", 0.0), _DIRECT)),
+    "l2_amount": _Spec(_LAYERED, (_DIRECT, _ENDURING, ("amount", "l2", "w_amount"))),
+    "direct_only": _Spec(_LAYERED[:3], (_DIRECT,)),
+    "two_model": _Spec(_TWO_TOWERS, (_DIRECT, _AMOUNT)),
+}
+VARIANTS = tuple(_VARIANTS)
+_NETS = {v: [p for p in spec.parts if p.kind != "embedding"] for v, spec in _VARIANTS.items()}
+_TABLES = {v: [p for p in spec.parts if p.kind == "embedding"] for v, spec in _VARIANTS.items()}
+_SLOT_LOSSES = {v: {slot: loss for slot, loss, _ in spec.terms} for v, spec in _VARIANTS.items()}
+
+
+def _logit(p: float) -> float:
+    p = min(max(p, 1e-3), 1.0 - 1e-3)
+    return float(np.log(p / (1.0 - p)))
+
+
+# loss -> (activation of the head it trains, that link's inverse, which sets
+# the head's starting bias from the label mean)
+_LINKS = {
+    "ce": ("sigmoid", _logit),
+    "tweedie": ("exp", lambda mean: float(np.log(max(mean, _AMOUNT_FLOOR)))),
+    "l2": ("identity", float),
+}
 
 
 def default_embedding_dim(n_arms: int) -> int:
@@ -98,22 +172,19 @@ class ModelConfig:
     variant: str = "full"
 
     def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ValidationError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
         if len(self.hidden_dims) < 2:
             raise ValidationError("need at least two trunk layers")
         if any(d < 1 for d in self.hidden_dims):
             raise ValidationError(f"hidden_dims must be positive, got {self.hidden_dims}")
-        if not 1 <= self.direct_head_depth < len(self.hidden_dims):
+        used = {c for p in _VARIANTS[self.variant].parts if p.cuts for c in p.cuts}
+        cuts = {c: d for c, d in self._cut_depths().items() if c in used}
+        at = list(cuts.values())
+        if any(lo >= hi for lo, hi in zip(at, at[1:])):
             raise ValidationError(
-                f"direct_head_depth {self.direct_head_depth} must be in "
-                f"[1, {len(self.hidden_dims) - 1}]"
-            )
-        if self.variant not in ("direct_only",) and not (
-            self.direct_head_depth < self.enduring_head_depth < len(self.hidden_dims)
-        ):
-            raise ValidationError(
-                "enduring_head_depth must sit strictly between direct_head_depth "
-                "and the trunk depth"
+                f"the {self.variant} trunk cuts must strictly increase, got {cuts}"
             )
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValidationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
@@ -133,8 +204,15 @@ class ModelConfig:
             self.weights = LossWeights(**self.weights)
         if self.embedding_dim is not None and self.embedding_dim < 1:
             raise ValidationError("embedding_dim must be positive when given")
-        if self.variant not in VARIANTS:
-            raise ValidationError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+
+    def _cut_depths(self) -> dict:
+        """Trunk layers below each cut a trunk slice may start or end at, in depth order."""
+        return {
+            "in": 0,
+            "direct_head_depth": self.direct_head_depth,
+            "enduring_head_depth": self.enduring_head_depth,
+            "out": len(self.hidden_dims),
+        }
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -143,30 +221,19 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        if isinstance(d.get("weights"), dict):
-            d["weights"] = LossWeights(**d["weights"])
-        if "hidden_dims" in d:
-            d["hidden_dims"] = tuple(d["hidden_dims"])
         return cls(**d)
 
 
 @dataclass
-class PredictionTriple:
-    """Per-record head outputs for an assigned arm."""
-
-    direct: np.ndarray
-    enduring_propensity: np.ndarray
-    amount: np.ndarray
-
-
-@dataclass
 class PredictionMatrix:
-    """Head outputs for every (customer, arm) pair; each field is (N, M)."""
+    """Head outputs: (N,) per record from ``predict``, (N, M) per arm from ``predict_matrix``."""
 
     direct: np.ndarray
     enduring_propensity: np.ndarray
     amount: np.ndarray
+
+
+PredictionTriple = PredictionMatrix  # deprecated alias
 
 
 @dataclass
@@ -196,18 +263,12 @@ class ResponseModel:
         return self.embedding.shape[1]
 
     def parts(self) -> list[tuple[str, DenseNet]]:
-        """Named sub-networks in a fixed order (parameter layout depends on it)."""
-        out = [("trunk_a", self.trunk_a), ("direct_head", self.direct_head)]
-        for name in ("trunk_b", "enduring_head", "trunk_c", "amount_trunk", "amount_head"):
-            net = getattr(self, name)
-            if net is not None:
-                out.append((name, net))
-        return out
+        """Named sub-networks in build order (parameter layout depends on it)."""
+        return [(p.name, getattr(self, p.name)) for p in _NETS[self.config.variant]]
 
     def parameters(self) -> list[np.ndarray]:
-        params = [self.embedding]
-        if self.amount_embedding is not None:
-            params.append(self.amount_embedding)
+        """Embedding tables, then each part's weights and biases."""
+        params = [getattr(self, p.name) for p in _TABLES[self.config.variant]]
         for _, net in self.parts():
             params.extend(net_parameters(net))
         return params
@@ -230,8 +291,8 @@ def build_model(
 ) -> ResponseModel:
     """Initialize all parts for the configured variant.
 
-    Draw order from ``rng`` is fixed (embedding tables, then nets front to
-    back), so a seed fully pins the starting point.
+    Draws from ``rng`` in the variant's part order, so a seed fully pins the
+    starting point.
     """
     feature_mean = np.asarray(feature_mean, dtype=np.float64)
     feature_sd = np.asarray(feature_sd, dtype=np.float64)
@@ -243,56 +304,26 @@ def build_model(
         raise ValidationError("need at least two arms (control plus one incentive)")
 
     emb_dim = config.embedding_dim or default_embedding_dim(n_arms)
-    input_dim = len(feature_mean) + emb_dim
-    dims = (input_dim,) + config.hidden_dims
-    d_cut = config.direct_head_depth
-    e_cut = config.enduring_head_depth
-    amount_act = "identity" if config.variant == "l2_amount" else "exp"
-    drop = config.dropout_rate
-
-    def trunk(lo: int, hi: int) -> DenseNet:
-        return init_dense_net(dims[lo : hi + 1], ["relu"] * (hi - lo), rng, dropout_rate=drop)
-
-    def head(width: int, act: str) -> DenseNet:
-        return init_dense_net([width, 1], [act], rng)
-
-    embedding = rng.uniform(-0.05, 0.05, size=(n_arms, emb_dim))
-    common = dict(
-        config=config,
-        n_arms=n_arms,
-        feature_mean=feature_mean,
-        feature_sd=feature_sd,
-        embedding=embedding,
-    )
-
-    if config.variant == "direct_only":
-        return ResponseModel(
-            trunk_a=trunk(0, d_cut),
-            direct_head=head(dims[d_cut], "sigmoid"),
-            **common,
-        )
-    if config.variant == "two_model":
-        trunk_a = trunk(0, len(config.hidden_dims))
-        direct = head(dims[-1], "sigmoid")
-        amount_embedding = rng.uniform(-0.05, 0.05, size=(n_arms, emb_dim))
-        amount_trunk = trunk(0, len(config.hidden_dims))
-        amount = head(dims[-1], amount_act)
-        return ResponseModel(
-            trunk_a=trunk_a,
-            direct_head=direct,
-            amount_trunk=amount_trunk,
-            amount_head=amount,
-            amount_embedding=amount_embedding,
-            **common,
-        )
+    depth = config._cut_depths()
+    losses = _SLOT_LOSSES[config.variant]
+    width: dict[str, int] = {}
+    members: dict[str, object] = {}
+    for part in _VARIANTS[config.variant].parts:
+        if part.kind == "embedding":
+            members[part.name] = rng.uniform(-0.05, 0.05, size=(n_arms, emb_dim))
+            width[part.name] = len(feature_mean) + emb_dim
+        elif part.kind == "trunk":
+            dims = config.hidden_dims[depth[part.cuts[0]] : depth[part.cuts[1]]]
+            members[part.name] = init_dense_net(
+                (width[part.source],) + dims, ["relu"] * len(dims), rng,
+                dropout_rate=config.dropout_rate,
+            )
+            width[part.name] = dims[-1]
+        else:
+            activation = _LINKS[losses[part.slot]][0]
+            members[part.name] = init_dense_net([width[part.source], 1], [activation], rng)
     return ResponseModel(
-        trunk_a=trunk(0, d_cut),
-        direct_head=head(dims[d_cut], "sigmoid"),
-        trunk_b=trunk(d_cut, e_cut),
-        enduring_head=head(dims[e_cut], "sigmoid"),
-        trunk_c=trunk(e_cut, len(config.hidden_dims)),
-        amount_head=head(dims[-1], amount_act),
-        **common,
+        config=config, n_arms=n_arms, feature_mean=feature_mean, feature_sd=feature_sd, **members
     )
 
 
@@ -300,13 +331,9 @@ def build_model(
 class _ModelTrace:
     """Everything the backward pass needs from one forward pass."""
 
-    x: np.ndarray
-    x_amount: np.ndarray | None
     arms: np.ndarray
-    traces: dict
-    f_direct: np.ndarray
-    f_enduring: np.ndarray
-    f_amount: np.ndarray
+    traces: dict  # part name -> ForwardTrace
+    slots: dict  # slot -> (N,) head output; a missing head reports the direct one
 
 
 def _model_forward(
@@ -323,162 +350,97 @@ def _model_forward(
         raise ShapeError(f"arms must have shape ({z.shape[0]},), got {arms.shape}")
     if np.any(arms < 0) or np.any(arms >= model.n_arms):
         raise ValidationError("arm index out of range")
-    x = np.hstack([z, model.embedding[arms].astype(dtype)])
+    outputs: dict = {}
     traces: dict = {}
-    variant = model.config.variant
-
-    ta = forward_pass(model.trunk_a, x, mode, rng, dtype=dtype)
-    traces["trunk_a"] = ta
-    td = forward_pass(model.direct_head, ta.output, mode, rng, dtype=dtype)
-    traces["direct_head"] = td
-    f_direct = td.output[:, 0]
-
-    if variant == "direct_only":
-        return _ModelTrace(x, None, arms, traces, f_direct, f_direct, f_direct)
-
-    if variant == "two_model":
-        x_amount = np.hstack([z, model.amount_embedding[arms].astype(dtype)])
-        tt = forward_pass(model.amount_trunk, x_amount, mode, rng, dtype=dtype)
-        traces["amount_trunk"] = tt
-        tm = forward_pass(model.amount_head, tt.output, mode, rng, dtype=dtype)
-        traces["amount_head"] = tm
-        return _ModelTrace(x, x_amount, arms, traces, f_direct, f_direct, tm.output[:, 0])
-
-    tb = forward_pass(model.trunk_b, ta.output, mode, rng, dtype=dtype)
-    traces["trunk_b"] = tb
-    te = forward_pass(model.enduring_head, tb.output, mode, rng, dtype=dtype)
-    traces["enduring_head"] = te
-    tc = forward_pass(model.trunk_c, tb.output, mode, rng, dtype=dtype)
-    traces["trunk_c"] = tc
-    tm = forward_pass(model.amount_head, tc.output, mode, rng, dtype=dtype)
-    traces["amount_head"] = tm
-    return _ModelTrace(x, None, arms, traces, f_direct, te.output[:, 0], tm.output[:, 0])
-
-
-def _embedding_gradient(table: np.ndarray, arms: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    grad = np.zeros_like(table)
-    np.add.at(grad, arms, rows)
-    return grad
+    slots: dict = {}
+    for part in _VARIANTS[model.config.variant].parts:
+        if part.kind == "embedding":
+            outputs[part.name] = np.hstack([z, getattr(model, part.name)[arms].astype(dtype)])
+            continue
+        net = getattr(model, part.name)
+        trace = forward_pass(net, outputs[part.source], mode, rng, dtype=dtype)
+        traces[part.name] = trace
+        outputs[part.name] = trace.output
+        if part.slot is not None:
+            slots[part.slot] = trace.output[:, 0]
+    return _ModelTrace(arms, traces, {s: slots.get(s, slots["direct"]) for s in _SLOTS})
 
 
 def _model_backward(
-    model: ResponseModel,
-    mtrace: _ModelTrace,
-    grad_direct: np.ndarray,
-    grad_enduring: np.ndarray,
-    grad_amount: np.ndarray,
+    model: ResponseModel, mtrace: _ModelTrace, slot_grads: dict
 ) -> list[np.ndarray]:
-    """Gradients aligned with ``model.parameters()``."""
-    variant = model.config.variant
-    traces = mtrace.traces
-    n_features = model.n_features
-    gd = grad_direct.reshape(-1, 1)
+    """Gradients aligned with ``model.parameters()``.
 
-    back_d = backward_pass(model.direct_head, traces["direct_head"], gd)
-    if variant == "direct_only":
-        back_a = backward_pass(model.trunk_a, traces["trunk_a"], back_d.input_gradient)
-        emb = _embedding_gradient(model.embedding, mtrace.arms, back_a.input_gradient[:, n_features:])
-        return [emb] + flatten_gradients(back_a) + flatten_gradients(back_d)
-
-    gm = grad_amount.reshape(-1, 1)
-    back_m = backward_pass(model.amount_head, traces["amount_head"], gm)
-
-    if variant == "two_model":
-        back_a = backward_pass(model.trunk_a, traces["trunk_a"], back_d.input_gradient)
-        back_t = backward_pass(model.amount_trunk, traces["amount_trunk"], back_m.input_gradient)
-        emb = _embedding_gradient(model.embedding, mtrace.arms, back_a.input_gradient[:, n_features:])
-        emb_amount = _embedding_gradient(
-            model.amount_embedding, mtrace.arms, back_t.input_gradient[:, n_features:]
-        )
-        return (
-            [emb, emb_amount]
-            + flatten_gradients(back_a)
-            + flatten_gradients(back_d)
-            + flatten_gradients(back_t)
-            + flatten_gradients(back_m)
-        )
-
-    ge = grad_enduring.reshape(-1, 1)
-    back_c = backward_pass(model.trunk_c, traces["trunk_c"], back_m.input_gradient)
-    back_e = backward_pass(model.enduring_head, traces["enduring_head"], ge)
-    back_b = backward_pass(
-        model.trunk_b, traces["trunk_b"], back_c.input_gradient + back_e.input_gradient
-    )
-    back_a = backward_pass(
-        model.trunk_a, traces["trunk_a"], back_b.input_gradient + back_d.input_gradient
-    )
-    emb = _embedding_gradient(model.embedding, mtrace.arms, back_a.input_gradient[:, n_features:])
-    return (
-        [emb]
-        + flatten_gradients(back_a)
-        + flatten_gradients(back_d)
-        + flatten_gradients(back_b)
-        + flatten_gradients(back_e)
-        + flatten_gradients(back_c)
-        + flatten_gradients(back_m)
-    )
+    Walks the parts in reverse, adding each part's input gradient into the
+    gradient of the part it reads.
+    """
+    upstream: dict = {}
+    grads: dict = {}
+    for part in reversed(_VARIANTS[model.config.variant].parts):
+        if part.kind == "head":
+            g = slot_grads[part.slot].reshape(-1, 1)
+        else:
+            g = upstream[part.name]
+        if part.kind == "embedding":
+            table = np.zeros_like(getattr(model, part.name))
+            np.add.at(table, mtrace.arms, g[:, model.n_features :])
+            grads[part.name] = [table]
+            continue
+        back = backward_pass(getattr(model, part.name), mtrace.traces[part.name], g)
+        grads[part.name] = flatten_gradients(back)
+        into = back.input_gradient
+        upstream[part.source] = upstream[part.source] + into if part.source in upstream else into
+    order = _TABLES[model.config.variant] + _NETS[model.config.variant]
+    return [grad for part in order for grad in grads[part.name]]
 
 
-def _loss_terms(model: ResponseModel, s, y, f_direct, f_enduring, f_amount):
-    """Per-sample composite loss and weight-scaled head gradients for the variant."""
+def _slot_labels(s, y) -> dict:
+    return {"direct": s, "enduring": (np.asarray(y) > 0).astype(np.float64), "amount": y}
+
+
+def _loss_terms(model: ResponseModel, s, y, slots: dict):
+    """Per-sample loss of the variant and the weight-scaled gradient of each slot it trains."""
     cfg = model.config
-    w = cfg.weights
-    variant = cfg.variant
-    if variant == "direct_only":
-        value, grad = cross_entropy_loss(s, f_direct)
-        return w.w_direct * value, w.w_direct * grad, None, None
-    if variant == "two_model":
-        d_value, d_grad = cross_entropy_loss(s, f_direct)
-        a_value, a_grad = tweedie_loss(y, f_amount, cfg.rho)
-        value = w.w_direct * d_value + w.w_amount * a_value
-        return value, w.w_direct * d_grad, None, w.w_amount * a_grad
-    if variant == "l2_amount":
-        d_value, d_grad = cross_entropy_loss(s, f_direct)
-        e_value, e_grad = cross_entropy_loss((np.asarray(y) > 0).astype(np.float64), f_enduring)
-        a_value, a_grad = l2_loss(y, f_amount)
-        value = w.w_direct * d_value + w.w_enduring * e_value + w.w_amount * a_value
-        return value, w.w_direct * d_grad, w.w_enduring * e_grad, w.w_amount * a_grad
-    if variant == "no_enduring_ce":
-        w = LossWeights(w_amount=w.w_amount, w_enduring=0.0, w_direct=w.w_direct)
-    value, gd, ge, gm = hybrid_loss(s, y, f_direct, f_enduring, f_amount, weights=w, rho=cfg.rho)
-    return value, gd, ge, gm
+    labels = _slot_labels(s, y)
+    values = []
+    grads = {}
+    for slot, loss, weight in _VARIANTS[cfg.variant].terms:
+        w = getattr(cfg.weights, weight) if isinstance(weight, str) else weight
+        # looked up at call time, so wrappers patched onto this module see every call
+        if loss == "tweedie":
+            value, grad = tweedie_loss(labels[slot], slots[slot], cfg.rho)
+        elif loss == "ce":
+            value, grad = cross_entropy_loss(labels[slot], slots[slot])
+        else:
+            value, grad = l2_loss(labels[slot], slots[slot])
+        values.append(w * value)
+        grads[slot] = w * grad
+    return sum(values[1:], values[0]), grads
 
 
-def predict(model: ResponseModel, features: np.ndarray, arms: np.ndarray) -> PredictionTriple:
+def predict(model: ResponseModel, features: np.ndarray, arms: np.ndarray) -> PredictionMatrix:
     """Head outputs for each record under its given arm (eval mode, chunked)."""
     features = np.asarray(features, dtype=np.float64)
     arms = np.asarray(arms, dtype=np.int64)
-    outs = {"direct": [], "enduring": [], "amount": []}
-    for lo in range(0, len(features), _PREDICT_CHUNK):
-        hi = lo + _PREDICT_CHUNK
-        mt = _model_forward(model, features[lo:hi], arms[lo:hi], mode="eval")
-        outs["direct"].append(mt.f_direct)
-        outs["enduring"].append(mt.f_enduring)
-        outs["amount"].append(mt.f_amount)
-    amount = np.concatenate(outs["amount"]) if outs["amount"] else np.empty(0)
-    if model.config.variant == "l2_amount":
-        amount = np.maximum(amount, _AMOUNT_FLOOR)
-    return PredictionTriple(
-        direct=np.concatenate(outs["direct"]) if outs["direct"] else np.empty(0),
-        enduring_propensity=np.concatenate(outs["enduring"]) if outs["enduring"] else np.empty(0),
-        amount=amount,
-    )
+    spans = [slice(lo, lo + _PREDICT_CHUNK) for lo in range(0, len(features), _PREDICT_CHUNK)]
+    chunks = [_model_forward(model, features[c], arms[c]).slots for c in spans]
+    out = {s: np.concatenate([c[s] for c in chunks]) if chunks else np.empty(0) for s in _SLOTS}
+    amount_loss = _SLOT_LOSSES[model.config.variant].get("amount")
+    if amount_loss is not None and _LINKS[amount_loss][0] == "identity":
+        out["amount"] = np.maximum(out["amount"], _AMOUNT_FLOOR)
+    return PredictionMatrix(*(out[s] for s in _SLOTS))
 
 
 def predict_matrix(model: ResponseModel, features: np.ndarray) -> PredictionMatrix:
     """Head outputs for every arm, one forward sweep per arm."""
     features = np.asarray(features, dtype=np.float64)
     n = len(features)
-    m = model.n_arms
-    direct = np.empty((n, m))
-    enduring = np.empty((n, m))
-    amount = np.empty((n, m))
-    for j in range(m):
-        triple = predict(model, features, np.full(n, j, dtype=np.int64))
-        direct[:, j] = triple.direct
-        enduring[:, j] = triple.enduring_propensity
-        amount[:, j] = triple.amount
-    return PredictionMatrix(direct=direct, enduring_propensity=enduring, amount=amount)
+    out = PredictionMatrix(*(np.empty((n, model.n_arms)) for _ in fields(PredictionMatrix)))
+    for j in range(model.n_arms):
+        column = predict(model, features, np.full(n, j, dtype=np.int64))
+        for f in fields(PredictionMatrix):
+            getattr(out, f.name)[:, j] = getattr(column, f.name)
+    return out
 
 
 def _mean_loss(model: ResponseModel, features, arms, s, y, chunk: int = _PREDICT_CHUNK) -> float:
@@ -487,32 +449,24 @@ def _mean_loss(model: ResponseModel, features, arms, s, y, chunk: int = _PREDICT
     for lo in range(0, n, chunk):
         hi = lo + chunk
         mt = _model_forward(model, features[lo:hi], arms[lo:hi], mode="eval")
-        value, _, _, _ = _loss_terms(model, s[lo:hi], y[lo:hi], mt.f_direct, mt.f_enduring, mt.f_amount)
+        value, _ = _loss_terms(model, s[lo:hi], y[lo:hi], mt.slots)
         total += float(np.sum(value))
     return total / n
 
 
-def _logit(p: float) -> float:
-    p = min(max(p, 1e-3), 1.0 - 1e-3)
-    return float(np.log(p / (1.0 - p)))
-
-
 def _warm_start_heads(model: ResponseModel, s_train: np.ndarray, y_train: np.ndarray):
-    """Set head biases to match the marginal response rates.
+    """Set each head's bias to its link's inverse at the mean of its label.
 
     The exp-link amount head in particular starts at the mean amount instead
     of exp(0) = 1, which saves many epochs of bias-only drift at small
     learning rates.
     """
-    mean_y = float(np.mean(y_train))
-    model.direct_head.layers[-1].bias[0] = _logit(float(np.mean(s_train)))
-    if model.enduring_head is not None:
-        model.enduring_head.layers[-1].bias[0] = _logit(float(np.mean(y_train > 0)))
-    if model.amount_head is not None:
-        if model.amount_head.layers[-1].activation == "exp":
-            model.amount_head.layers[-1].bias[0] = float(np.log(max(mean_y, _AMOUNT_FLOOR)))
-        else:
-            model.amount_head.layers[-1].bias[0] = mean_y
+    labels = _slot_labels(s_train, y_train)
+    losses = _SLOT_LOSSES[model.config.variant]
+    for part in _NETS[model.config.variant]:
+        if part.kind == "head":
+            mean = float(np.mean(labels[part.slot]))
+            getattr(model, part.name).layers[-1].bias[0] = _LINKS[losses[part.slot]][1](mean)
 
 
 @dataclass
@@ -525,12 +479,7 @@ class EpochStats:
     learning_rate: float
 
     def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "learning_rate": self.learning_rate,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -618,19 +567,12 @@ def train_model(
             sel = order[lo : lo + config.batch_size]
             nb = len(sel)
             mt = _model_forward(model, f_tr[sel], a_tr[sel], mode="train", rng=dropout_rng)
-            value, gd, ge, gm = _loss_terms(model, s_tr[sel], y_tr[sel], mt.f_direct, mt.f_enduring, mt.f_amount)
+            value, slot_grads = _loss_terms(model, s_tr[sel], y_tr[sel], mt.slots)
             batch_loss = float(np.sum(value))
             if not np.isfinite(batch_loss):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
             train_total += batch_loss
-            zeros = np.zeros(nb)
-            grads = _model_backward(
-                model,
-                mt,
-                gd / nb,
-                ge / nb if ge is not None else zeros,
-                gm / nb if gm is not None else zeros,
-            )
+            grads = _model_backward(model, mt, {k: g / nb for k, g in slot_grads.items()})
             try:
                 adam_update(params, grads, adam)
             except ValidationError as exc:
@@ -701,9 +643,7 @@ def model_gradient_check(
 
     def loss_value() -> float:
         mt = _model_forward(model, features, arms, mode="eval", dtype=fd_dtype)
-        value, _, _, _ = _loss_terms(
-            model, s.astype(fd_dtype), y.astype(fd_dtype), mt.f_direct, mt.f_enduring, mt.f_amount
-        )
+        value, _ = _loss_terms(model, s.astype(fd_dtype), y.astype(fd_dtype), mt.slots)
         return np.sum(value) / n
 
     def region_signature() -> np.ndarray:
@@ -722,15 +662,8 @@ def model_gradient_check(
 
     def analytic() -> list[np.ndarray]:
         mt = _model_forward(model, features, arms, mode="eval")
-        _, gd, ge, gm = _loss_terms(model, s, y, mt.f_direct, mt.f_enduring, mt.f_amount)
-        zeros = np.zeros(n)
-        return _model_backward(
-            model,
-            mt,
-            gd / n,
-            ge / n if ge is not None else zeros,
-            gm / n if gm is not None else zeros,
-        )
+        _, slot_grads = _loss_terms(model, s, y, mt.slots)
+        return _model_backward(model, mt, {k: g / n for k, g in slot_grads.items()})
 
     return max_relative_gradient_error(
         model.parameters(), loss_value, analytic, eps, rng=rng,
@@ -745,6 +678,27 @@ def model_gradient_check(
 _CHECKPOINT_FORMAT = 1
 
 
+def _part_headers(model: ResponseModel) -> list[dict]:
+    """The checkpoint header's entry for each part, in part order."""
+    return [
+        {
+            "name": name,
+            "activations": [layer.activation for layer in net.layers],
+            "dropout_rate": net.dropout_rate,
+            "n_layers": len(net.layers),
+        }
+        for name, net in model.parts()
+    ]
+
+
+def _array_names(model: ResponseModel) -> list[str]:
+    """Checkpoint array names, aligned with ``model.parameters()``."""
+    names = [p.name for p in _TABLES[model.config.variant]]
+    for name, net in model.parts():
+        names += [f"{name}__{kind}{i}" for i in range(len(net.layers)) for kind in "wb"]
+    return names
+
+
 def save_model(model: ResponseModel, path):
     """Write a self-describing checkpoint (npz, no pickling).
 
@@ -756,65 +710,47 @@ def save_model(model: ResponseModel, path):
         "format": _CHECKPOINT_FORMAT,
         "config": model.config.to_dict(),
         "n_arms": model.n_arms,
-        "parts": [
-            {
-                "name": name,
-                "activations": [layer.activation for layer in net.layers],
-                "dropout_rate": net.dropout_rate,
-                "n_layers": len(net.layers),
-            }
-            for name, net in model.parts()
-        ],
+        "parts": _part_headers(model),
         "has_amount_embedding": model.amount_embedding is not None,
     }
-    arrays = {
-        "feature_mean": model.feature_mean,
-        "feature_sd": model.feature_sd,
-        "embedding": model.embedding,
-    }
-    if model.amount_embedding is not None:
-        arrays["amount_embedding"] = model.amount_embedding
-    for name, net in model.parts():
-        for i, layer in enumerate(net.layers):
-            arrays[f"{name}__w{i}"] = layer.weight
-            arrays[f"{name}__b{i}"] = layer.bias
+    arrays = {"feature_mean": model.feature_mean, "feature_sd": model.feature_sd}
+    arrays.update(zip(_array_names(model), model.parameters()))
     header = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
     np.savez(path, __header__=header, **arrays)
 
 
 def load_model(path) -> ResponseModel:
-    """Rebuild a model from ``save_model`` output, byte-for-byte."""
-    with np.load(path, allow_pickle=False) as data:
-        if "__header__" not in data.files:
-            raise ValidationError(f"{path} is not a model checkpoint")
-        meta = json.loads(bytes(data["__header__"]).decode("utf-8"))
-        if meta.get("format") != _CHECKPOINT_FORMAT:
-            raise ValidationError(f"unsupported checkpoint format {meta.get('format')!r}")
-        config = ModelConfig.from_dict(meta["config"])
-        nets: dict[str, DenseNet] = {}
-        for part in meta["parts"]:
-            layers = []
-            for i in range(part["n_layers"]):
-                layers.append(
-                    DenseLayer(
-                        weight=data[f"{part['name']}__w{i}"],
-                        bias=data[f"{part['name']}__b{i}"],
-                        activation=part["activations"][i],
-                    )
+    """Rebuild a model from ``save_model`` output, byte-for-byte.
+
+    Builds the layout the header's config describes and copies the stored
+    arrays into it. Raises ``ValidationError`` naming ``path`` when the file
+    is not such a checkpoint: unreadable, missing a header key or an array,
+    an unknown config key, parts other than the layout's, or an array whose
+    shape is not the layout's.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            if "__header__" not in data.files:
+                raise ValidationError("no __header__ array")
+            meta = json.loads(bytes(data["__header__"]).decode("utf-8"))
+            if not isinstance(meta, dict) or meta.get("format") != _CHECKPOINT_FORMAT:
+                raise ValidationError(f"the header is not a format {_CHECKPOINT_FORMAT} header")
+            config = ModelConfig.from_dict(meta["config"])
+            # every random weight of this template is overwritten below
+            model = build_model(
+                config, int(meta["n_arms"]), data["feature_mean"], data["feature_sd"], make_rng(0)
+            )
+            if meta["parts"] != _part_headers(model):
+                raise ValidationError(
+                    f"the header's parts are not those of its {config.variant} config"
                 )
-            nets[part["name"]] = DenseNet(layers=layers, dropout_rate=part["dropout_rate"])
-        return ResponseModel(
-            config=config,
-            n_arms=int(meta["n_arms"]),
-            feature_mean=data["feature_mean"],
-            feature_sd=data["feature_sd"],
-            embedding=data["embedding"],
-            trunk_a=nets["trunk_a"],
-            direct_head=nets["direct_head"],
-            trunk_b=nets.get("trunk_b"),
-            enduring_head=nets.get("enduring_head"),
-            trunk_c=nets.get("trunk_c"),
-            amount_head=nets.get("amount_head"),
-            amount_trunk=nets.get("amount_trunk"),
-            amount_embedding=data["amount_embedding"] if meta["has_amount_embedding"] else None,
-        )
+            for name, param in zip(_array_names(model), model.parameters()):
+                stored = data[name]
+                if stored.shape != param.shape:
+                    raise ValidationError(f"{name} has shape {stored.shape}, not {param.shape}")
+                param[...] = stored
+            return model
+    except KeyError as exc:
+        raise ValidationError(f"{path}: malformed model checkpoint: missing {exc}") from exc
+    except (IndexError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValidationError(f"{path}: malformed model checkpoint: {exc}") from exc

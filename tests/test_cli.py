@@ -271,6 +271,17 @@ class TestExitCodes:
         assert not (tmp_path / "predictions.csv").exists()
         assert not (tmp_path / "plan.csv").exists()
 
+    def test_malformed_checkpoint_rejected(self, workdir, tmp_path, capsys, defective_checkpoint):
+        root, _ = workdir
+        bad = defective_checkpoint(root / "model.npz")
+        argv = [
+            "predict", "--model", str(bad),
+            "--data", str(root / "dataset.csv"), "--out", str(tmp_path),
+        ]
+        assert main(argv) == 1
+        assert f"error: {bad}" in capsys.readouterr().err
+        assert not (tmp_path / "predictions.csv").exists()
+
     def test_single_class_outcome_is_runtime_failure(self, workdir, tmp_path):
         # all-control outcomes break AUC during evaluation: exit 2, not a crash
         root, cfg = workdir

@@ -1,8 +1,12 @@
 """Model construction, gradients per variant, training loop, checkpoints."""
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
+from promolab import model as model_module
 from promolab.datagen import generate_rct
 from promolab.errors import ValidationError
 from promolab.losses import LossWeights
@@ -58,6 +62,18 @@ class TestConfig:
     def test_head_depth_within_trunk(self):
         with pytest.raises(ValidationError):
             ModelConfig(hidden_dims=(8, 8), direct_head_depth=2, enduring_head_depth=3)
+
+    @pytest.mark.parametrize(
+        "variant,accepted", [("full", False), ("direct_only", True), ("two_model", True)]
+    )
+    def test_only_the_cuts_a_variant_uses_are_checked(self, variant, accepted):
+        # direct_only never cuts at enduring_head_depth; two_model cuts at neither depth
+        kwargs = dict(hidden_dims=(8, 8, 8), direct_head_depth=2, enduring_head_depth=9)
+        if accepted:
+            ModelConfig(variant=variant, **kwargs)
+        else:
+            with pytest.raises(ValidationError):
+                ModelConfig(variant=variant, **kwargs)
 
     def test_rho_domain(self):
         with pytest.raises(ValidationError):
@@ -227,6 +243,24 @@ class TestTraining:
         with pytest.raises(ValidationError):
             train_model(dataset.features, dataset.arm, dataset.s, y, cfg.n_arms, config=fast_model_config)
 
+    def test_callees_looked_up_at_call_time(self, monkeypatch):
+        # tracers wrap these module attributes, so the walkers must not hold on
+        # to the functions they found at import
+        names = ("forward_pass", "backward_pass", "cross_entropy_loss", "tweedie_loss")
+        calls = dict.fromkeys(names, 0)
+        for name in calls:
+            original = getattr(model_module, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(model_module, name, counting)
+        features, arms, s, y = tiny_batch(n=200)
+        config = ModelConfig(batch_size=64, max_epochs=1, **NARROW)
+        train_model(features, arms, s, y, 3, config=config, seed=0)
+        assert all(count > 0 for count in calls.values()), calls
+
     def test_weight_override_changes_result(self, small_world):
         cfg, dataset, _ = small_world
         sub = dataset.subset(np.arange(600))
@@ -265,9 +299,85 @@ class TestCheckpoint:
         with pytest.raises(ValidationError):
             load_model(path)
 
+    def test_rejects_malformed_checkpoint(self, tmp_path, defective_checkpoint):
+        model, _ = narrow_model("full")
+        save_model(model, tmp_path / "model.npz")
+        bad = defective_checkpoint(tmp_path / "model.npz")
+        with pytest.raises(ValidationError, match=re.escape(str(bad))):
+            load_model(bad)
+
     def test_file_is_pickle_free(self, tmp_path):
         model, _ = narrow_model("full")
         path = tmp_path / "model.npz"
         save_model(model, path)
         with np.load(path, allow_pickle=False) as payload:
             assert "__header__" in payload.files
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestVariantBytes:
+    """Trained bytes of every variant at one seed, pinned by SHA-256.
+
+    The digests were computed before the variants became a table walked by
+    one generic forward and backward pass; that rewrite had to leave every
+    parameter, history float, prediction and checkpoint header unchanged.
+    """
+
+    PINNED = {
+        "full": {
+            "parameters": "e6ef9c677ca75053238915fcc6195b2a03a6322658ca5e1a7066547791e017fd",
+            "history": "8f279141cc05a67a76aea281ce068ea7db8c2a9941802237e9425efca20d4eed",
+            "predict_matrix": "2b0d3e51494c42194a40e634011d58733063c0ae2b83c6a8786e1f4dc4d3e7b7",
+            "header": "e73dc1692d5119450457f1f47eecff552e212a1ccfe312392e39975e48bcf2ef",
+        },
+        "no_enduring_ce": {
+            "parameters": "9225b5b06ba5344a620c291e5600bae4bdeb78381986869ed5d1bd21a7649405",
+            "history": "da294e1917d7bc66ec2640c4c26900f755eb957e4945af543b96a677da6f2df4",
+            "predict_matrix": "a287b85fac2711a41288a148f3bca6b537e083a47f9763a35e481c7f1549d1ab",
+            "header": "5ae9e5b4240b9ce6508362f610c2c6cc7aed053f7a6755e22fc8167e10ac665f",
+        },
+        "l2_amount": {
+            "parameters": "1313cac7c55b1a06677a8063b9e4fd2709daf85eccc226ec30751ba33de1649f",
+            "history": "daf5e2eca168d254bc7c2289b363759430a2250ba52615e30efd56e999d07e50",
+            "predict_matrix": "2ee9c257ab3d90cb646bced1172ecaa1fc33730ab99c9842fbef8ea37420b0d5",
+            "header": "4e4def8bea932e42ef26299558ef47b19ec415a941af8b3c14a79895b3bf15f0",
+        },
+        "direct_only": {
+            "parameters": "da965213c14bd666d010978a2439789d876db6caf991960ddb8632762ef14f51",
+            "history": "6284f74105d338f055738fe7bbd488586a80568254d1434b27968dfeb1d8711f",
+            "predict_matrix": "0a8dbdfa17fc6b92a3e4da0577fa929947661ceb92c01e3909dad5d3c0e163c8",
+            "header": "8dc6277cafd6a04d5bb763b2cef08d3652671090890d9f3f126c3e081769cb69",
+        },
+        "two_model": {
+            "parameters": "6a118690094df304a6ee922cd13ba8c3d10955770a00d0908e5e948b3ec1fce1",
+            "history": "9810c60cc09cec25153e0615ca6c558e737180284aaf131eb41109341249dbcb",
+            "predict_matrix": "ce74985ab05dae5025ed4bcc3af696a0929b77fa997bea0bad4b9a989dd9b577",
+            "header": "78ee0181168553b5ae3f176de2ecd8212f5ac147287eb13bb6dfd60e9d03fc81",
+        },
+    }
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_trained_bytes_pinned(self, variant, tmp_path):
+        features, arms, s, y = tiny_batch(n=400, seed=8)
+        config = ModelConfig(
+            variant=variant, batch_size=64, learning_rate=3e-3, max_epochs=3, **NARROW
+        )
+        result = train_model(features, arms, s, y, 3, config=config, seed=21)
+        history = np.array([[h.train_loss, h.val_loss, h.learning_rate] for h in result.history])
+        pm = predict_matrix(result.model, features[:50])
+        path = tmp_path / "model.npz"
+        save_model(result.model, path)
+        with np.load(path, allow_pickle=False) as payload:
+            header = payload["__header__"].tobytes()
+        digests = {
+            "parameters": _sha256(b"".join(p.tobytes() for p in result.model.parameters())),
+            "history": _sha256(history.tobytes()),
+            "predict_matrix": _sha256(
+                pm.direct.tobytes() + pm.enduring_propensity.tobytes() + pm.amount.tobytes()
+            ),
+            "header": _sha256(header),
+        }
+        assert digests == self.PINNED[variant]
