@@ -6,10 +6,8 @@ One arm must be chosen per customer. Arm j for customer i contributes value
 when it triggers a purchase). The zero-coupon arm has zero cost, so a plan
 always exists at any nonnegative budget.
 
-Three solvers live here:
+Two solvers live here:
 
-* ``brute_force`` - enumerates every assignment; only for tiny instances,
-  used as the oracle in tests.
 * ``solve_exact_dp`` - dynamic program over customers and integer budget
   units; exact when every cost is a multiple of ``cost_resolution``.
 * ``solve_lagrangian`` - dualizes the budget constraint and bisects on the
@@ -28,7 +26,6 @@ from .errors import InfeasiblePlanError, InstanceTooLargeError, ValidationError
 from .tables import read_table, write_table
 
 BUDGET_TOLERANCE = 1e-9
-_BRUTE_FORCE_LIMIT = 10_000_000
 # Auto-resolution targets this many DP cells (about 100 MB of choice table).
 _DP_CELL_BUDGET = 50_000_000
 PLAN_HEADER = ("customer_id", "chosen_arm")
@@ -110,34 +107,6 @@ def check_feasible(problem: AllocationProblem, arms: np.ndarray) -> float:
             f"plan cost {total_cost:.6g} exceeds budget {problem.budget:.6g}"
         )
     return total_cost
-
-
-def brute_force(problem: AllocationProblem) -> AllocationPlan:
-    """Exact optimum by enumerating all M^N assignments. Tie-break: first in
-    lexicographic order, which favors lower arm indices."""
-    combos = problem.n_arms ** problem.n
-    if combos > _BRUTE_FORCE_LIMIT:
-        raise InstanceTooLargeError(
-            f"{problem.n_arms}^{problem.n} = {combos} assignments exceed the enumeration limit"
-        )
-    best_arms = None
-    best_value = -np.inf
-    arms = np.zeros(problem.n, dtype=np.int64)
-    for _ in range(combos):
-        value, cost = plan_totals(problem, arms)
-        if cost <= problem.budget + BUDGET_TOLERANCE and value > best_value:
-            best_value = value
-            best_arms = arms.copy()
-        # odometer increment over arm indices
-        for pos in range(problem.n - 1, -1, -1):
-            arms[pos] += 1
-            if arms[pos] < problem.n_arms:
-                break
-            arms[pos] = 0
-    if best_arms is None:
-        raise InfeasiblePlanError("no assignment fits the budget")
-    value, cost = plan_totals(problem, best_arms)
-    return AllocationPlan(arms=best_arms, total_value=value, total_cost=cost)
 
 
 def solve_exact_dp(problem: AllocationProblem, cost_resolution: float | None = 1e-4) -> AllocationPlan:

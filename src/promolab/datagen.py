@@ -19,8 +19,13 @@ amount is ``p_direct * mu_promo_given_direct + mu_post``. That quantity is
 exported as ground truth for every (customer, arm) pair - observed or not -
 which makes exact policy values computable for estimator tests.
 
-Each customer's randomness derives from ``(seed, customer_id)`` so generation
-is order-independent and could be parallelized without changing output.
+Each kind of draw has its own stream, ``make_rng(seed, 300, k)``: the five
+feature columns in ``FEATURE_NAMES`` order (k = 0-4), the assignment and
+direct-purchase uniforms (5, 6), the promo-spend gamma (7) and the CPG count
+and gamma (8, 9). Every stream is filled in customer order, one draw per
+customer (the CPG gamma only for positive counts), so customer i's record and
+ground truth do not depend on ``n_customers``. The key 300 keeps these streams
+apart from the ones ``train_model`` derives from the same seed.
 """
 
 from __future__ import annotations
@@ -39,6 +44,9 @@ GROUND_TRUTH_HEADER = ("customer_id", "arm", "p_true", "mu_true")
 
 # Response surfaces see standardized features squashed to this magnitude.
 _Z_SATURATION = 3.0
+
+# Stream key of every world draw; train_model uses make_rng(seed, 0..3).
+_WORLD_STREAM = 300
 
 
 def cpg_parameters(mu, phi: float, rho: float):
@@ -71,22 +79,22 @@ def sample_cpg(mu, phi: float, rho: float, rng: np.random.Generator):
 
     Draws N ~ Poisson(lambda) and then the sum of N Gamma(alpha, theta)
     atoms, using gamma additivity (the sum is Gamma(N alpha, theta)). The
-    result is exactly 0.0 when N = 0. ``mu`` may be a scalar or an array;
-    the output matches its shape.
+    result is exactly 0.0 when N = 0. ``mu`` may be a scalar, which gives a
+    ``float``, or an array, which gives an array of its shape.
     """
+    out = _draw_cpg(mu, phi, rho, rng, rng)
+    return out if out.ndim else float(out)
+
+
+def _draw_cpg(mu, phi: float, rho: float, count_rng, gamma_rng) -> np.ndarray:
+    """CPG draws: the counts from ``count_rng``, then the gamma sums of the
+    positive counts, in order, from ``gamma_rng``."""
     _check_cpg_domain(mu, phi, rho)
     lam, alpha, theta = cpg_parameters(mu, phi, rho)
-    if np.ndim(mu) == 0:
-        n = rng.poisson(float(lam))
-        if n == 0:
-            return 0.0
-        return float(rng.gamma(n * alpha, float(theta)))
-    n = rng.poisson(lam)
+    n = np.asarray(count_rng.poisson(lam))
     out = np.zeros(n.shape, dtype=np.float64)
     pos = n > 0
-    if np.any(pos):
-        theta_b = np.broadcast_to(theta, n.shape)
-        out[pos] = rng.gamma(n[pos] * alpha, theta_b[pos])
+    out[pos] = gamma_rng.gamma(n[pos] * alpha, np.broadcast_to(theta, n.shape)[pos])
     return out
 
 
@@ -108,15 +116,18 @@ class FeatureConfig:
     money_short_log_mean: float = 0.3
     money_short_log_sd: float = 1.0
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return np.array(
+    def sample(self, rngs, n: int) -> np.ndarray:
+        """(n, 5) feature rows; column k is drawn from ``rngs[k]`` in row order."""
+        recency, freq_long, freq_short, money_long, money_short = rngs
+        return np.stack(
             [
-                float(rng.geometric(self.recency_p)),
-                float(rng.negative_binomial(self.freq_long_n, self.freq_long_p)),
-                float(rng.negative_binomial(self.freq_short_n, self.freq_short_p)),
-                float(rng.lognormal(self.money_long_log_mean, self.money_long_log_sd)),
-                float(rng.lognormal(self.money_short_log_mean, self.money_short_log_sd)),
-            ]
+                recency.geometric(self.recency_p, n),
+                freq_long.negative_binomial(self.freq_long_n, self.freq_long_p, n),
+                freq_short.negative_binomial(self.freq_short_n, self.freq_short_p, n),
+                money_long.lognormal(self.money_long_log_mean, self.money_long_log_sd, n),
+                money_short.lognormal(self.money_short_log_mean, self.money_short_log_sd, n),
+            ],
+            axis=1,
         )
 
 
@@ -381,17 +392,13 @@ def generate_rct(config: GenConfig):
     """Sample one randomized trial and its full ground truth.
 
     Arm assignment is drawn independently of the features, so incentive and
-    covariates are independent by construction. Feature draws, assignment,
-    and outcomes for customer i all come from the (seed, i) stream.
+    covariates are independent by construction. Features come from streams
+    0-4 of the world key and outcomes from streams 5-9 (see the module
+    docstring).
     """
     n = config.n_customers
-    m = config.n_arms
-    rngs = [make_rng(config.seed, i) for i in range(n)]
-
-    features = np.empty((n, N_FEATURES))
-    for i in range(n):
-        features[i] = config.features.sample(rngs[i])
-
+    rngs = [make_rng(config.seed, _WORLD_STREAM, k) for k in range(N_FEATURES + 5)]
+    features = config.features.sample(rngs[:N_FEATURES], n)
     p, mu_promo, mu_post = config.response.surfaces(features)
     truth = GroundTruth(
         p_direct=p,
@@ -401,23 +408,7 @@ def generate_rct(config: GenConfig):
         rho=config.rho,
         promo_gamma_shape=config.promo_gamma_shape,
     )
-
-    cum_probs = np.cumsum(config.assignment_probs)
-    k = config.promo_gamma_shape
-    arm = np.empty(n, dtype=np.int64)
-    s = np.empty(n, dtype=np.int64)
-    y = np.empty(n)
-    for i in range(n):
-        rng = rngs[i]
-        j = int(np.searchsorted(cum_probs, rng.random(), side="right"))
-        j = min(j, m - 1)
-        arm[i] = j
-        direct = rng.random() < p[i, j]
-        s[i] = 1 if direct else 0
-        y_promo = float(rng.gamma(k, mu_promo[i, j] / k)) if direct else 0.0
-        y_post = sample_cpg(mu_post[i, j], config.phi, config.rho, rng)
-        y[i] = y_promo + y_post
-
+    arm, s, y = _draw_outcomes(truth, config.assignment_probs, rngs[N_FEATURES:])
     dataset = RctDataset(
         customer_id=np.arange(n, dtype=np.int64),
         features=features,
@@ -431,21 +422,27 @@ def generate_rct(config: GenConfig):
 def redraw_outcomes(truth: GroundTruth, assignment_probs: np.ndarray, rng: np.random.Generator):
     """Fresh (arm, s, y) draws for fixed customers and ground truth.
 
-    Vectorized single-stream sampler for Monte Carlo studies that need many
-    outcome worlds over one fixed population (features and truth unchanged).
+    Single-stream sampler for Monte Carlo studies that need many outcome
+    worlds over one fixed population (features and truth unchanged).
     """
+    return _draw_outcomes(truth, assignment_probs, (rng,) * 5)
+
+
+def _draw_outcomes(truth: GroundTruth, assignment_probs: np.ndarray, rngs):
+    """(arm, s, y) for every customer from five streams, in this order: assignment
+    uniform, direct uniform, promo gamma, CPG count, CPG gamma."""
+    arm_rng, direct_rng, promo_rng, count_rng, gamma_rng = rngs
     n = truth.n
     probs = np.asarray(assignment_probs, dtype=np.float64)
     if len(probs) != truth.n_arms:
         raise ValidationError("assignment_probs length must match the arm count")
-    arm = np.searchsorted(np.cumsum(probs), rng.random(n), side="right")
+    arm = np.searchsorted(np.cumsum(probs), arm_rng.random(n), side="right")
     arm = np.minimum(arm, truth.n_arms - 1).astype(np.int64)
     rows = np.arange(n)
-    p = truth.p_direct[rows, arm]
-    s = (rng.random(n) < p).astype(np.int64)
+    s = (direct_rng.random(n) < truth.p_direct[rows, arm]).astype(np.int64)
     k = truth.promo_gamma_shape
-    y_promo = np.where(s == 1, rng.gamma(k, truth.mu_promo_given_direct[rows, arm] / k), 0.0)
-    y_post = sample_cpg(truth.mu_post[rows, arm], truth.phi, truth.rho, rng)
+    y_promo = np.where(s == 1, promo_rng.gamma(k, truth.mu_promo_given_direct[rows, arm] / k), 0.0)
+    y_post = _draw_cpg(truth.mu_post[rows, arm], truth.phi, truth.rho, count_rng, gamma_rng)
     return arm, s, y_post + y_promo
 
 
@@ -459,10 +456,36 @@ _DEFAULT_CENTER = np.array([33.3, 9.0, 2.0, 3.74, 2.23])
 _DEFAULT_SCALE = np.array([32.8, 6.0, 2.0, 3.55, 2.92])
 
 
-def _coupon_scaled(coupons: np.ndarray, slope: float, control: int) -> np.ndarray:
-    eff = slope * coupons.astype(np.float64)
-    eff[control] = 0.0
-    return eff
+# Each world's (intercept, feature coefficients, coupon slope of the arm
+# effect, coupon slope of the arm x feature interactions) for every block.
+_WORLD_COEFFICIENTS = {
+    "default": {
+        "direct": (-1.3, (-0.7, 0.5, 0.45, 0.25, 0.2), 0.30, (0.0, 0.10, 0.15, 0.0, 0.08)),
+        "promo": (-0.1, (-0.1, 0.1, 0.1, 0.35, 0.25), 0.08, (0.0, 0.0, 0.0, 0.0, 0.0)),
+        "post": (0.7, (-0.45, 0.35, 0.25, 0.45, 0.3), 0.22, (0.0, 0.08, 0.0, 0.12, 0.06)),
+    },
+    "decorrelated": {
+        "direct": (-1.2, (-0.6, 0.4, 0.5, 0.1, 0.1), 0.35, (0.0, 0.0, 0.30, -0.15, 0.0)),
+        "promo": (-0.2, (-0.1, 0.1, 0.1, 0.3, 0.2), 0.05, (0.0, 0.0, 0.0, 0.0, 0.0)),
+        "post": (0.7, (-0.4, 0.3, 0.2, 0.5, 0.3), 0.10, (0.0, 0.0, -0.12, 0.30, 0.0)),
+    },
+}
+
+
+def _world_spec(world: str, n_arms: int, coupon_values: np.ndarray | None) -> ResponseSpec:
+    """One default world with effects linear in the coupon value and a neutral control arm."""
+    if coupon_values is None:
+        coupon_values = np.linspace(0.0, 3.0, n_arms)
+    c = np.asarray(coupon_values, dtype=np.float64)
+    control = int(np.flatnonzero(c == 0.0)[0])
+    blocks = {}
+    for name, (intercept, coefs, slope, interaction_slopes) in _WORLD_COEFFICIENTS[world].items():
+        arm_effects = slope * c
+        interactions = np.outer(c, interaction_slopes)
+        arm_effects[control] = 0.0
+        interactions[control] = 0.0
+        blocks[name] = LinearResponse(intercept, np.array(coefs), arm_effects, interactions)
+    return ResponseSpec(feature_center=_DEFAULT_CENTER.copy(), feature_scale=_DEFAULT_SCALE.copy(), **blocks)
 
 
 def default_response_spec(n_arms: int, coupon_values: np.ndarray | None = None) -> ResponseSpec:
@@ -472,37 +495,7 @@ def default_response_spec(n_arms: int, coupon_values: np.ndarray | None = None) 
     either helps the other; effects are big enough that a trained model can
     approach the true ranking.
     """
-    if coupon_values is None:
-        coupon_values = np.linspace(0.0, 3.0, n_arms)
-    c = np.asarray(coupon_values, dtype=np.float64)
-    control = int(np.flatnonzero(c == 0.0)[0])
-    direct = LinearResponse(
-        intercept=-1.3,
-        feature_coefs=np.array([-0.7, 0.5, 0.45, 0.25, 0.2]),
-        arm_effects=_coupon_scaled(c, 0.30, control),
-        interactions=np.outer(c, np.array([0.0, 0.10, 0.15, 0.0, 0.08])),
-    )
-    promo = LinearResponse(
-        intercept=-0.1,
-        feature_coefs=np.array([-0.1, 0.1, 0.1, 0.35, 0.25]),
-        arm_effects=_coupon_scaled(c, 0.08, control),
-        interactions=np.zeros((len(c), N_FEATURES)),
-    )
-    post = LinearResponse(
-        intercept=0.7,
-        feature_coefs=np.array([-0.45, 0.35, 0.25, 0.45, 0.3]),
-        arm_effects=_coupon_scaled(c, 0.22, control),
-        interactions=np.outer(c, np.array([0.0, 0.08, 0.0, 0.12, 0.06])),
-    )
-    for block in (direct, promo, post):
-        block.interactions[control] = 0.0
-    return ResponseSpec(
-        feature_center=_DEFAULT_CENTER.copy(),
-        feature_scale=_DEFAULT_SCALE.copy(),
-        direct=direct,
-        promo=promo,
-        post=post,
-    )
+    return _world_spec("default", n_arms, coupon_values)
 
 
 def decorrelated_response_spec(n_arms: int, coupon_values: np.ndarray | None = None) -> ResponseSpec:
@@ -513,34 +506,4 @@ def decorrelated_response_spec(n_arms: int, coupon_values: np.ndarray | None = N
     only (and anti-aligned with the direct interaction), so chasing the
     direct signal picks the wrong customers for the enduring objective.
     """
-    if coupon_values is None:
-        coupon_values = np.linspace(0.0, 3.0, n_arms)
-    c = np.asarray(coupon_values, dtype=np.float64)
-    control = int(np.flatnonzero(c == 0.0)[0])
-    direct = LinearResponse(
-        intercept=-1.2,
-        feature_coefs=np.array([-0.6, 0.4, 0.5, 0.1, 0.1]),
-        arm_effects=_coupon_scaled(c, 0.35, control),
-        interactions=np.outer(c, np.array([0.0, 0.0, 0.30, -0.15, 0.0])),
-    )
-    promo = LinearResponse(
-        intercept=-0.2,
-        feature_coefs=np.array([-0.1, 0.1, 0.1, 0.3, 0.2]),
-        arm_effects=_coupon_scaled(c, 0.05, control),
-        interactions=np.zeros((len(c), N_FEATURES)),
-    )
-    post = LinearResponse(
-        intercept=0.7,
-        feature_coefs=np.array([-0.4, 0.3, 0.2, 0.5, 0.3]),
-        arm_effects=_coupon_scaled(c, 0.10, control),
-        interactions=np.outer(c, np.array([0.0, 0.0, -0.12, 0.30, 0.0])),
-    )
-    for block in (direct, promo, post):
-        block.interactions[control] = 0.0
-    return ResponseSpec(
-        feature_center=_DEFAULT_CENTER.copy(),
-        feature_scale=_DEFAULT_SCALE.copy(),
-        direct=direct,
-        promo=promo,
-        post=post,
-    )
+    return _world_spec("decorrelated", n_arms, coupon_values)

@@ -25,17 +25,17 @@ class MetricReport:
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the mean rank of their group."""
+    """1-based ranks with ties assigned the mean rank of their group.
+
+    A tie group spans sorted positions [left, right), so its mean 1-based
+    rank is (left + right + 1) / 2, an exact half-integer.
+    """
     order = np.argsort(x, kind="stable")
     sorted_x = x[order]
+    left = np.searchsorted(sorted_x, sorted_x, side="left")
+    right = np.searchsorted(sorted_x, sorted_x, side="right")
     ranks = np.empty(len(x), dtype=np.float64)
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = 0.5 * (left + right + 1)
     return ranks
 
 

@@ -15,7 +15,6 @@ from scipy.optimize import minimize_scalar
 
 from promolab.allocator import (
     AllocationProblem,
-    brute_force,
     build_problem,
     check_feasible,
     solve_exact_dp,
@@ -42,6 +41,8 @@ from promolab.model import (
 )
 from promolab.nncore import make_rng
 from promolab.report import render_report
+
+from oracles import brute_force
 
 
 def _record(log, number, name, ok, detail):

@@ -7,7 +7,6 @@ from promolab import allocator
 from promolab.allocator import (
     AllocationPlan,
     AllocationProblem,
-    brute_force,
     build_problem,
     check_feasible,
     load_plan_csv,
@@ -18,6 +17,8 @@ from promolab.allocator import (
 from promolab.datagen import GenConfig, generate_rct
 from promolab.errors import InfeasiblePlanError, InstanceTooLargeError, ValidationError
 from promolab.nncore import make_rng
+
+from oracles import brute_force
 
 
 def random_problem(rng, n_max=8, m_max=4):

@@ -5,6 +5,8 @@ set at 4 standard errors to leave real failures visible without flakiness if
 seeds change.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -12,6 +14,7 @@ from scipy import stats
 from promolab.datagen import (
     FeatureConfig,
     GenConfig,
+    GroundTruth,
     LinearResponse,
     RctDataset,
     cpg_parameters,
@@ -150,10 +153,15 @@ class TestGenerateRct:
     def test_customer_streams_do_not_depend_on_population_size(self):
         base = GenConfig(n_customers=40, coupon_values=np.array([0.0, 1.0]), seed=9)
         bigger = GenConfig(n_customers=80, coupon_values=np.array([0.0, 1.0]), seed=9)
-        d1, _ = generate_rct(base)
-        d2, _ = generate_rct(bigger)
+        d1, t1 = generate_rct(base)
+        d2, t2 = generate_rct(bigger)
         np.testing.assert_array_equal(d1.features, d2.features[:40])
+        np.testing.assert_array_equal(d1.arm, d2.arm[:40])
+        np.testing.assert_array_equal(d1.s, d2.s[:40])
         np.testing.assert_array_equal(d1.y, d2.y[:40])
+        np.testing.assert_array_equal(t1.p_direct, t2.p_direct[:40])
+        np.testing.assert_array_equal(t1.mu_promo_given_direct, t2.mu_promo_given_direct[:40])
+        np.testing.assert_array_equal(t1.mu_post, t2.mu_post[:40])
 
     def test_arm_independent_of_features(self, small_world):
         _, dataset, _ = small_world
@@ -227,6 +235,23 @@ class TestRedrawOutcomes:
         expected = float((truth.mean_enduring * cfg.assignment_probs).sum())
         se = sums.std(ddof=1) / np.sqrt(reps)
         assert abs(sums.mean() - expected) < 4 * se
+
+    def test_bytes_pinned(self):
+        # SHA-256 of (arm, s, y) as the single-stream sampler drew them before
+        # generate_rct and redraw_outcomes shared one outcome draw.
+        rng = np.random.default_rng(5)
+        n, m = 500, 4
+        truth = GroundTruth(
+            p_direct=rng.uniform(0.05, 0.9, (n, m)),
+            mu_promo_given_direct=rng.uniform(0.2, 5.0, (n, m)),
+            mu_post=rng.uniform(0.1, 6.0, (n, m)),
+            phi=4.0,
+            rho=1.5,
+            promo_gamma_shape=2.0,
+        )
+        arm, s, y = redraw_outcomes(truth, np.array([0.4, 0.3, 0.2, 0.1]), make_rng(12, 3))
+        digest = hashlib.sha256(arm.tobytes() + s.tobytes() + y.tobytes()).hexdigest()
+        assert digest == "9a3e45a8df2e2957d7775868383fd351bc97d2cec4ae95dda5621ba346f64b04"
 
     def test_direct_flag_consistent(self, small_world):
         cfg, _, truth = small_world
@@ -309,8 +334,8 @@ class TestWorldShapes:
         assert r < 0.2
 
     def test_feature_config_sampling_bounds(self):
-        rng = make_rng(21)
-        rows = np.array([FeatureConfig().sample(rng) for _ in range(500)])
+        rows = FeatureConfig().sample([make_rng(21, k) for k in range(5)], 500)
+        assert rows.shape == (500, 5) and rows.dtype == np.float64
         assert np.all(rows[:, 0] >= 1)  # recency is at least one day
         assert np.all(rows[:, 1] >= 0) and np.all(rows[:, 2] >= 0)
         assert np.all(rows[:, 3] > 0) and np.all(rows[:, 4] > 0)
