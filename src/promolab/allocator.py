@@ -51,7 +51,7 @@ class AllocationProblem:
             raise ValidationError("values and costs must be finite")
         if np.any(self.cost < 0):
             raise ValidationError("costs must be nonnegative")
-        if self.budget < 0:
+        if not self.budget >= 0:  # NaN fails too
             raise ValidationError(f"budget must be nonnegative, got {self.budget}")
         if not 0 <= self.zero_arm < self.n_arms:
             raise ValidationError(f"zero_arm {self.zero_arm} out of range")
@@ -145,27 +145,28 @@ def solve_exact_dp(problem: AllocationProblem, cost_resolution: float | None = 1
             f"DP table of {cells} cells is too large; reduce the budget resolution"
         )
 
-    neg_inf = -np.inf
+    width = budget_units + 1
     # best[b]: best value over plans for the customers so far with cost <= b.
     # With no customers that is 0 at every budget level.
-    best = np.zeros(budget_units + 1)
+    best = np.zeros(width)
+    new_best = np.empty(width)
+    cand = np.empty(width)
+    take = np.empty(width, dtype=bool)
     # choice[i, b]: arm taken for customer i when best[b] was achieved
-    choice = np.zeros((n, budget_units + 1), dtype=np.int16)
+    choice = np.zeros((n, width), dtype=np.int16)
 
     for i in range(n):
-        new_best = np.full(budget_units + 1, neg_inf)
-        new_choice = np.zeros(budget_units + 1, dtype=np.int16)
+        new_best.fill(-np.inf)
         for j in range(m):
-            c = cost_units[i, j]
+            c = int(cost_units[i, j])
             if c > budget_units:
                 continue
-            cand = np.full(budget_units + 1, neg_inf)
-            cand[c:] = best[: budget_units + 1 - c] + problem.value[i, j]
-            take = cand > new_best
-            new_best = np.where(take, cand, new_best)
-            new_choice = np.where(take, np.int16(j), new_choice)
-        best = new_best
-        choice[i] = new_choice
+            # arm j reaches only levels b >= c; below that its candidate is -inf and never taken
+            np.add(best[: width - c], problem.value[i, j], out=cand[c:])
+            np.greater(cand[c:], new_best[c:], out=take[c:])
+            np.copyto(new_best[c:], cand[c:], where=take[c:])
+            np.copyto(choice[i, c:], np.int16(j), where=take[c:])
+        best, new_best = new_best, best
     # lower arm indices win ties because later arms only replace on strict improvement
 
     b = int(np.argmax(best))

@@ -81,10 +81,10 @@ class PipelineConfig:
     def __post_init__(self):
         if self.n_folds < 2:
             raise ValidationError("evaluation.n_folds must be at least 2")
-        if self.budget is not None and self.budget < 0:
+        if self.budget is not None and not self.budget >= 0:  # NaN fails too
             raise ValidationError("evaluation.budget must be nonnegative")
         self.budget_grid = tuple(float(b) for b in self.budget_grid)
-        if any(b < 0 for b in self.budget_grid):
+        if any(not b >= 0 for b in self.budget_grid):
             raise ValidationError("evaluation.budget_grid entries must be nonnegative")
 
 

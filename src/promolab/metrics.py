@@ -3,7 +3,9 @@
 All are hand-rolled on ranks/sums so tie handling is explicit and
 deterministic: AUC counts ties as 1/2 via average ranks, Spearman uses
 average ranks, and the Gini coefficient averages tied-prediction groups over
-their orderings (equivalent to replacing each tied group by its mean).
+their orderings (equivalent to replacing each tied group by its mean). Every
+metric rejects non-finite scores, predictions and actuals with
+``ValidationError``, because NaN has no rank.
 """
 
 from __future__ import annotations
@@ -39,6 +41,12 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _require_finite(what: str, *arrays: np.ndarray):
+    for a in arrays:
+        if not np.all(np.isfinite(a)):
+            raise ValidationError(f"{what} must be finite")
+
+
 def auc(scores, labels) -> float:
     """Probability a positive outranks a negative (Mann-Whitney form)."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -47,6 +55,7 @@ def auc(scores, labels) -> float:
         raise ValidationError("scores and labels must be equal-length 1-D arrays")
     if not np.all((labels == 0) | (labels == 1)):
         raise ValidationError("labels must be 0 or 1")
+    _require_finite("scores", scores)
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
@@ -62,6 +71,7 @@ def spearman(x, y) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
         raise ValidationError("spearman needs two equal-length 1-D arrays, length >= 2")
+    _require_finite("spearman inputs", x, y)
     rx = _average_ranks(x)
     ry = _average_ranks(y)
     sx = rx - rx.mean()
@@ -106,6 +116,7 @@ def normalized_gini(predictions, actuals) -> float:
     actuals = np.asarray(actuals, dtype=np.float64)
     if predictions.shape != actuals.shape or predictions.ndim != 1:
         raise ValidationError("predictions and actuals must be equal-length 1-D arrays")
+    _require_finite("predictions and actuals", predictions, actuals)
     if np.any(actuals < 0):
         raise ValidationError("actuals must be nonnegative")
     if np.sum(actuals) <= 0:
@@ -123,6 +134,7 @@ def error_metrics(predictions, actuals) -> tuple[float, float]:
     actuals = np.asarray(actuals, dtype=np.float64)
     if predictions.shape != actuals.shape or predictions.ndim != 1:
         raise ValidationError("predictions and actuals must be equal-length 1-D arrays")
+    _require_finite("predictions and actuals", predictions, actuals)
     mean_actual = float(np.mean(actuals))
     if mean_actual <= 0:
         raise MetricUndefinedError("error metrics need a positive mean of actuals")

@@ -29,7 +29,9 @@ that slot.
 
 Each variant is data: ``_VARIANTS`` lists its parts (embedding tables, trunk
 slices, heads) and its loss terms, and one forward and one backward walker
-interpret that list for building, training, prediction and checkpoints.
+interpret that list for building, training, prediction and checkpoints. The
+forward walker records traces for training and the gradient checks, and keeps
+none when it only scores (``predict`` and the validation loss).
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .nncore import (
     init_dense_net,
     make_rng,
     max_relative_gradient_error,
+    net_output,
     net_parameters,
 )
 
@@ -336,6 +339,31 @@ class _ModelTrace:
     slots: dict  # slot -> (N,) head output; a missing head reports the direct one
 
 
+def _walk_parts(model: ResponseModel, features, arms, run, dtype=np.float64):
+    """Walk the variant's parts forward and return ``(arms, slots)``.
+
+    An embedding's output is the standardized features next to each record's
+    arm row; ``run(part, x)`` maps a trunk's or a head's input to its output.
+    """
+    arms = np.asarray(arms, dtype=np.int64)
+    z = model.standardize(features, dtype=dtype)
+    if arms.shape != (z.shape[0],):
+        raise ShapeError(f"arms must have shape ({z.shape[0]},), got {arms.shape}")
+    if np.any(arms < 0) or np.any(arms >= model.n_arms):
+        raise ValidationError("arm index out of range")
+    outputs: dict = {}
+    slots: dict = {}
+    for part in _VARIANTS[model.config.variant].parts:
+        if part.kind == "embedding":
+            out = np.hstack([z, getattr(model, part.name)[arms].astype(dtype)])
+        else:
+            out = run(part, outputs[part.source])
+        outputs[part.name] = out
+        if part.slot is not None:
+            slots[part.slot] = out[:, 0]
+    return arms, {s: slots.get(s, slots["direct"]) for s in _SLOTS}
+
+
 def _model_forward(
     model: ResponseModel,
     features: np.ndarray,
@@ -344,26 +372,41 @@ def _model_forward(
     rng: np.random.Generator | None = None,
     dtype=np.float64,
 ) -> _ModelTrace:
-    arms = np.asarray(arms, dtype=np.int64)
-    z = model.standardize(features, dtype=dtype)
-    if arms.shape != (z.shape[0],):
-        raise ShapeError(f"arms must have shape ({z.shape[0]},), got {arms.shape}")
-    if np.any(arms < 0) or np.any(arms >= model.n_arms):
-        raise ValidationError("arm index out of range")
-    outputs: dict = {}
+    """The recorded forward pass that training and the gradient checks backpropagate through."""
     traces: dict = {}
-    slots: dict = {}
-    for part in _VARIANTS[model.config.variant].parts:
-        if part.kind == "embedding":
-            outputs[part.name] = np.hstack([z, getattr(model, part.name)[arms].astype(dtype)])
-            continue
-        net = getattr(model, part.name)
-        trace = forward_pass(net, outputs[part.source], mode, rng, dtype=dtype)
-        traces[part.name] = trace
-        outputs[part.name] = trace.output
-        if part.slot is not None:
-            slots[part.slot] = trace.output[:, 0]
-    return _ModelTrace(arms, traces, {s: slots.get(s, slots["direct"]) for s in _SLOTS})
+
+    def run(part, x):
+        # looked up at call time, so wrappers patched onto this module see every call
+        traces[part.name] = forward_pass(getattr(model, part.name), x, mode, rng, dtype=dtype)
+        return traces[part.name].output
+
+    arms, slots = _walk_parts(model, features, arms, run, dtype)
+    return _ModelTrace(arms, traces, slots)
+
+
+def _require_finite(what: str, x: np.ndarray):
+    if not np.all(np.isfinite(x)):
+        raise ValidationError(f"{what} contains non-finite values")
+
+
+def _eval_slots(model: ResponseModel, features: np.ndarray, arms: np.ndarray) -> dict:
+    """Head outputs of an eval-mode pass that keeps no trace.
+
+    Finiteness is checked once on the model input (each embedding's output)
+    and once on each trunk's output, so a trunk that overflows raises before
+    a sigmoid head can saturate it to 0 or 1.
+    """
+    inputs = {p.name for p in _TABLES[model.config.variant]}
+
+    def run(part, x):
+        if part.source in inputs:
+            _require_finite("model input", x)
+        out = net_output(getattr(model, part.name), x)
+        if part.kind == "trunk":
+            _require_finite(f"{part.name} output", out)
+        return out
+
+    return _walk_parts(model, features, arms, run)[1]
 
 
 def _model_backward(
@@ -423,7 +466,7 @@ def predict(model: ResponseModel, features: np.ndarray, arms: np.ndarray) -> Pre
     features = np.asarray(features, dtype=np.float64)
     arms = np.asarray(arms, dtype=np.int64)
     spans = [slice(lo, lo + _PREDICT_CHUNK) for lo in range(0, len(features), _PREDICT_CHUNK)]
-    chunks = [_model_forward(model, features[c], arms[c]).slots for c in spans]
+    chunks = [_eval_slots(model, features[c], arms[c]) for c in spans]
     out = {s: np.concatenate([c[s] for c in chunks]) if chunks else np.empty(0) for s in _SLOTS}
     amount_loss = _SLOT_LOSSES[model.config.variant].get("amount")
     if amount_loss is not None and _LINKS[amount_loss][0] == "identity":
@@ -448,8 +491,8 @@ def _mean_loss(model: ResponseModel, features, arms, s, y, chunk: int = _PREDICT
     n = len(features)
     for lo in range(0, n, chunk):
         hi = lo + chunk
-        mt = _model_forward(model, features[lo:hi], arms[lo:hi], mode="eval")
-        value, _ = _loss_terms(model, s[lo:hi], y[lo:hi], mt.slots)
+        slots = _eval_slots(model, features[lo:hi], arms[lo:hi])
+        value, _ = _loss_terms(model, s[lo:hi], y[lo:hi], slots)
         total += float(np.sum(value))
     return total / n
 

@@ -7,6 +7,12 @@ eval mode needs no rescaling. Backpropagation is written out explicitly for
 this fixed topology and validated against central finite differences by
 ``gradient_check``.
 
+Two forward paths share one per-layer step (``_layer_forward``):
+``forward_pass`` records every layer's pre-activation, activation and dropout
+mask in a ``ForwardTrace`` for ``backward_pass``, and is what training and the
+gradient checks run; ``net_output`` keeps no trace and returns only the last
+layer's output, for callers that only score (eval mode, no dropout).
+
 Randomness is always drawn from a :class:`numpy.random.Generator` backed by
 PCG64; ``make_rng`` builds one from a seed plus an optional stream key so
 identical seeds give identical streams everywhere.
@@ -162,6 +168,44 @@ class ForwardTrace:
         return self.layers[-1].output
 
 
+def _layer_forward(layer: DenseLayer, x: np.ndarray, keep_pre: bool = True):
+    """``(pre, activated)`` of one layer: ``activation(x @ weight + bias)``.
+
+    The bias is added in place on the matmul result. With ``keep_pre`` false a
+    relu also runs in place, so ``pre`` is overwritten and must not be used.
+    """
+    pre = x @ layer.weight
+    pre += layer.bias
+    if layer.activation == "relu" and not keep_pre:
+        return pre, np.maximum(pre, 0.0, out=pre)
+    return pre, _activate(layer.activation, pre)
+
+
+def _check_batch(net: DenseNet, batch: np.ndarray, dtype) -> np.ndarray:
+    batch = np.asarray(batch, dtype=dtype)
+    if batch.ndim != 2:
+        raise ShapeError(f"batch must be 2-D (batch, features), got shape {batch.shape}")
+    if batch.shape[1] != net.input_dim:
+        raise ShapeError(
+            f"batch has {batch.shape[1]} columns but the net expects {net.input_dim}"
+        )
+    return batch
+
+
+def net_output(net: DenseNet, batch: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """The last layer's output of an eval-mode pass, with no trace kept.
+
+    Same arithmetic and bytes as ``forward_pass(net, batch).output``, but each
+    layer's array is released as the next one forms. Shapes are checked;
+    finiteness is not, so the caller checks its inputs (``forward_pass``
+    checks its own).
+    """
+    x = _check_batch(net, batch, dtype)
+    for layer in net.layers:
+        _, x = _layer_forward(layer, x, keep_pre=False)
+    return x
+
+
 def forward_pass(
     net: DenseNet,
     batch: np.ndarray,
@@ -170,6 +214,10 @@ def forward_pass(
     dtype=np.float64,
 ) -> ForwardTrace:
     """Run the net over a (batch, features) matrix and keep every activation.
+
+    This is the recording path: training and the gradient checks run it,
+    because ``backward_pass`` needs the trace. Callers that only need the
+    output use ``net_output``. The batch must be finite.
 
     In train mode dropout masks are drawn from ``rng`` and scaled by
     1/(1 - rate) so the eval-mode output is the expectation of the train-mode
@@ -181,13 +229,7 @@ def forward_pass(
     """
     if mode not in ("train", "eval"):
         raise ValidationError(f"mode must be 'train' or 'eval', got {mode!r}")
-    batch = np.asarray(batch, dtype=dtype)
-    if batch.ndim != 2:
-        raise ShapeError(f"batch must be 2-D (batch, features), got shape {batch.shape}")
-    if batch.shape[1] != net.input_dim:
-        raise ShapeError(
-            f"batch has {batch.shape[1]} columns but the net expects {net.input_dim}"
-        )
+    batch = _check_batch(net, batch, dtype)
     if not np.all(np.isfinite(batch)):
         raise ValidationError("batch contains non-finite values")
     use_dropout = mode == "train" and net.dropout_rate > 0.0
@@ -197,8 +239,7 @@ def forward_pass(
     trace = ForwardTrace(inputs=batch)
     x = batch
     for layer in net.layers:
-        pre = x @ layer.weight + layer.bias
-        activated = _activate(layer.activation, pre)
+        pre, activated = _layer_forward(layer, x)
         if use_dropout:
             keep = rng.random(activated.shape) >= net.dropout_rate
             mask = keep / (1.0 - net.dropout_rate)

@@ -1,5 +1,7 @@
 """Knapsack allocator oracles: hand instances, exact-vs-brute sweeps, duality."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -328,3 +330,39 @@ class TestPlanCsv:
         ids, arms = load_plan_csv(path)
         np.testing.assert_array_equal(ids, [10, 11, 12])
         np.testing.assert_array_equal(arms, plan.arms)
+
+
+def dp_pin_problems():
+    """Seeded DP instances: random, tie-heavy and one auto-resolution table."""
+    rng = make_rng(404)
+    for _ in range(30):
+        yield random_problem(rng, n_max=12, m_max=5), 1e-4
+    # values and costs on coarse grids, so arms tie in value, in cost or both
+    for _ in range(12):
+        n = int(rng.integers(2, 15))
+        m = int(rng.integers(2, 6))
+        value = rng.integers(0, 4, size=(n, m)) * 0.5
+        cost = rng.integers(1, 4, size=(n, m)) * 0.25
+        cost[:, 0] = 0.0
+        budget = float(rng.integers(0, 2 * n)) * 0.25
+        yield AllocationProblem(value=value, cost=cost, budget=budget), 0.25
+        yield AllocationProblem(value=value, cost=cost, budget=budget), 1e-4
+    # budget * n above the cell budget: cost_resolution=None coarsens past 1e-4
+    value = rng.uniform(0.0, 5.0, size=(100, 3))
+    cost = rng.uniform(0.05, 2.0, size=(100, 3))
+    cost[:, 0] = 0.0
+    yield AllocationProblem(value=value, cost=cost, budget=60.0), None
+
+
+class TestDpBytes:
+    # SHA-256 over every plan's arms and totals, computed with the solver that
+    # allocated a fresh candidate array per (customer, arm)
+    PINNED = "b631fea04c26fc0e6dade312fa3994cffd54345656fc2adbab79bf1b5a8505e1"
+
+    def test_plans_pinned(self):
+        digest = hashlib.sha256()
+        for problem, resolution in dp_pin_problems():
+            plan = solve_exact_dp(problem, cost_resolution=resolution)
+            digest.update(plan.arms.astype(np.int64).tobytes())
+            digest.update(np.array([plan.total_value, plan.total_cost]).tobytes())
+        assert digest.hexdigest() == self.PINNED

@@ -233,6 +233,27 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("solver", ["lagrangian", "dp"])
+    def test_nan_budget_rejected(self, workdir, tmp_path, capsys, solver):
+        # NaN passed a `budget < 0` check: the Lagrangian failed after 60
+        # doublings and the DP crashed converting NaN to an int (both exit 2)
+        root, cfg = workdir
+        argv = [
+            "allocate", "--config", str(cfg), "--model", str(root / "model.npz"),
+            "--data", str(root / "dataset.csv"), "--budget", "nan",
+            "--solver", solver, "--out", str(tmp_path),
+        ]
+        assert main(argv) == 1
+        assert "budget must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "plan.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("budget", ".nan"), ("budget_grid", "[10.0, .nan]")])
+    def test_nan_config_budget_rejected(self, tmp_path, key, value):
+        cfg = tmp_path / "nan.yaml"
+        cfg.write_text(f"evaluation:\n  {key}: {value}\n")
+        with pytest.raises(ValidationError, match=f"evaluation.{key}"):
+            parse_config(cfg)
+
     def test_bad_log_level(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PROMOLAB_LOG_LEVEL", "LOUD")
         assert main(["report", "--out", str(tmp_path), "x.json"]) == 1

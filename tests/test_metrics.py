@@ -55,6 +55,16 @@ class TestAuc:
         with pytest.raises(ValidationError):
             auc(np.array([0.1, 0.2]), np.array([0, 2]))
 
+    @pytest.mark.parametrize(
+        "scores",
+        [[np.nan, 1.0, 2.0, np.nan], [np.inf, 1.0, 2.0, 3.0], [0.0, 1.0, -np.inf, 3.0]],
+        ids=["nan", "inf", "minus_inf"],
+    )
+    def test_non_finite_scores_rejected(self, scores):
+        # NaN has no rank: two NaN scores used to tie and give 0.375
+        with pytest.raises(ValidationError):
+            auc(scores, [0, 1, 0, 1])
+
 
 class TestSpearman:
     def test_hand_case(self):
@@ -78,6 +88,14 @@ class TestSpearman:
     def test_constant_vector_undefined(self):
         with pytest.raises(MetricUndefinedError):
             spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_non_finite_input_rejected(self, side):
+        good = np.array([1.0, 2.0, 3.0, 4.0])
+        bad = np.array([1.0, np.nan, 3.0, np.inf])
+        x, y = (bad, good) if side == "x" else (good, bad)
+        with pytest.raises(ValidationError):
+            spearman(x, y)
 
 
 def _gini_of_order(actuals_in_order):
@@ -138,6 +156,14 @@ class TestNormalizedGini:
         with pytest.raises(MetricUndefinedError):
             normalized_gini(np.array([1.0, 2.0]), np.array([3.0, 3.0]))
 
+    @pytest.mark.parametrize("side", ["predictions", "actuals"])
+    def test_non_finite_input_rejected(self, side):
+        good = np.array([1.0, 2.0, 3.0, 4.0])
+        bad = np.array([1.0, np.nan, 3.0, 4.0])
+        preds, actuals = (bad, good) if side == "predictions" else (good, bad)
+        with pytest.raises(ValidationError):
+            normalized_gini(preds, actuals)
+
 
 class TestErrorMetrics:
     def test_hand_case(self):
@@ -159,6 +185,15 @@ class TestErrorMetrics:
     def test_zero_mean_actuals_undefined(self):
         with pytest.raises(MetricUndefinedError):
             error_metrics(np.array([1.0]), np.array([0.0]))
+
+    @pytest.mark.parametrize("side", ["predictions", "actuals"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, side, bad):
+        good = np.array([1.0, 2.0, 3.0, 4.0])
+        poisoned = np.array([1.0, bad, 3.0, 4.0])
+        preds, actuals = (poisoned, good) if side == "predictions" else (good, poisoned)
+        with pytest.raises(ValidationError):
+            error_metrics(preds, actuals)
 
 
 class TestMetricReport:

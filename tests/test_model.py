@@ -170,6 +170,52 @@ class TestPredict:
         np.testing.assert_allclose(full.amount, np.concatenate([p.amount for p in parts]), atol=0)
 
 
+class TestEvalWalk:
+    """Scoring runs the traceless eval walk; training keeps the traced one."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_slots_match_traced_forward_bytes(self, variant):
+        model, _ = narrow_model(variant)
+        features, arms, _, _ = tiny_batch(n=200)
+        traced = model_module._model_forward(model, features, arms, mode="eval").slots
+        slots = model_module._eval_slots(model, features, arms)
+        assert list(slots) == list(traced)
+        for name in traced:
+            assert slots[name].tobytes() == traced[name].tobytes(), name
+
+    def test_scoring_keeps_no_trace(self, monkeypatch):
+        def traced(*args, **kwargs):
+            raise AssertionError("scoring ran the recording forward pass")
+
+        monkeypatch.setattr(model_module, "forward_pass", traced)
+        model, _ = narrow_model("full")
+        features, arms, _, _ = tiny_batch(n=50)
+        predict(model, features, arms)
+        predict_matrix(model, features)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("scorer", ["predict", "predict_matrix"])
+    def test_non_finite_feature_rejected(self, scorer, bad):
+        model, _ = narrow_model("full")
+        features, arms, _, _ = tiny_batch(n=50)
+        features[7, 2] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            if scorer == "predict":
+                predict(model, features, arms)
+            else:
+                predict_matrix(model, features)
+
+    @pytest.mark.parametrize("variant", ["full", "two_model"])
+    def test_overflowing_trunk_raises_before_heads_saturate(self, variant):
+        # a sigmoid head would map the overflowed trunk to exact 0s and 1s
+        model, _ = narrow_model(variant)
+        model.trunk_a.layers[0].weight[...] = 1e308
+        features, arms, _, _ = tiny_batch(n=64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match="trunk_a output"):
+                predict(model, features, arms)
+
+
 @pytest.fixture(scope="module")
 def trained(small_world, fast_model_config):
     cfg, dataset, _ = small_world
