@@ -98,6 +98,7 @@ def parse_config(
     path=None,
     seed: int = 0,
     variant: str | None = None,
+    budget: float | None = None,
     budget_grid=None,
 ) -> PipelineConfig:
     """Load the YAML config; CLI flags override the file's values."""
@@ -157,6 +158,8 @@ def parse_config(
 
     eval_raw = dict(raw.get("evaluation") or {})
     _known_keys(eval_raw, ("n_folds", "budget", "budget_grid"), "evaluation")
+    if budget is not None:
+        eval_raw["budget"] = budget
     if budget_grid is not None:
         eval_raw["budget_grid"] = budget_grid
     return PipelineConfig(generation=generation, model=model, **eval_raw)
@@ -283,15 +286,14 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = parse_config(args.config, seed=args.seed, variant=args.variant)
+    cfg = parse_config(args.config, seed=args.seed, variant=args.variant, budget=args.budget)
     out = _out_dir(args)
     gen = cfg.generation
     dataset = _load_dataset(args.data, gen.n_arms)
-    budget = args.budget if args.budget is not None else cfg.budget
     report = evaluate_variant(
         dataset.features, dataset.arm, dataset.s, dataset.y,
         gen.coupon_values, gen.control_arm, cfg.model,
-        seed=args.seed, budget=budget, n_folds=cfg.n_folds,
+        seed=args.seed, budget=cfg.budget, n_folds=cfg.n_folds,
     )
     path = out / f"eval_{cfg.model.variant}.json"
     _atomic_write(path, lambda p: report.save(p))

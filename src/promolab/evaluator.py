@@ -11,6 +11,10 @@ whenever every used arm has at least one match. Substituting realized
 incentive cost for the outcome gives the cost estimator, and the lift in
 purchase amount (LPA) is the value estimate minus the value of the
 all-control plan.
+
+Evaluation is cross-fitted: each of k fold models scores every arm of the
+fold it never saw. Metrics read the logged arm's column of that out-of-fold
+matrix, and a budgeted plan is solved on the whole matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 from .allocator import AllocationPlan, build_problem, solve_lagrangian
 from .errors import EstimationError, ValidationError
 from .metrics import MetricReport, metric_report
-from .model import ModelConfig, PredictionMatrix, predict, predict_matrix, train_model
+from .model import ModelConfig, PredictionMatrix, predict_matrix, train_model
 from .nncore import make_rng
 from .tables import read_table, write_table
 
@@ -132,14 +136,17 @@ def estimate_policy_cost(plan_arms, trial_arms, s, coupon_values) -> PolicyEstim
     return _grouped_estimate(plan_arms, trial_arms, realized, len(coupon_values))
 
 
-def lift_purchase_amount(plan_arms, trial_arms, y, n_arms: int, control_arm: int) -> float:
-    """Plan value minus the all-control plan value, both estimated on the log."""
+def _control_value(trial_arms, y, n_arms: int, control_arm: int) -> float:
     if not 0 <= control_arm < n_arms:
         raise ValidationError(f"control_arm {control_arm} out of range")
+    control = np.full(len(np.asarray(trial_arms)), control_arm, dtype=np.int64)
+    return estimate_policy_value(control, trial_arms, y, n_arms).total
+
+
+def lift_purchase_amount(plan_arms, trial_arms, y, n_arms: int, control_arm: int) -> float:
+    """Plan value minus the all-control plan value, both estimated on the log."""
     value = estimate_policy_value(plan_arms, trial_arms, y, n_arms).total
-    control = np.full(len(np.asarray(plan_arms)), control_arm, dtype=np.int64)
-    baseline = estimate_policy_value(control, trial_arms, y, n_arms).total
-    return value - baseline
+    return value - _control_value(trial_arms, y, n_arms, control_arm)
 
 
 @dataclass
@@ -170,12 +177,13 @@ def budget_sweep(
     points: list[CurvePoint] = []
     plans: list[AllocationPlan] = []
     n_arms = len(coupon_values)
+    baseline = _control_value(trial_arms, y, n_arms, control_arm)
     for b in budgets:
         problem = build_problem(value_matrix, direct_matrix, coupon_values, float(b))
         plan = solve_lagrangian(problem)
         est_value = estimate_policy_value(plan.arms, trial_arms, y, n_arms).total
         est_cost = estimate_policy_cost(plan.arms, trial_arms, s, coupon_values).total
-        lpa = lift_purchase_amount(plan.arms, trial_arms, y, n_arms, control_arm)
+        lpa = est_value - baseline
         points.append(CurvePoint(budget=float(b), cost=est_cost, lpa=lpa, value=est_value))
         plans.append(plan)
     return points, plans
@@ -200,12 +208,11 @@ class FoldMetrics:
 
 @dataclass
 class CrossValResult:
-    """Out-of-fold predictions and metrics from a k-fold run."""
+    """Out-of-fold ``(n, M)`` arm predictions and metrics from a k-fold run."""
 
     fold_metrics: list
     pooled: MetricReport
     oof: PredictionMatrix
-    models: list | None = None
 
 
 def cross_validated_eval(
@@ -217,14 +224,13 @@ def cross_validated_eval(
     config: ModelConfig | None = None,
     seed: int = 0,
     n_folds: int = 5,
-    keep_models: bool = False,
 ) -> CrossValResult:
-    """Train on k-1 folds, score the held-out fold, pool the predictions.
+    """Train on k-1 folds, score the held-out fold for every arm, pool the scores.
 
-    Every record is scored exactly once by a model that never saw it; pooled
-    metrics are computed on those out-of-fold predictions against the logged
-    outcomes. Fold membership and per-fold training both derive from
-    ``seed``.
+    Every record is scored exactly once by a model that never saw it; fold
+    and pooled metrics read the logged arm's column of those out-of-fold
+    scores against the logged outcomes. Fold membership and per-fold training
+    both derive from ``seed``.
     """
     if n_folds < 2:
         raise ValidationError("n_folds must be at least 2")
@@ -238,9 +244,8 @@ def cross_validated_eval(
 
     perm = make_rng(seed, _STREAM_FOLDS).permutation(n)
     bounds = np.linspace(0, n, n_folds + 1).astype(int)
-    oof = PredictionMatrix(np.empty(n), np.empty(n), np.empty(n))
+    oof = PredictionMatrix(np.empty((n, n_arms)), np.empty((n, n_arms)), np.empty((n, n_arms)))
     fold_metrics = []
-    models = [] if keep_models else None
 
     for k in range(n_folds):
         test_idx = perm[bounds[k] : bounds[k + 1]]
@@ -254,27 +259,17 @@ def cross_validated_eval(
             config=config,
             seed=make_rng(seed, _STREAM_FOLD_TRAIN, k).integers(2**31),
         )
-        held_out = predict(result.model, features[test_idx], arms[test_idx])
+        held_out = predict_matrix(result.model, features[test_idx])
         oof.direct[test_idx] = held_out.direct
         oof.enduring_propensity[test_idx] = held_out.enduring_propensity
         oof.amount[test_idx] = held_out.amount
-        fold_metrics.append(
-            FoldMetrics(
-                fold=k,
-                n_test=len(test_idx),
-                metrics=metric_report(held_out.direct, s[test_idx], held_out.amount, y[test_idx]),
-            )
-        )
-        if keep_models:
-            models.append(result.model)
+        logged = (test_idx, arms[test_idx])
+        report = metric_report(oof.direct[logged], s[test_idx], oof.amount[logged], y[test_idx])
+        fold_metrics.append(FoldMetrics(fold=k, n_test=len(test_idx), metrics=report))
 
-    pooled = metric_report(oof.direct, s, oof.amount, y)
-    return CrossValResult(
-        fold_metrics=fold_metrics,
-        pooled=pooled,
-        oof=oof,
-        models=models,
-    )
+    logged = (np.arange(n), arms)
+    pooled = metric_report(oof.direct[logged], s, oof.amount[logged], y)
+    return CrossValResult(fold_metrics=fold_metrics, pooled=pooled, oof=oof)
 
 
 @dataclass
@@ -351,8 +346,10 @@ def evaluate_variant(
 ) -> EvalReport:
     """Full pipeline for one variant: CV metrics plus one budgeted allocation.
 
-    The allocation step trains on everything, predicts all arms, solves at
-    ``budget``, and scores the plan on the same log with the matched-arm
+    The k fold models of ``cross_validated_eval`` are the only models trained.
+    With a ``budget``, the plan is solved on their out-of-fold ``(n, M)``
+    predictions, so each customer's arm is chosen by a model that never saw
+    that customer, and the plan is scored on the log with the matched-arm
     estimator. Skipped when ``budget`` is None.
     """
     cv = cross_validated_eval(features, arms, s, y, len(coupon_values), config, seed, n_folds)
@@ -363,10 +360,8 @@ def evaluate_variant(
         fold_metrics=cv.fold_metrics,
     )
     if budget is not None:
-        result = train_model(features, arms, s, y, len(coupon_values), config, seed)
-        pm = predict_matrix(result.model, features)
         points, _ = budget_sweep(
-            pm.amount, pm.direct, coupon_values, [budget], arms, s, y, control_arm
+            cv.oof.amount, cv.oof.direct, coupon_values, [budget], arms, s, y, control_arm
         )
         report.budget = float(budget)
         report.estimated_value = points[0].value

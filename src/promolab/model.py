@@ -236,9 +236,6 @@ class PredictionMatrix:
     amount: np.ndarray
 
 
-PredictionTriple = PredictionMatrix  # deprecated alias
-
-
 @dataclass
 class ResponseModel:
     """A built (possibly trained) model: parameters plus input normalization."""

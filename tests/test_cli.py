@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
+from promolab import evaluator
 from promolab.cli import main, parse_config
 from promolab.datagen import RctDataset
 from promolab.errors import ValidationError
@@ -246,6 +247,26 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "budget must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "plan.csv").exists()
+
+    @pytest.mark.parametrize("budget", ["nan", "-5"])
+    def test_bad_evaluate_budget_rejected_before_training(
+        self, workdir, tmp_path, capsys, monkeypatch, budget
+    ):
+        # the flag goes through the config check, so no fold model is trained
+        root, cfg = workdir
+        calls = []
+        train_model = evaluator.train_model
+        monkeypatch.setattr(
+            evaluator, "train_model", lambda *a, **k: calls.append(1) or train_model(*a, **k)
+        )
+        argv = [
+            "evaluate", "--config", str(cfg), "--data", str(root / "dataset.csv"),
+            "--budget", budget, "--out", str(tmp_path),
+        ]
+        assert main(argv) == 1
+        assert "budget must be nonnegative" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "eval_full.json").exists()
 
     @pytest.mark.parametrize("key, value", [("budget", ".nan"), ("budget_grid", "[10.0, .nan]")])
     def test_nan_config_budget_rejected(self, tmp_path, key, value):

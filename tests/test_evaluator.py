@@ -1,10 +1,13 @@
 """Matched-arm estimator oracles, budget sweeps, cross-validation plumbing."""
 
+import hashlib
 import logging
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from promolab import evaluator
 from promolab.datagen import redraw_outcomes
 from promolab.errors import EstimationError, ValidationError
 from promolab.evaluator import (
@@ -154,6 +157,26 @@ class TestBudgetSweep:
         # the loose-budget plan takes the per-customer best arm
         assert plans[-1].total_value == pytest.approx(value.max(axis=1).sum())
 
+    def test_lpa_matches_lift_purchase_amount(self, small_world):
+        # the sweep estimates the all-control baseline once; the lift must be
+        # the same float that `lift_purchase_amount` computes per plan
+        cfg, dataset, truth = small_world
+        points, plans = budget_sweep(
+            truth.mean_enduring, truth.p_direct, cfg.coupon_values, [0.0, 300.0, 900.0],
+            dataset.arm, dataset.s, dataset.y, cfg.control_arm,
+        )
+        for point, plan in zip(points, plans):
+            lpa = lift_purchase_amount(plan.arms, dataset.arm, dataset.y, cfg.n_arms, cfg.control_arm)
+            assert point.lpa == lpa
+
+    def test_bad_control_arm_rejected(self, small_world):
+        cfg, dataset, truth = small_world
+        with pytest.raises(ValidationError, match="control_arm"):
+            budget_sweep(
+                truth.mean_enduring, truth.p_direct, cfg.coupon_values, [100.0],
+                dataset.arm, dataset.s, dataset.y, cfg.n_arms,
+            )
+
     def test_curve_csv_round_trip(self, tmp_path):
         points = [
             CurvePoint(budget=0.0, cost=0.0, lpa=0.0, value=10.0),
@@ -191,8 +214,9 @@ def cv_result(small_world, fast_model_config):
 
 class TestCrossValidation:
     def test_every_record_scored(self, cv_result, small_world):
-        _, dataset, _ = small_world
-        assert cv_result.oof.direct.shape == (dataset.n,)
+        cfg, dataset, _ = small_world
+        for scores in (cv_result.oof.direct, cv_result.oof.enduring_propensity, cv_result.oof.amount):
+            assert scores.shape == (dataset.n, cfg.n_arms)
         assert np.all(np.isfinite(cv_result.oof.direct))
         assert np.all(np.isfinite(cv_result.oof.amount))
         assert np.all((cv_result.oof.direct > 0) & (cv_result.oof.direct < 1))
@@ -212,14 +236,14 @@ class TestCrossValidation:
         np.testing.assert_array_equal(a.oof.amount, b.oof.amount)
         assert a.pooled == b.pooled
 
-    def test_keep_models(self, small_world, fast_model_config):
-        cfg, dataset, _ = small_world
-        sub = dataset.subset(np.arange(600))
-        cv = cross_validated_eval(
-            sub.features, sub.arm, sub.s, sub.y, cfg.n_arms,
-            config=fast_model_config, seed=5, n_folds=2, keep_models=True,
+    def test_metrics_pinned(self, cv_result):
+        # computed when the folds were scored with `predict` on the logged arm
+        # only: the logged-arm column of the out-of-fold matrix gives the same bytes
+        reports = [cv_result.pooled] + [fm.metrics for fm in cv_result.fold_metrics]
+        data = np.array([astuple(r) for r in reports], dtype=np.float64).tobytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "ce96b7ae66c76a6cef235232353af8acb3e923d1e69bf17e8a7129c5e6af5de8"
         )
-        assert len(cv.models) == 2
 
     def test_fold_count_validation(self, small_world, fast_model_config):
         cfg, dataset, _ = small_world
@@ -303,3 +327,46 @@ class TestEvaluateVariant:
         )
         assert report.budget is None
         assert report.lpa is None
+
+
+@pytest.fixture(scope="module")
+def budgeted_eval(small_world, fast_model_config):
+    """A 2-fold budgeted evaluation, with every `train_model` call counted."""
+    cfg, dataset, _ = small_world
+    sub = dataset.subset(np.arange(1200))
+    calls = []
+    train_model = evaluator.train_model
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("seed"))
+        return train_model(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "train_model", counting)
+        report = evaluate_variant(
+            sub.features, sub.arm, sub.s, sub.y, cfg.coupon_values, cfg.control_arm,
+            fast_model_config, seed=3, budget=150.0, n_folds=2,
+        )
+    return sub, report, calls
+
+
+class TestCrossFittedPlan:
+    def test_trains_only_fold_models(self, budgeted_eval):
+        _, _, calls = budgeted_eval
+        assert len(calls) == 2
+
+    def test_plan_solved_on_out_of_fold_matrix(self, budgeted_eval, small_world, fast_model_config):
+        cfg, _, _ = small_world
+        sub, report, _ = budgeted_eval
+        cv = cross_validated_eval(
+            sub.features, sub.arm, sub.s, sub.y, cfg.n_arms,
+            config=fast_model_config, seed=3, n_folds=2,
+        )
+        points, _ = budget_sweep(
+            cv.oof.amount, cv.oof.direct, cfg.coupon_values, [150.0],
+            sub.arm, sub.s, sub.y, cfg.control_arm,
+        )
+        assert report.metrics == cv.pooled
+        assert report.estimated_value == points[0].value
+        assert report.estimated_cost == points[0].cost
+        assert report.lpa == points[0].lpa
