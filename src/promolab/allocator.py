@@ -26,6 +26,10 @@ from .errors import InfeasiblePlanError, InstanceTooLargeError, ValidationError
 from .tables import read_table, write_table
 
 BUDGET_TOLERANCE = 1e-9
+# Cap on bisection steps of the budget multiplier; it stops sooner once converged.
+_LAGRANGIAN_ITERATIONS = 100
+# First multiplier tried above 0; doubled until the plan fits the budget.
+_LAMBDA_START = 1.0
 # Auto-resolution targets this many DP cells (about 100 MB of choice table).
 _DP_CELL_BUDGET = 50_000_000
 PLAN_HEADER = ("customer_id", "chosen_arm")
@@ -79,9 +83,8 @@ class AllocationPlan:
     def __post_init__(self):
         self.arms = np.asarray(self.arms, dtype=np.int64)
 
-    def to_csv(self, path, customer_id: np.ndarray | None = None):
-        ids = np.arange(len(self.arms)) if customer_id is None else customer_id
-        write_table(path, PLAN_HEADER, [np.asarray(ids, dtype=np.int64), self.arms])
+    def to_csv(self, path, customer_id: np.ndarray):
+        write_table(path, PLAN_HEADER, [np.asarray(customer_id, dtype=np.int64), self.arms])
 
 
 def load_plan_csv(path):
@@ -209,11 +212,7 @@ def _lagrangian_argmax(problem: AllocationProblem, lam: float):
     return arms
 
 
-def solve_lagrangian(
-    problem: AllocationProblem,
-    iterations: int = 100,
-    lambda_hi: float = 1.0,
-) -> AllocationPlan:
+def solve_lagrangian(problem: AllocationProblem) -> AllocationPlan:
     """Near-optimal plan by bisection on the budget multiplier.
 
     For a multiplier lam, each customer independently picks the arm
@@ -225,8 +224,6 @@ def solve_lagrangian(
     one customer's value spread of the dual bound. The returned
     ``dual_bound`` is a certified upper bound on the optimum.
     """
-    if iterations < 1:
-        raise ValidationError("iterations must be at least 1")
     rows = np.arange(problem.n)
 
     def evaluate(lam: float):
@@ -242,7 +239,7 @@ def solve_lagrangian(
         return AllocationPlan(arms=arms0, total_value=value0, total_cost=cost0, dual_bound=value0)
 
     lo = 0.0
-    hi = lambda_hi
+    hi = _LAMBDA_START
     best_dual = dual0
     for _ in range(60):
         arms_hi, value_hi, cost_hi, dual_hi = evaluate(hi)
@@ -257,7 +254,7 @@ def solve_lagrangian(
         raise InfeasiblePlanError("bisection failed to find a feasible multiplier")
 
     best_feasible = (arms_hi, value_hi, cost_hi)
-    for _ in range(iterations):
+    for _ in range(_LAGRANGIAN_ITERATIONS):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             # lo and hi are adjacent floats: every further step re-evaluates one of them

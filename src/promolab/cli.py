@@ -47,6 +47,7 @@ from .errors import PromolabError, ValidationError
 from .evaluator import (
     EvalReport,
     budget_sweep,
+    cross_validated_eval,
     curve_to_csv,
     evaluate_variant,
     load_curve_csv,
@@ -111,20 +112,8 @@ def parse_config(
     _known_keys(raw, ("generation", "model", "evaluation"), "config")
 
     gen_raw = dict(raw.get("generation") or {})
-    _known_keys(
-        gen_raw,
-        (
-            "n_customers",
-            "coupon_values",
-            "assignment_probs",
-            "phi",
-            "rho",
-            "promo_gamma_shape",
-            "world",
-            "features",
-        ),
-        "generation",
-    )
+    gen_keys = [f.name for f in dataclasses.fields(GenConfig) if f.name not in ("seed", "response")]
+    _known_keys(gen_raw, gen_keys + ["world"], "generation")
     world = gen_raw.pop("world", "default")
     if world not in _WORLDS:
         raise ValidationError(f"generation.world must be one of {_WORLDS}, got {world!r}")
@@ -148,10 +137,7 @@ def parse_config(
         w = model_raw["weights"]
         if not isinstance(w, dict):
             raise ValidationError("model.weights must be a mapping")
-        _known_keys(w, ("w_amount", "w_enduring", "w_direct"), "model.weights")
-        model_raw["weights"] = LossWeights(**w)
-    if "hidden_dims" in model_raw:
-        model_raw["hidden_dims"] = tuple(model_raw["hidden_dims"])
+        _known_keys(w, [f.name for f in dataclasses.fields(LossWeights)], "model.weights")
     if variant is not None:
         model_raw["variant"] = variant
     model = ModelConfig(**model_raw)
@@ -317,12 +303,13 @@ def _cmd_sweep(args) -> int:
             raise ValidationError(
                 f"model has {model.n_arms} arms but the config defines {gen.n_arms}"
             )
+        pm = predict_matrix(model, dataset.features)
     else:
-        model = train_model(
+        # cross-fitted, as in `evaluate`: no plan is scored on the log its model was fit on
+        pm = cross_validated_eval(
             dataset.features, dataset.arm, dataset.s, dataset.y, gen.n_arms,
-            config=cfg.model, seed=args.seed,
-        ).model
-    pm = predict_matrix(model, dataset.features)
+            cfg.model, args.seed, cfg.n_folds,
+        ).oof
     points, _ = budget_sweep(
         pm.amount, pm.direct, gen.coupon_values, cfg.budget_grid,
         dataset.arm, dataset.s, dataset.y, gen.control_arm,
@@ -395,7 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="trace estimated lift across a budget grid")
     common(p, data=True)
-    p.add_argument("--model", default=None, help="checkpoint to reuse (else trains fresh)")
+    p.add_argument(
+        "--model", default=None, help="checkpoint to reuse (else cross-fits evaluation.n_folds models)"
+    )
     p.add_argument("--variant", choices=VARIANTS, default=None)
     p.add_argument("--budget-grid", default=None, help="comma-separated budgets")
     p.set_defaults(func=_cmd_sweep)

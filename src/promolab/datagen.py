@@ -35,11 +35,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .nncore import make_rng
+from .nncore import make_rng, sigmoid
 from .tables import pair_columns, read_table, write_table
 
 FEATURE_NAMES = ("recency", "freq_long", "freq_short", "money_long", "money_short")
 N_FEATURES = len(FEATURE_NAMES)
+DATASET_HEADER = ("customer_id", *FEATURE_NAMES, "arm", "s", "y")
 GROUND_TRUTH_HEADER = ("customer_id", "arm", "p_true", "mu_true")
 
 # Response surfaces see standardized features squashed to this magnitude.
@@ -197,15 +198,10 @@ class ResponseSpec:
         mu_promo = np.empty((n, m))
         mu_post = np.empty((n, m))
         for j in range(m):
-            p[:, j] = _sigmoid(self.direct.linear(z, j))
+            p[:, j] = sigmoid(self.direct.linear(z, j))
             mu_promo[:, j] = np.exp(self.promo.linear(z, j))
             mu_post[:, j] = np.exp(self.post.linear(z, j))
         return p, mu_promo, mu_post
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def true_response(features, arm: int, spec: ResponseSpec):
@@ -280,7 +276,6 @@ class RctDataset:
     arm: np.ndarray
     s: np.ndarray
     y: np.ndarray
-    feature_names: tuple = FEATURE_NAMES
 
     def __post_init__(self):
         self.customer_id = np.asarray(self.customer_id, dtype=np.int64)
@@ -289,8 +284,8 @@ class RctDataset:
         self.s = np.asarray(self.s, dtype=np.int64)
         self.y = np.asarray(self.y, dtype=np.float64)
         n = len(self.customer_id)
-        if self.features.shape != (n, len(self.feature_names)):
-            raise ValidationError(f"features must be ({n}, {len(self.feature_names)})")
+        if self.features.shape != (n, N_FEATURES):
+            raise ValidationError(f"features must be ({n}, {N_FEATURES})")
         for name, arr in (("arm", self.arm), ("s", self.s), ("y", self.y)):
             if arr.shape != (n,):
                 raise ValidationError(f"{name} must have length {n}")
@@ -316,17 +311,16 @@ class RctDataset:
             arm=self.arm[index],
             s=self.s[index],
             y=self.y[index],
-            feature_names=self.feature_names,
         )
 
     def to_csv(self, path):
-        header = ("customer_id", *self.feature_names, "arm", "s", "y")
-        write_table(path, header, [self.customer_id, *self.features.T, self.arm, self.s, self.y])
+        write_table(path, DATASET_HEADER, [self.customer_id, *self.features.T, self.arm, self.s, self.y])
 
     @classmethod
     def from_csv(cls, path) -> "RctDataset":
-        header = ("customer_id", *FEATURE_NAMES, "arm", "s", "y")
-        customer_id, *features, arm, s, y = read_table(path, header, ("customer_id", "arm", "s"))
+        customer_id, *features, arm, s, y = read_table(
+            path, DATASET_HEADER, ("customer_id", "arm", "s")
+        )
         try:
             return cls(customer_id=customer_id, features=np.stack(features, axis=1), arm=arm, s=s, y=y)
         except ValidationError as exc:
@@ -372,9 +366,10 @@ class GroundTruth:
             raise ValidationError(f"arms must have length {self.n}")
         return float(self.mean_enduring[np.arange(self.n), arms].sum())
 
-    def to_csv(self, path, customer_id: np.ndarray | None = None):
-        ids = np.arange(self.n) if customer_id is None else customer_id
-        columns = [*pair_columns(ids, self.n_arms), self.p_direct.ravel(), self.mean_enduring.ravel()]
+    def to_csv(self, path, customer_id: np.ndarray):
+        columns = [
+            *pair_columns(customer_id, self.n_arms), self.p_direct.ravel(), self.mean_enduring.ravel()
+        ]
         write_table(path, GROUND_TRUTH_HEADER, columns)
 
 

@@ -24,10 +24,6 @@ class InstanceTooLargeError(ValidationError):
 class InfeasiblePlanError(PromolabError):
     """An allocation plan violates its problem's constraints."""
 
-    def __init__(self, message, customers=None):
-        super().__init__(message)
-        self.customers = list(customers) if customers is not None else []
-
 
 class EstimationError(PromolabError):
     """A policy-value estimate cannot be formed from the available RCT data."""

@@ -285,25 +285,9 @@ class EvalReport:
     lpa: float | None = None
     fold_metrics: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        d = {
-            "variant": self.variant,
-            "n_records": self.n_records,
-            "metrics": asdict(self.metrics),
-            "budget": self.budget,
-            "estimated_value": self.estimated_value,
-            "estimated_cost": self.estimated_cost,
-            "lpa": self.lpa,
-            "fold_metrics": [
-                {"fold": fm.fold, "n_test": fm.n_test, "metrics": asdict(fm.metrics)}
-                for fm in self.fold_metrics
-            ],
-        }
-        return d
-
     def to_json(self) -> str:
         # sort_keys plus repr-style floats keep the bytes identical across runs
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     def save(self, path):
         with open(path, "w") as f:

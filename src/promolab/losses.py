@@ -25,17 +25,6 @@ PROB_CLIP = 1e-7
 
 
 @dataclass(frozen=True)
-class TweedieIndex:
-    """Index parameter of the compound Poisson-Gamma family, in (1, 2)."""
-
-    rho: float = 1.5
-
-    def __post_init__(self):
-        if not 1.0 < self.rho < 2.0:
-            raise ValidationError(f"rho must lie strictly between 1 and 2, got {self.rho}")
-
-
-@dataclass(frozen=True)
 class LossWeights:
     """Weights for (amount, enduring propensity, direct propensity) terms."""
 
@@ -51,8 +40,8 @@ class LossWeights:
             raise ValidationError("at least one loss weight must be positive")
 
 
-def _as_rho(rho) -> float:
-    r = rho.rho if isinstance(rho, TweedieIndex) else float(rho)
+def _as_rho(rho: float) -> float:
+    r = float(rho)
     if not 1.0 < r < 2.0:
         raise ValidationError(f"rho must lie strictly between 1 and 2, got {r}")
     return r
@@ -125,7 +114,8 @@ def hybrid_loss(s, y, f_direct, f_enduring_prop, f_amount, weights=None, rho=1.5
 
     Returns ``(value, grad_direct, grad_enduring, grad_amount)`` with each
     gradient already scaled by its weight. Inputs broadcast, so this serves
-    both single examples and whole batches.
+    both single examples and whole batches. Training sums the same terms one
+    by one (``model._loss_terms``); the tests hold this as its reference.
     """
     if weights is None:
         weights = LossWeights()

@@ -46,7 +46,6 @@ import numpy as np
 from .errors import ShapeError, TrainingError, ValidationError
 from .losses import LossWeights, cross_entropy_loss, l2_loss, tweedie_loss
 from .nncore import (
-    _EXP_CLIP,
     DenseNet,
     adam_update,
     backward_pass,
@@ -55,7 +54,6 @@ from .nncore import (
     init_adam,
     init_dense_net,
     make_rng,
-    max_relative_gradient_error,
     net_output,
     net_parameters,
 )
@@ -483,11 +481,11 @@ def predict_matrix(model: ResponseModel, features: np.ndarray) -> PredictionMatr
     return out
 
 
-def _mean_loss(model: ResponseModel, features, arms, s, y, chunk: int = _PREDICT_CHUNK) -> float:
+def _mean_loss(model: ResponseModel, features, arms, s, y) -> float:
     total = 0.0
     n = len(features)
-    for lo in range(0, n, chunk):
-        hi = lo + chunk
+    for lo in range(0, n, _PREDICT_CHUNK):
+        hi = lo + _PREDICT_CHUNK
         slots = _eval_slots(model, features[lo:hi], arms[lo:hi])
         value, _ = _loss_terms(model, s[lo:hi], y[lo:hi], slots)
         total += float(np.sum(value))
@@ -650,64 +648,6 @@ def train_model(
         best_epoch=best_epoch,
         best_val_loss=float(best_val),
         stopped_epoch=epoch,
-    )
-
-
-def model_gradient_check(
-    model: ResponseModel,
-    features: np.ndarray,
-    arms: np.ndarray,
-    s: np.ndarray,
-    y: np.ndarray,
-    eps: float = 1e-5,
-    rng: np.random.Generator | None = None,
-    samples_per_tensor: int = 8,
-    fd_dtype=np.longdouble,
-) -> float:
-    """Finite-difference check of the whole model's gradients on one batch.
-
-    Covers every parameter tensor including the embedding tables, using the
-    variant's own composite loss (eval mode, mean over the batch). Returns
-    the worst sampled relative error. The differenced loss runs in
-    ``fd_dtype`` (extended precision by default) so eval round-off does not
-    masquerade as gradient error on small entries, and the relu and exp-clamp
-    active sets guard the differencing: an entry whose perturbation flips a
-    unit across its kink is remeasured with a smaller step instead of
-    averaging over the kink.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    arms = np.asarray(arms, dtype=np.int64)
-    s = np.asarray(s, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = len(features)
-
-    def loss_value() -> float:
-        mt = _model_forward(model, features, arms, mode="eval", dtype=fd_dtype)
-        value, _ = _loss_terms(model, s.astype(fd_dtype), y.astype(fd_dtype), mt.slots)
-        return np.sum(value) / n
-
-    def region_signature() -> np.ndarray:
-        mt = _model_forward(model, features, arms, mode="eval")
-        sigs = []
-        for part_name, net in model.parts():
-            trace = mt.traces[part_name]
-            for layer, lt in zip(net.layers, trace.layers):
-                if layer.activation == "relu":
-                    sigs.append(lt.pre.ravel() > 0)
-                elif layer.activation == "exp":
-                    sigs.append(lt.pre.ravel() < _EXP_CLIP)
-        if not sigs:
-            return np.zeros(0, dtype=bool)
-        return np.concatenate(sigs)
-
-    def analytic() -> list[np.ndarray]:
-        mt = _model_forward(model, features, arms, mode="eval")
-        _, slot_grads = _loss_terms(model, s, y, mt.slots)
-        return _model_backward(model, mt, {k: g / n for k, g in slot_grads.items()})
-
-    return max_relative_gradient_error(
-        model.parameters(), loss_value, analytic, eps, rng=rng,
-        samples_per_tensor=samples_per_tensor, region_signature=region_signature,
     )
 
 

@@ -4,8 +4,7 @@ Everything runs in float64. A network is a plain stack of affine layers with
 one of four activations (relu, sigmoid, exp, identity); dropout is the
 inverted kind, applied after each layer's activation in train mode only, so
 eval mode needs no rescaling. Backpropagation is written out explicitly for
-this fixed topology and validated against central finite differences by
-``gradient_check``.
+this fixed topology; the tests check it against central finite differences.
 
 Two forward paths share one per-layer step (``_layer_forward``):
 ``forward_pass`` records every layer's pre-activation, activation and dropout
@@ -21,7 +20,7 @@ identical seeds give identical streams everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +33,11 @@ ACTIVATIONS = ("relu", "sigmoid", "exp", "identity")
 # consistent with the clamped forward value.
 _EXP_CLIP = 500.0
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPSILON = 1e-8
+
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
     """Deterministic PCG64 generator for ``seed`` and an optional stream key."""
@@ -41,13 +45,17 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, stable for large |x|: the exp argument is always <= 0."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def _activate(name: str, pre: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(pre, 0.0)
     if name == "sigmoid":
-        # Stable for large |pre|: exp argument is always <= 0.
-        e = np.exp(-np.abs(pre))
-        return np.where(pre >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        return sigmoid(pre)
     if name == "exp":
         return np.exp(np.minimum(pre, _EXP_CLIP))
     if name == "identity":
@@ -120,10 +128,6 @@ class DenseNet:
     def input_dim(self) -> int:
         return self.layers[0].fan_in
 
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1].fan_out
-
 
 def init_dense_net(
     dims: Sequence[int],
@@ -192,7 +196,7 @@ def _check_batch(net: DenseNet, batch: np.ndarray, dtype) -> np.ndarray:
     return batch
 
 
-def net_output(net: DenseNet, batch: np.ndarray, dtype=np.float64) -> np.ndarray:
+def net_output(net: DenseNet, batch: np.ndarray) -> np.ndarray:
     """The last layer's output of an eval-mode pass, with no trace kept.
 
     Same arithmetic and bytes as ``forward_pass(net, batch).output``, but each
@@ -200,7 +204,7 @@ def net_output(net: DenseNet, batch: np.ndarray, dtype=np.float64) -> np.ndarray
     finiteness is not, so the caller checks its inputs (``forward_pass``
     checks its own).
     """
-    x = _check_batch(net, batch, dtype)
+    x = _check_batch(net, batch, np.float64)
     for layer in net.layers:
         _, x = _layer_forward(layer, x, keep_pre=False)
     return x
@@ -318,32 +322,20 @@ def flatten_gradients(back: BackwardResult) -> list[np.ndarray]:
 
 @dataclass
 class AdamState:
-    """Adam moments and hyperparameters for one flat parameter list."""
+    """Adam moments and learning rate for one flat parameter list."""
 
     first_moment: list[np.ndarray]
     second_moment: list[np.ndarray]
     step_count: int = 0
     learning_rate: float = 2e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
-def init_adam(
-    params: Sequence[np.ndarray],
-    learning_rate: float = 2e-4,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> AdamState:
+def init_adam(params: Sequence[np.ndarray], learning_rate: float = 2e-4) -> AdamState:
     return AdamState(
         first_moment=[np.zeros_like(p) for p in params],
         second_moment=[np.zeros_like(p) for p in params],
         step_count=0,
         learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
     )
 
 
@@ -371,7 +363,7 @@ def adam_update(
 
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
@@ -381,144 +373,5 @@ def adam_update(
         v += (1.0 - b2) * np.square(g)
         m_hat = m / bias1
         v_hat = v / bias2
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPSILON)
     return params, state
-
-
-def _entry_gradient_error(
-    flat: np.ndarray,
-    i: int,
-    analytic: float,
-    eps: float,
-    loss_value: Callable[[], float],
-    region_signature: Callable[[], np.ndarray] | None,
-    refine_rtol: float,
-    max_refinements: int,
-) -> float:
-    """Relative error for one parameter entry, with kink-aware step refinement."""
-
-    def central(e: float) -> float:
-        orig = flat[i]
-        flat[i] = orig + e
-        up = loss_value()
-        flat[i] = orig - e
-        down = loss_value()
-        flat[i] = orig
-        return float((up - down) / (2.0 * e))
-
-    def same_region(e: float) -> bool:
-        orig = flat[i]
-        flat[i] = orig + e
-        sig_up = region_signature()
-        flat[i] = orig - e
-        sig_dn = region_signature()
-        flat[i] = orig
-        return bool(np.array_equal(sig_up, sig_dn))
-
-    def rel(numeric: float) -> float:
-        denom = max(abs(analytic), abs(numeric), 1e-12)
-        return float(abs(analytic - numeric) / denom)
-
-    e = eps
-    err = rel(central(e))
-    if region_signature is None:
-        return err
-    for _ in range(max_refinements):
-        if err <= refine_rtol or same_region(e):
-            break
-        e /= 10.0
-        err = rel(central(e))
-    return err
-
-
-def max_relative_gradient_error(
-    params: Sequence[np.ndarray],
-    loss_value: Callable[[], float],
-    analytic_grads: Callable[[], Sequence[np.ndarray]],
-    eps: float,
-    rng: np.random.Generator | None = None,
-    samples_per_tensor: int = 8,
-    region_signature: Callable[[], np.ndarray] | None = None,
-    refine_rtol: float = 1e-6,
-    max_refinements: int = 3,
-) -> float:
-    """Worst sampled relative error between analytic and central-difference grads.
-
-    For each parameter tensor, up to ``samples_per_tensor`` entries are
-    perturbed by +/- eps (all entries if the tensor is that small). The
-    relative error for one entry is |analytic - numeric| divided by
-    max(|analytic|, |numeric|, 1e-12).
-
-    Central differences only measure the derivative when both evaluation
-    points sit in the same smooth piece of the loss; a relu unit or an exp
-    clamp switching state inside the interval turns the measurement into an
-    average over a kink. When ``region_signature`` is given (a closure that
-    reports the active-set pattern at the current parameters), any entry
-    whose error exceeds ``refine_rtol`` while the two perturbed points
-    disagree on the signature is remeasured with a 10x smaller step, up to
-    ``max_refinements`` times. An entry whose error is large while the
-    region is stable is a genuine gradient discrepancy and is kept as is.
-    """
-    if eps <= 0:
-        raise ValidationError(f"eps must be positive, got {eps}")
-    if rng is None:
-        rng = make_rng(0)
-    grads = [np.asarray(g, dtype=np.float64) for g in analytic_grads()]
-    if len(grads) != len(params):
-        raise ShapeError(f"{len(grads)} gradients for {len(params)} parameter tensors")
-    worst = 0.0
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        n = p.size
-        if n <= samples_per_tensor:
-            idx = np.arange(n)
-        else:
-            idx = rng.choice(n, size=samples_per_tensor, replace=False)
-        flat = p.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in idx:
-            err = _entry_gradient_error(
-                flat, int(i), float(gflat[i]), eps, loss_value,
-                region_signature, refine_rtol, max_refinements,
-            )
-            worst = max(worst, err)
-    return worst
-
-
-def gradient_check(
-    net: DenseNet,
-    loss_fn: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    batch: np.ndarray,
-    eps: float = 1e-5,
-    rng: np.random.Generator | None = None,
-    samples_per_tensor: int = 8,
-    fd_dtype=np.longdouble,
-) -> float:
-    """Check ``backward_pass`` against finite differences for one net and loss.
-
-    ``loss_fn`` maps the net output to ``(scalar loss, d loss / d output)``.
-    Runs in eval mode so the loss surface is deterministic. Returns the max
-    sampled relative error; it raises nothing and reports a number even for
-    badly broken gradients.
-
-    The differenced loss is evaluated in ``fd_dtype`` (extended precision by
-    default) because float64 round-off at eps=1e-5 would swamp the smallest
-    genuine gradient entries; the analytic side stays in float64.
-    """
-
-    def loss_value() -> float:
-        trace = forward_pass(net, batch, mode="eval", dtype=fd_dtype)
-        value, _ = loss_fn(trace.output)
-        return value
-
-    def analytic() -> list[np.ndarray]:
-        trace = forward_pass(net, batch, mode="eval")
-        _, dout = loss_fn(trace.output)
-        back = backward_pass(net, trace, dout)
-        return flatten_gradients(back)
-
-    return max_relative_gradient_error(
-        net_parameters(net), loss_value, analytic, eps, rng=rng,
-        samples_per_tensor=samples_per_tensor,
-    )

@@ -1,9 +1,26 @@
-"""Reference solvers that tests compare the package's solvers against."""
+"""Reference implementations that tests compare the package against.
+
+``brute_force`` is the exact knapsack optimum by enumeration. The gradient
+checks compare ``backward_pass`` and the model's backward walk with central
+finite differences of the loss, evaluated in extended precision.
+"""
+
+from typing import Callable, Sequence
 
 import numpy as np
 
 from promolab.allocator import BUDGET_TOLERANCE, AllocationPlan, AllocationProblem, plan_totals
-from promolab.errors import InfeasiblePlanError, InstanceTooLargeError
+from promolab.errors import InfeasiblePlanError, InstanceTooLargeError, ShapeError, ValidationError
+from promolab.model import ResponseModel, _loss_terms, _model_backward, _model_forward
+from promolab.nncore import (
+    _EXP_CLIP,
+    DenseNet,
+    backward_pass,
+    flatten_gradients,
+    forward_pass,
+    make_rng,
+    net_parameters,
+)
 
 _BRUTE_FORCE_LIMIT = 10_000_000
 
@@ -34,3 +51,200 @@ def brute_force(problem: AllocationProblem) -> AllocationPlan:
         raise InfeasiblePlanError("no assignment fits the budget")
     value, cost = plan_totals(problem, best_arms)
     return AllocationPlan(arms=best_arms, total_value=value, total_cost=cost)
+
+
+def _entry_gradient_error(
+    flat: np.ndarray,
+    i: int,
+    analytic: float,
+    eps: float,
+    loss_value: Callable[[], float],
+    region_signature: Callable[[], np.ndarray] | None,
+    refine_rtol: float,
+    max_refinements: int,
+) -> float:
+    """Relative error for one parameter entry, with kink-aware step refinement."""
+
+    def central(e: float) -> float:
+        orig = flat[i]
+        flat[i] = orig + e
+        up = loss_value()
+        flat[i] = orig - e
+        down = loss_value()
+        flat[i] = orig
+        return float((up - down) / (2.0 * e))
+
+    def same_region(e: float) -> bool:
+        orig = flat[i]
+        flat[i] = orig + e
+        sig_up = region_signature()
+        flat[i] = orig - e
+        sig_dn = region_signature()
+        flat[i] = orig
+        return bool(np.array_equal(sig_up, sig_dn))
+
+    def rel(numeric: float) -> float:
+        denom = max(abs(analytic), abs(numeric), 1e-12)
+        return float(abs(analytic - numeric) / denom)
+
+    e = eps
+    err = rel(central(e))
+    if region_signature is None:
+        return err
+    for _ in range(max_refinements):
+        if err <= refine_rtol or same_region(e):
+            break
+        e /= 10.0
+        err = rel(central(e))
+    return err
+
+
+def max_relative_gradient_error(
+    params: Sequence[np.ndarray],
+    loss_value: Callable[[], float],
+    analytic_grads: Callable[[], Sequence[np.ndarray]],
+    eps: float,
+    rng: np.random.Generator | None = None,
+    samples_per_tensor: int = 8,
+    region_signature: Callable[[], np.ndarray] | None = None,
+    refine_rtol: float = 1e-6,
+    max_refinements: int = 3,
+) -> float:
+    """Worst sampled relative error between analytic and central-difference grads.
+
+    For each parameter tensor, up to ``samples_per_tensor`` entries are
+    perturbed by +/- eps (all entries if the tensor is that small). The
+    relative error for one entry is |analytic - numeric| divided by
+    max(|analytic|, |numeric|, 1e-12).
+
+    Central differences only measure the derivative when both evaluation
+    points sit in the same smooth piece of the loss; a relu unit or an exp
+    clamp switching state inside the interval turns the measurement into an
+    average over a kink. When ``region_signature`` is given (a closure that
+    reports the active-set pattern at the current parameters), any entry
+    whose error exceeds ``refine_rtol`` while the two perturbed points
+    disagree on the signature is remeasured with a 10x smaller step, up to
+    ``max_refinements`` times. An entry whose error is large while the
+    region is stable is a genuine gradient discrepancy and is kept as is.
+    """
+    if eps <= 0:
+        raise ValidationError(f"eps must be positive, got {eps}")
+    if rng is None:
+        rng = make_rng(0)
+    grads = [np.asarray(g, dtype=np.float64) for g in analytic_grads()]
+    if len(grads) != len(params):
+        raise ShapeError(f"{len(grads)} gradients for {len(params)} parameter tensors")
+    worst = 0.0
+    for p, g in zip(params, grads):
+        if p.shape != g.shape:
+            raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.shape}")
+        n = p.size
+        if n <= samples_per_tensor:
+            idx = np.arange(n)
+        else:
+            idx = rng.choice(n, size=samples_per_tensor, replace=False)
+        flat = p.reshape(-1)
+        gflat = g.reshape(-1)
+        for i in idx:
+            err = _entry_gradient_error(
+                flat, int(i), float(gflat[i]), eps, loss_value,
+                region_signature, refine_rtol, max_refinements,
+            )
+            worst = max(worst, err)
+    return worst
+
+
+def gradient_check(
+    net: DenseNet,
+    loss_fn: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    batch: np.ndarray,
+    eps: float = 1e-5,
+    rng: np.random.Generator | None = None,
+    samples_per_tensor: int = 8,
+    fd_dtype=np.longdouble,
+) -> float:
+    """Check ``backward_pass`` against finite differences for one net and loss.
+
+    ``loss_fn`` maps the net output to ``(scalar loss, d loss / d output)``.
+    Runs in eval mode so the loss surface is deterministic. Returns the max
+    sampled relative error; it raises nothing and reports a number even for
+    badly broken gradients.
+
+    The differenced loss is evaluated in ``fd_dtype`` (extended precision by
+    default) because float64 round-off at eps=1e-5 would swamp the smallest
+    genuine gradient entries; the analytic side stays in float64.
+    """
+
+    def loss_value() -> float:
+        trace = forward_pass(net, batch, mode="eval", dtype=fd_dtype)
+        value, _ = loss_fn(trace.output)
+        return value
+
+    def analytic() -> list[np.ndarray]:
+        trace = forward_pass(net, batch, mode="eval")
+        _, dout = loss_fn(trace.output)
+        back = backward_pass(net, trace, dout)
+        return flatten_gradients(back)
+
+    return max_relative_gradient_error(
+        net_parameters(net), loss_value, analytic, eps, rng=rng,
+        samples_per_tensor=samples_per_tensor,
+    )
+
+
+def model_gradient_check(
+    model: ResponseModel,
+    features: np.ndarray,
+    arms: np.ndarray,
+    s: np.ndarray,
+    y: np.ndarray,
+    eps: float = 1e-5,
+    rng: np.random.Generator | None = None,
+    samples_per_tensor: int = 8,
+    fd_dtype=np.longdouble,
+) -> float:
+    """Finite-difference check of the whole model's gradients on one batch.
+
+    Covers every parameter tensor including the embedding tables, using the
+    variant's own composite loss (eval mode, mean over the batch). Returns
+    the worst sampled relative error. The differenced loss runs in
+    ``fd_dtype`` (extended precision by default) so eval round-off does not
+    masquerade as gradient error on small entries, and the relu and exp-clamp
+    active sets guard the differencing: an entry whose perturbation flips a
+    unit across its kink is remeasured with a smaller step instead of
+    averaging over the kink.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    arms = np.asarray(arms, dtype=np.int64)
+    s = np.asarray(s, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = len(features)
+
+    def loss_value() -> float:
+        mt = _model_forward(model, features, arms, mode="eval", dtype=fd_dtype)
+        value, _ = _loss_terms(model, s.astype(fd_dtype), y.astype(fd_dtype), mt.slots)
+        return np.sum(value) / n
+
+    def region_signature() -> np.ndarray:
+        mt = _model_forward(model, features, arms, mode="eval")
+        sigs = []
+        for part_name, net in model.parts():
+            trace = mt.traces[part_name]
+            for layer, lt in zip(net.layers, trace.layers):
+                if layer.activation == "relu":
+                    sigs.append(lt.pre.ravel() > 0)
+                elif layer.activation == "exp":
+                    sigs.append(lt.pre.ravel() < _EXP_CLIP)
+        if not sigs:
+            return np.zeros(0, dtype=bool)
+        return np.concatenate(sigs)
+
+    def analytic() -> list[np.ndarray]:
+        mt = _model_forward(model, features, arms, mode="eval")
+        _, slot_grads = _loss_terms(model, s, y, mt.slots)
+        return _model_backward(model, mt, {k: g / n for k, g in slot_grads.items()})
+
+    return max_relative_gradient_error(
+        model.parameters(), loss_value, analytic, eps, rng=rng,
+        samples_per_tensor=samples_per_tensor, region_signature=region_signature,
+    )

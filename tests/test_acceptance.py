@@ -35,14 +35,13 @@ from promolab.model import (
     ModelConfig,
     VARIANTS,
     build_model,
-    model_gradient_check,
     predict_matrix,
     train_model,
 )
 from promolab.nncore import make_rng
 from promolab.report import render_report
 
-from oracles import brute_force
+from oracles import brute_force, model_gradient_check
 
 
 def _record(log, number, name, ok, detail):

@@ -190,6 +190,27 @@ class TestEvaluateSweepReport:
         assert "| full |" in text
         assert (tmp_path / "lpa_curve.svg").exists()
 
+    def test_sweep_without_model_is_cross_fitted(self, workdir, tmp_path, monkeypatch):
+        # `sweep` trains the `evaluate` fold models, so its row at the config budget is `evaluate`'s
+        root, cfg = workdir
+        calls = []
+        train_model = evaluator.train_model
+        monkeypatch.setattr(
+            evaluator, "train_model", lambda *a, **k: calls.append(1) or train_model(*a, **k)
+        )
+        common = [
+            "--config", str(cfg), "--seed", "3",
+            "--data", str(root / "dataset.csv"), "--out", str(tmp_path),
+        ]
+        assert main(["sweep", *common, "--budget-grid", "300,800"]) == 0
+        assert len(calls) == 2  # evaluation.n_folds
+        assert main(["evaluate", *common]) == 0
+        point = load_curve_csv(tmp_path / "curve.csv")[0]
+        report = EvalReport.load(tmp_path / "eval_full.json")
+        assert (point.budget, point.value, point.cost, point.lpa) == (
+            report.budget, report.estimated_value, report.estimated_cost, report.lpa
+        )
+
     def test_sweep_requires_budget_grid(self, workdir, tmp_path):
         root, cfg = workdir
         code = main(

@@ -355,6 +355,13 @@ class TestCrossFittedPlan:
         _, _, calls = budgeted_eval
         assert len(calls) == 2
 
+    def test_report_json_pinned(self, budgeted_eval):
+        # computed when `to_json` serialized a hand-built dict in place of `asdict`
+        _, report, _ = budgeted_eval
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+            "df7cc6faaf77b157985b5230ff51868fa31d0c56be5bf4945fdf3a6292a50822"
+        )
+
     def test_plan_solved_on_out_of_fold_matrix(self, budgeted_eval, small_world, fast_model_config):
         cfg, _, _ = small_world
         sub, report, _ = budgeted_eval

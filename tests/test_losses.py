@@ -11,12 +11,13 @@ from promolab.errors import ValidationError
 from promolab.losses import (
     PROB_CLIP,
     LossWeights,
-    TweedieIndex,
     cross_entropy_loss,
     hybrid_loss,
     l2_loss,
     tweedie_loss,
 )
+from promolab.model import ModelConfig, _loss_terms, build_model
+from promolab.nncore import make_rng
 
 # Frozen by hand before implementation:
 #   value(y=0, y_hat=1, rho=1.5) = 1^(0.5) / 0.5            = 2
@@ -77,12 +78,7 @@ class TestTweedie:
         with pytest.raises(ValidationError):
             tweedie_loss(1.0, 1.0, 2.0)
         with pytest.raises(ValidationError):
-            TweedieIndex(rho=1.0)
-
-    def test_accepts_tweedie_index(self):
-        a, _ = tweedie_loss(3.0, 2.0, TweedieIndex(1.5))
-        b, _ = tweedie_loss(3.0, 2.0, 1.5)
-        assert a == b
+            tweedie_loss(1.0, 1.0, 1.0)
 
     def test_longdouble_inputs_stay_longdouble(self):
         value, _ = tweedie_loss(
@@ -160,6 +156,25 @@ class TestHybrid:
         _, _, ge_zero, _ = hybrid_loss(0.0, 0.0, 0.5, 0.5, 1.0)
         _, _, ge_pos, _ = hybrid_loss(0.0, 3.0, 0.5, 0.5, 1.0)
         assert ge_zero > 0 > ge_pos
+
+    @pytest.mark.parametrize(
+        "weights", [LossWeights(), LossWeights(w_amount=3.0, w_enduring=5.0, w_direct=7.0)]
+    )
+    def test_full_model_loss_is_hybrid_loss(self, weights):
+        # hybrid_loss is the written-out reference for the `full` variant's loss terms
+        config = ModelConfig(hidden_dims=(4, 4, 4, 4), weights=weights)
+        model = build_model(config, 3, np.zeros(5), np.ones(5), make_rng(0))
+        rng = make_rng(1)
+        s = rng.integers(0, 2, size=50).astype(np.float64)
+        y = np.where(rng.random(50) < 0.4, 0.0, rng.gamma(2.0, 2.0, size=50))
+        slots = {"direct": rng.random(50), "enduring": rng.random(50), "amount": rng.gamma(2.0, 1.0, 50)}
+        value, grads = _loss_terms(model, s, y, slots)
+        ref_value, *ref_grads = hybrid_loss(
+            s, y, slots["direct"], slots["enduring"], slots["amount"], weights, config.rho
+        )
+        assert np.array_equal(value, ref_value)
+        for slot, ref in zip(("direct", "enduring", "amount"), ref_grads):
+            assert np.array_equal(grads[slot], ref), slot
 
     def test_weight_validation(self):
         with pytest.raises(ValidationError):

@@ -20,13 +20,14 @@ from promolab.model import (
     build_model,
     default_embedding_dim,
     load_model,
-    model_gradient_check,
     predict,
     predict_matrix,
     save_model,
     train_model,
 )
 from promolab.nncore import make_rng
+
+from oracles import model_gradient_check
 
 NARROW = dict(hidden_dims=(16, 16, 8, 4), dropout_rate=0.1)
 

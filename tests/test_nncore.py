@@ -12,13 +12,13 @@ from promolab.nncore import (
     backward_pass,
     flatten_gradients,
     forward_pass,
-    gradient_check,
     init_adam,
     init_dense_net,
     make_rng,
-    max_relative_gradient_error,
     net_parameters,
 )
+
+from oracles import gradient_check, max_relative_gradient_error
 
 
 def _single_layer(weight, bias, activation):
