@@ -47,10 +47,10 @@ from .errors import PromolabError, ValidationError
 from .evaluator import (
     EvalReport,
     budget_sweep,
-    cross_validated_eval,
     curve_to_csv,
     evaluate_variant,
     load_curve_csv,
+    out_of_fold_predictions,
 )
 from .losses import LossWeights
 from .model import (
@@ -305,11 +305,12 @@ def _cmd_sweep(args) -> int:
             )
         pm = predict_matrix(model, dataset.features)
     else:
-        # cross-fitted, as in `evaluate`: no plan is scored on the log its model was fit on
-        pm = cross_validated_eval(
+        # cross-fitted, as in `evaluate`: no plan is scored on the log its model was fit on;
+        # no fit metric is computed, so a single-class log still gets its curve
+        pm = out_of_fold_predictions(
             dataset.features, dataset.arm, dataset.s, dataset.y, gen.n_arms,
             cfg.model, args.seed, cfg.n_folds,
-        ).oof
+        )
     points, _ = budget_sweep(
         pm.amount, pm.direct, gen.coupon_values, cfg.budget_grid,
         dataset.arm, dataset.s, dataset.y, gen.control_arm,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -215,7 +216,7 @@ class CrossValResult:
     oof: PredictionMatrix
 
 
-def cross_validated_eval(
+def out_of_fold_predictions(
     features: np.ndarray,
     arms: np.ndarray,
     s: np.ndarray,
@@ -224,13 +225,15 @@ def cross_validated_eval(
     config: ModelConfig | None = None,
     seed: int = 0,
     n_folds: int = 5,
-) -> CrossValResult:
-    """Train on k-1 folds, score the held-out fold for every arm, pool the scores.
+    on_fold: Callable[[np.ndarray, PredictionMatrix], None] | None = None,
+) -> PredictionMatrix:
+    """The ``(n, M)`` arm predictions of k fold models, each row scored by the
+    model that never saw it.
 
-    Every record is scored exactly once by a model that never saw it; fold
-    and pooled metrics read the logged arm's column of those out-of-fold
-    scores against the logged outcomes. Fold membership and per-fold training
-    both derive from ``seed``.
+    Fold membership and per-fold training both derive from ``seed``. No
+    metric is computed, so a log whose outcomes have a single class still
+    gets its matrix. ``on_fold(test_idx, oof)`` runs after each fold's rows
+    are scored, before the next fold's model trains.
     """
     if n_folds < 2:
         raise ValidationError("n_folds must be at least 2")
@@ -245,8 +248,6 @@ def cross_validated_eval(
     perm = make_rng(seed, _STREAM_FOLDS).permutation(n)
     bounds = np.linspace(0, n, n_folds + 1).astype(int)
     oof = PredictionMatrix(np.empty((n, n_arms)), np.empty((n, n_arms)), np.empty((n, n_arms)))
-    fold_metrics = []
-
     for k in range(n_folds):
         test_idx = perm[bounds[k] : bounds[k + 1]]
         train_idx = np.concatenate([perm[: bounds[k]], perm[bounds[k + 1] :]])
@@ -263,11 +264,40 @@ def cross_validated_eval(
         oof.direct[test_idx] = held_out.direct
         oof.enduring_propensity[test_idx] = held_out.enduring_propensity
         oof.amount[test_idx] = held_out.amount
+        if on_fold is not None:
+            on_fold(test_idx, oof)
+    return oof
+
+
+def cross_validated_eval(
+    features: np.ndarray,
+    arms: np.ndarray,
+    s: np.ndarray,
+    y: np.ndarray,
+    n_arms: int,
+    config: ModelConfig | None = None,
+    seed: int = 0,
+    n_folds: int = 5,
+) -> CrossValResult:
+    """``out_of_fold_predictions`` plus fold and pooled metrics.
+
+    The metrics read the logged arm's column of the out-of-fold scores
+    against the logged outcomes. Each fold's metrics are computed as soon as
+    the fold is scored, so a fold whose metrics are undefined raises before
+    the next model trains.
+    """
+    arms = np.asarray(arms, dtype=np.int64)
+    s = np.asarray(s, dtype=np.int64)
+    y = np.asarray(y, dtype=np.float64)
+    fold_metrics = []
+
+    def score_fold(test_idx, oof):
         logged = (test_idx, arms[test_idx])
         report = metric_report(oof.direct[logged], s[test_idx], oof.amount[logged], y[test_idx])
-        fold_metrics.append(FoldMetrics(fold=k, n_test=len(test_idx), metrics=report))
+        fold_metrics.append(FoldMetrics(fold=len(fold_metrics), n_test=len(test_idx), metrics=report))
 
-    logged = (np.arange(n), arms)
+    oof = out_of_fold_predictions(features, arms, s, y, n_arms, config, seed, n_folds, score_fold)
+    logged = (np.arange(len(arms)), arms)
     pooled = metric_report(oof.direct[logged], s, oof.amount[logged], y)
     return CrossValResult(fold_metrics=fold_metrics, pooled=pooled, oof=oof)
 

@@ -529,6 +529,26 @@ class TrainResult:
     stopped_epoch: int
 
 
+def _train_step(model, params, adam, features, arms, s, y, rng, epoch: int) -> float:
+    """One minibatch: forward, loss, backward and an Adam update; returns the summed loss.
+
+    The trace and the gradients are locals, so they are freed when the step
+    returns and never overlap the next step's forward pass.
+    """
+    mt = _model_forward(model, features, arms, mode="train", rng=rng)
+    value, slot_grads = _loss_terms(model, s, y, mt.slots)
+    batch_loss = float(np.sum(value))
+    if not np.isfinite(batch_loss):
+        raise TrainingError(f"non-finite training loss at epoch {epoch}")
+    nb = len(features)
+    grads = _model_backward(model, mt, {k: g / nb for k, g in slot_grads.items()})
+    try:
+        adam_update(params, grads, adam)
+    except ValidationError as exc:
+        raise TrainingError(f"diverged at epoch {epoch}: {exc}") from exc
+    return batch_loss
+
+
 def train_model(
     features: np.ndarray,
     arms: np.ndarray,
@@ -603,18 +623,9 @@ def train_model(
         train_total = 0.0
         for lo in range(0, n_train, config.batch_size):
             sel = order[lo : lo + config.batch_size]
-            nb = len(sel)
-            mt = _model_forward(model, f_tr[sel], a_tr[sel], mode="train", rng=dropout_rng)
-            value, slot_grads = _loss_terms(model, s_tr[sel], y_tr[sel], mt.slots)
-            batch_loss = float(np.sum(value))
-            if not np.isfinite(batch_loss):
-                raise TrainingError(f"non-finite training loss at epoch {epoch}")
-            train_total += batch_loss
-            grads = _model_backward(model, mt, {k: g / nb for k, g in slot_grads.items()})
-            try:
-                adam_update(params, grads, adam)
-            except ValidationError as exc:
-                raise TrainingError(f"diverged at epoch {epoch}: {exc}") from exc
+            train_total += _train_step(
+                model, params, adam, f_tr[sel], a_tr[sel], s_tr[sel], y_tr[sel], dropout_rng, epoch
+            )
 
         val_loss = _mean_loss(model, f_val, a_val, s_val, y_val)
         if not np.isfinite(val_loss):

@@ -7,10 +7,18 @@ eval mode needs no rescaling. Backpropagation is written out explicitly for
 this fixed topology; the tests check it against central finite differences.
 
 Two forward paths share one per-layer step (``_layer_forward``):
-``forward_pass`` records every layer's pre-activation, activation and dropout
-mask in a ``ForwardTrace`` for ``backward_pass``, and is what training and the
-gradient checks run; ``net_output`` keeps no trace and returns only the last
-layer's output, for callers that only score (eval mode, no dropout).
+``forward_pass`` records a ``ForwardTrace`` for ``backward_pass``, and is what
+training and the gradient checks run; ``net_output`` keeps no trace and
+returns only the last layer's output, for callers that only score (eval mode,
+no dropout).
+
+The trace keeps what backward needs and no more. A relu layer keeps only its
+output and its dropout scale: relu runs in place, dropout multiplies the
+output in place by the keep mask and the scale, and backward reads relu'
+times the mask back from the output (a unit's output is positive exactly when
+its pre-activation was and it was kept). So a wide relu trunk holds one array
+per layer instead of four. The other activations, used by the one-unit heads,
+keep their pre-activation, activation and float dropout mask.
 
 Randomness is always drawn from a :class:`numpy.random.Generator` backed by
 PCG64; ``make_rng`` builds one from a seed plus an optional stream key so
@@ -64,8 +72,7 @@ def _activate(name: str, pre: np.ndarray) -> np.ndarray:
 
 
 def _activation_derivative(name: str, pre: np.ndarray, activated: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return (pre > 0.0).astype(np.float64)
+    # relu's derivative is read off the layer output in ``backward_pass``
     if name == "sigmoid":
         return activated * (1.0 - activated)
     if name == "exp":
@@ -154,10 +161,26 @@ def init_dense_net(
 
 @dataclass
 class LayerTrace:
-    pre: np.ndarray  # pre-activation
-    activated: np.ndarray  # after activation, before dropout
-    output: np.ndarray  # after dropout (== activated in eval mode)
-    dropout_mask: np.ndarray | None  # scaled keep mask, train mode only
+    """What ``backward_pass`` needs from one layer of a recorded forward pass.
+
+    A relu layer keeps only ``output`` (after dropout) and ``scale``, the
+    inverted-dropout factor 1/(1 - rate), or 1 without dropout. Since
+    ``scale >= 1``, ``output > 0`` holds exactly where the pre-activation was
+    positive and the unit was kept, so backward forms relu' times the mask as
+    ``(g * [output > 0]) * scale``. That gives the bytes of the four-array
+    form ``(g * mask) * [pre > 0]``, signed zeros, inf and NaN included, with
+    one exception: where a finite ``g * scale`` overflows at a kept unit whose
+    pre-activation is not positive, that form gives ``inf * 0 = NaN`` and this
+    one a zero. Other activations also keep ``pre``, ``activated`` and the
+    scaled float ``dropout_mask`` (None in eval mode) that their derivatives
+    read.
+    """
+
+    output: np.ndarray  # after activation and dropout
+    scale: float = 1.0  # relu: dropout scale that backward multiplies in
+    pre: np.ndarray | None = None  # pre-activation; None for relu
+    activated: np.ndarray | None = None  # before dropout; None for relu
+    dropout_mask: np.ndarray | None = None  # scaled keep mask; None for relu and in eval mode
 
 
 @dataclass
@@ -172,15 +195,16 @@ class ForwardTrace:
         return self.layers[-1].output
 
 
-def _layer_forward(layer: DenseLayer, x: np.ndarray, keep_pre: bool = True):
+def _layer_forward(layer: DenseLayer, x: np.ndarray):
     """``(pre, activated)`` of one layer: ``activation(x @ weight + bias)``.
 
-    The bias is added in place on the matmul result. With ``keep_pre`` false a
-    relu also runs in place, so ``pre`` is overwritten and must not be used.
+    The bias is added in place on the matmul result, and a relu also runs in
+    place, so for a relu ``pre`` is ``activated`` and no longer holds the
+    pre-activation.
     """
     pre = x @ layer.weight
     pre += layer.bias
-    if layer.activation == "relu" and not keep_pre:
+    if layer.activation == "relu":
         return pre, np.maximum(pre, 0.0, out=pre)
     return pre, _activate(layer.activation, pre)
 
@@ -206,7 +230,7 @@ def net_output(net: DenseNet, batch: np.ndarray) -> np.ndarray:
     """
     x = _check_batch(net, batch, np.float64)
     for layer in net.layers:
-        _, x = _layer_forward(layer, x, keep_pre=False)
+        _, x = _layer_forward(layer, x)
     return x
 
 
@@ -217,7 +241,7 @@ def forward_pass(
     rng: np.random.Generator | None = None,
     dtype=np.float64,
 ) -> ForwardTrace:
-    """Run the net over a (batch, features) matrix and keep every activation.
+    """Run the net over a (batch, features) matrix and record what backward needs.
 
     This is the recording path: training and the gradient checks run it,
     because ``backward_pass`` needs the trace. Callers that only need the
@@ -225,7 +249,8 @@ def forward_pass(
 
     In train mode dropout masks are drawn from ``rng`` and scaled by
     1/(1 - rate) so the eval-mode output is the expectation of the train-mode
-    output wherever the dropped activations feed a linear map.
+    output wherever the dropped activations feed a linear map. A relu layer
+    applies its mask in place and keeps no mask (see ``LayerTrace``).
 
     ``dtype`` upgrades the arithmetic (e.g. to ``np.longdouble``) without
     touching the stored float64 parameters; finite-difference checks use that
@@ -244,15 +269,20 @@ def forward_pass(
     x = batch
     for layer in net.layers:
         pre, activated = _layer_forward(layer, x)
-        if use_dropout:
-            keep = rng.random(activated.shape) >= net.dropout_rate
+        keep = rng.random(activated.shape) >= net.dropout_rate if use_dropout else None
+        if layer.activation == "relu":
+            lt = LayerTrace(output=activated)
+            if use_dropout:
+                lt.scale = 1.0 / (1.0 - net.dropout_rate)
+                activated *= keep
+                activated *= lt.scale
+        elif use_dropout:
             mask = keep / (1.0 - net.dropout_rate)
-            out = activated * mask
+            lt = LayerTrace(output=activated * mask, pre=pre, activated=activated, dropout_mask=mask)
         else:
-            mask = None
-            out = activated
-        trace.layers.append(LayerTrace(pre=pre, activated=activated, output=out, dropout_mask=mask))
-        x = out
+            lt = LayerTrace(output=activated, pre=pre, activated=activated)
+        trace.layers.append(lt)
+        x = lt.output
     return trace
 
 
@@ -271,7 +301,7 @@ def backward_pass(net: DenseNet, trace: ForwardTrace, output_gradient: np.ndarra
     Returns the gradient of the scalar loss with respect to every weight and
     bias, plus the gradient with respect to the input batch (needed when nets
     are chained). Deterministic given the trace (dropout masks are replayed,
-    not redrawn).
+    not redrawn; a relu layer's mask is read back from its output).
     """
     if len(trace.layers) != len(net.layers):
         raise ShapeError(
@@ -290,11 +320,15 @@ def backward_pass(net: DenseNet, trace: ForwardTrace, output_gradient: np.ndarra
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         ltrace = trace.layers[i]
-        if ltrace.pre.shape != (g.shape[0], layer.fan_out):
+        if ltrace.output.shape != (g.shape[0], layer.fan_out):
             raise ShapeError(f"trace layer {i} does not match the net (stale trace?)")
-        if ltrace.dropout_mask is not None:
-            g = g * ltrace.dropout_mask
-        dpre = g * _activation_derivative(layer.activation, ltrace.pre, ltrace.activated)
+        if layer.activation == "relu":
+            dpre = g * (ltrace.output > 0.0)
+            dpre *= ltrace.scale
+        else:
+            if ltrace.dropout_mask is not None:
+                g = g * ltrace.dropout_mask
+            dpre = g * _activation_derivative(layer.activation, ltrace.pre, ltrace.activated)
         below = trace.layers[i - 1].output if i > 0 else trace.inputs
         weight_grads[i] = below.T @ dpre
         bias_grads[i] = dpre.sum(axis=0)

@@ -3,6 +3,9 @@
 ``brute_force`` is the exact knapsack optimum by enumeration. The gradient
 checks compare ``backward_pass`` and the model's backward walk with central
 finite differences of the loss, evaluated in extended precision.
+``reference_forward`` and ``reference_backward`` are the engine's passes in
+their four-array form (pre-activation, activation, output and float dropout
+mask kept for every layer), which the compact trace must match byte for byte.
 """
 
 from typing import Callable, Sequence
@@ -15,6 +18,8 @@ from promolab.model import ResponseModel, _loss_terms, _model_backward, _model_f
 from promolab.nncore import (
     _EXP_CLIP,
     DenseNet,
+    _activate,
+    _activation_derivative,
     backward_pass,
     flatten_gradients,
     forward_pass,
@@ -51,6 +56,53 @@ def brute_force(problem: AllocationProblem) -> AllocationPlan:
         raise InfeasiblePlanError("no assignment fits the budget")
     value, cost = plan_totals(problem, best_arms)
     return AllocationPlan(arms=best_arms, total_value=value, total_cost=cost)
+
+
+def reference_forward(net: DenseNet, batch, mode="eval", rng=None, dtype=np.float64):
+    """Forward pass keeping ``(pre, activated, output, mask)`` for every layer.
+
+    Draws dropout from ``rng`` in the engine's order, so with equal rngs the
+    two passes drop the same units.
+    """
+    x = np.asarray(batch, dtype=dtype)
+    use_dropout = mode == "train" and net.dropout_rate > 0.0
+    layers = []
+    for layer in net.layers:
+        pre = x @ layer.weight
+        pre += layer.bias
+        activated = _activate(layer.activation, pre)
+        if use_dropout:
+            keep = rng.random(activated.shape) >= net.dropout_rate
+            mask = keep / (1.0 - net.dropout_rate)
+            out = activated * mask
+        else:
+            mask = None
+            out = activated
+        layers.append((pre, activated, out, mask))
+        x = out
+    return np.asarray(batch, dtype=dtype), layers
+
+
+def reference_backward(net: DenseNet, inputs, layers, output_gradient):
+    """``(weight_grads, bias_grads, input_gradient)`` through a ``reference_forward`` record."""
+    weight_grads = [None] * len(net.layers)
+    bias_grads = [None] * len(net.layers)
+    g = np.asarray(output_gradient, dtype=np.float64)
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
+        pre, activated, _, mask = layers[i]
+        if mask is not None:
+            g = g * mask
+        if layer.activation == "relu":
+            derivative = (pre > 0.0).astype(np.float64)
+        else:
+            derivative = _activation_derivative(layer.activation, pre, activated)
+        dpre = g * derivative
+        below = layers[i - 1][2] if i > 0 else inputs
+        weight_grads[i] = below.T @ dpre
+        bias_grads[i] = dpre.sum(axis=0)
+        g = dpre @ layer.weight.T
+    return weight_grads, bias_grads, g
 
 
 def _entry_gradient_error(
@@ -232,7 +284,7 @@ def model_gradient_check(
             trace = mt.traces[part_name]
             for layer, lt in zip(net.layers, trace.layers):
                 if layer.activation == "relu":
-                    sigs.append(lt.pre.ravel() > 0)
+                    sigs.append(lt.output.ravel() > 0)  # relu(pre) > 0 iff pre > 0 in eval mode
                 elif layer.activation == "exp":
                     sigs.append(lt.pre.ravel() < _EXP_CLIP)
         if not sigs:

@@ -345,9 +345,9 @@ class TestExitCodes:
         assert f"error: {bad}" in capsys.readouterr().err
         assert not (tmp_path / "predictions.csv").exists()
 
-    def test_single_class_outcome_is_runtime_failure(self, workdir, tmp_path):
-        # all-control outcomes break AUC during evaluation: exit 2, not a crash
-        root, cfg = workdir
+    @staticmethod
+    def _single_class_log(root, tmp_path):
+        """The workdir log with every direct flag ``s`` set to 0."""
         dataset = RctDataset.from_csv(root / "dataset.csv")
         flat = RctDataset(
             customer_id=dataset.customer_id,
@@ -358,6 +358,18 @@ class TestExitCodes:
         )
         flat_path = tmp_path / "flat.csv"
         flat.to_csv(flat_path)
+        return flat_path
+
+    def test_single_class_outcome_is_runtime_failure(self, workdir, tmp_path, monkeypatch):
+        # all-control outcomes break AUC during evaluation: exit 2, not a crash,
+        # and as soon as the first fold is scored, before the second model trains
+        root, cfg = workdir
+        flat_path = self._single_class_log(root, tmp_path)
+        calls = []
+        train_model = evaluator.train_model
+        monkeypatch.setattr(
+            evaluator, "train_model", lambda *a, **k: calls.append(1) or train_model(*a, **k)
+        )
         code = main(
             [
                 "evaluate", "--config", str(cfg), "--seed", "3",
@@ -365,6 +377,20 @@ class TestExitCodes:
             ]
         )
         assert code == 2
+        assert len(calls) == 1
+
+    def test_single_class_outcome_still_sweeps(self, workdir, tmp_path):
+        # the curve needs no fit metric, so `sweep` without --model writes it
+        root, cfg = workdir
+        flat_path = self._single_class_log(root, tmp_path)
+        code = main(
+            [
+                "sweep", "--config", str(cfg), "--seed", "3", "--data", str(flat_path),
+                "--budget-grid", "300", "--out", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        assert [p.budget for p in load_curve_csv(tmp_path / "curve.csv")] == [300.0]
 
 
 class TestParseConfig:

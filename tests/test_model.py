@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -325,6 +326,51 @@ class TestTraining:
         a = train_model(sub.features, sub.arm, sub.s, sub.y, cfg.n_arms, config=base, seed=2)
         b = train_model(sub.features, sub.arm, sub.s, sub.y, cfg.n_arms, config=heavy, seed=2)
         assert not np.array_equal(a.model.trunk_a.layers[0].weight, b.model.trunk_a.layers[0].weight)
+
+
+class TestTrainingMemory:
+    """What a training step holds, counted in bytes and object lifetimes, not RSS."""
+
+    def test_train_trace_holds_relu_outputs_and_head_fields(self):
+        model, config = narrow_model("full")
+        features, arms, _, _ = tiny_batch(n=64)
+        mt = model_module._model_forward(model, features, arms, mode="train", rng=make_rng(1))
+        arrays = {}
+        for trace in mt.traces.values():
+            arrays[id(trace.inputs)] = trace.inputs
+            for lt in trace.layers:
+                for a in (lt.pre, lt.activated, lt.output, lt.dropout_mask):
+                    if a is not None:
+                        arrays[id(a)] = a
+        # the model input, one output per relu layer, and pre + activation of
+        # each of the three one-unit heads (no dropout on heads)
+        widths = model.n_features + model.embedding_dim + sum(config.hidden_dims) + 3 * 2
+        assert sum(a.nbytes for a in arrays.values()) == 8 * 64 * widths
+
+    def test_steps_never_overlap(self, monkeypatch):
+        # a step's trace and gradients must be gone when the next forward starts
+        live: list = []
+        overlaps: list = []
+        forward, adam = model_module._model_forward, model_module.adam_update
+
+        def watched_forward(*args, **kwargs):
+            overlaps.append(sum(ref() is not None for ref in live))
+            live.clear()
+            mt = forward(*args, **kwargs)
+            live.extend(weakref.ref(lt.output) for t in mt.traces.values() for lt in t.layers)
+            return mt
+
+        def watched_adam(params, grads, state):
+            live.extend(weakref.ref(g) for g in grads)
+            return adam(params, grads, state)
+
+        monkeypatch.setattr(model_module, "_model_forward", watched_forward)
+        monkeypatch.setattr(model_module, "adam_update", watched_adam)
+        features, arms, s, y = tiny_batch(n=200)
+        config = ModelConfig(batch_size=32, max_epochs=2, patience_epochs=3, **NARROW)
+        train_model(features, arms, s, y, 3, config=config, seed=0)
+        assert len(overlaps) == 2 * 6  # 180 training rows in batches of 32, two epochs
+        assert overlaps == [0] * len(overlaps)
 
 
 class TestCheckpoint:

@@ -18,7 +18,12 @@ from promolab.nncore import (
     net_parameters,
 )
 
-from oracles import gradient_check, max_relative_gradient_error
+from oracles import (
+    gradient_check,
+    max_relative_gradient_error,
+    reference_backward,
+    reference_forward,
+)
 
 
 def _single_layer(weight, bias, activation):
@@ -185,10 +190,16 @@ class TestGradientCheckRefinement:
 class TestDropout:
     def test_eval_mode_has_no_masks(self):
         rng = make_rng(1)
-        net = init_dense_net([3, 5], ["relu"], rng, dropout_rate=0.5)
+        net = init_dense_net([3, 5, 2], ["relu", "identity"], rng, dropout_rate=0.5)
         trace = forward_pass(net, np.ones((4, 3)))
-        assert trace.layers[0].dropout_mask is None
-        np.testing.assert_array_equal(trace.layers[0].output, trace.layers[0].activated)
+        _, ref = reference_forward(net, np.ones((4, 3)))
+        for lt, (_, activated, _, _) in zip(trace.layers, ref):
+            assert lt.dropout_mask is None and lt.scale == 1.0
+            # the output is the undropped activation
+            np.testing.assert_array_equal(lt.output, activated)
+        # a relu keeps no activation apart from its output; identity keeps its own
+        assert trace.layers[0].activated is None
+        np.testing.assert_array_equal(trace.layers[1].output, trace.layers[1].activated)
 
     def test_train_mode_requires_rng(self):
         net = init_dense_net([3, 5], ["relu"], make_rng(1), dropout_rate=0.5)
@@ -228,9 +239,125 @@ class TestDropout:
         second = backward_pass(net, trace, g)
         for a, b in zip(first.weight_grads, second.weight_grads):
             np.testing.assert_array_equal(a, b)
-        # units dropped in the forward pass get no weight gradient
-        dropped_cols = np.all(trace.layers[0].dropout_mask == 0.0, axis=0)
+        # units dropped in the forward pass get no weight gradient; a relu
+        # keeps no mask, so read it from the four-array reference on the same rng
+        _, ref = reference_forward(net, batch, mode="train", rng=make_rng(8))
+        mask = ref[0][3]
+        assert np.all(trace.layers[0].output[mask == 0.0] == 0.0)
+        dropped_cols = np.all(mask == 0.0, axis=0)
+        assert dropped_cols.any()
         assert np.all(first.weight_grads[0][:, dropped_cols] == 0.0)
+
+
+def _trace_nbytes(trace) -> int:
+    """Bytes of the distinct arrays a trace holds, its inputs included."""
+    arrays = {id(trace.inputs): trace.inputs}
+    for lt in trace.layers:
+        for a in (lt.pre, lt.activated, lt.output, lt.dropout_mask):
+            if a is not None:
+                arrays[id(a)] = a
+    return sum(a.nbytes for a in arrays.values())
+
+
+def _bits(a: np.ndarray) -> bytes:
+    """The bytes that hold ``a``'s values; x87 extended precision pads each to 16 bytes."""
+    a = np.ascontiguousarray(a)
+    used = 10 if np.finfo(a.dtype).nmant == 63 else a.itemsize
+    return a.view(np.uint8).reshape(-1, a.itemsize)[:, :used].tobytes()
+
+
+def _assert_same_bytes(net, batch, mode, dropout_seed, dtype, output_gradient):
+    """The compact trace and the four-array reference agree byte for byte."""
+    trace = forward_pass(net, batch, mode=mode, rng=make_rng(dropout_seed), dtype=dtype)
+    inputs, ref = reference_forward(net, batch, mode=mode, rng=make_rng(dropout_seed), dtype=dtype)
+    for i, (lt, (_, _, out, _)) in enumerate(zip(trace.layers, ref)):
+        assert lt.output.dtype == out.dtype
+        assert _bits(lt.output) == _bits(out), f"layer {i} output"
+    back = backward_pass(net, trace, output_gradient)
+    weight_grads, bias_grads, input_gradient = reference_backward(net, inputs, ref, output_gradient)
+    for i in range(len(net.layers)):
+        assert _bits(back.weight_grads[i]) == _bits(weight_grads[i]), f"weight {i}"
+        assert _bits(back.bias_grads[i]) == _bits(bias_grads[i]), f"bias {i}"
+    assert _bits(back.input_gradient) == _bits(input_gradient)
+    return ref
+
+
+class TestCompactTrace:
+    """Relu layers keep only their output; the bytes match the four-array passes."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("rate", [0.0, 0.2, 0.35, 0.5])
+    @pytest.mark.parametrize("head", ["identity", "sigmoid", "exp"])
+    def test_matches_reference_bytes(self, head, rate, mode, dtype):
+        rng = make_rng(31)
+        net = init_dense_net([4, 12, 9, 1], ["relu", "relu", head], rng, dropout_rate=rate)
+        # a zero weight column and zero bias: exactly-zero pre-activations
+        net.layers[0].weight[:, 3] = 0.0
+        net.layers[1].weight[:, 5] = 0.0
+        net.layers[1].bias[:] = rng.normal(size=9) * 0.1
+        net.layers[1].bias[5] = 0.0
+        batch = rng.normal(size=(16, 4))
+        batch[0] = -0.0
+        batch[1, :2] = -0.0
+        g = rng.normal(size=(16, 1))
+        g[2, 0], g[3, 0] = 0.0, -0.0
+        ref = _assert_same_bytes(net, batch, mode, 32, dtype, g)
+        for pre, _, _, _ in ref[:2]:
+            assert np.any(pre < 0) and np.any(pre > 0) and np.any(pre == 0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("rate", [0.0, 0.2, 0.5])
+    def test_special_values_match_reference_bytes(self, rate, mode, dtype):
+        # float64 pre-activations -inf, negative, 0, positive, +inf (layer 0)
+        # and NaN (layer 1, inf - inf); gradients with signed zeros, inf and
+        # NaN. Matmul plus bias never yields a -0.0 pre-activation, so -0.0
+        # enters through the batch and the gradient. In longdouble the same
+        # products stay finite.
+        w0 = np.array([
+            [1.0, -1.0, 0.0, 1e308, -1e308, 1e308, 0.5, -0.25],
+            [1.0, -1.0, 0.0, 1e308, -1e308, 1e308, -0.5, 2.0],
+        ])
+        w1 = make_rng(39).normal(size=(8, 4)) * 0.1
+        w1[3:6] = [[1.0, 1.0, -1.0, 0.0], [0.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]
+        net = DenseNet(
+            layers=[
+                DenseLayer(weight=w0, bias=np.zeros(8), activation="relu"),
+                DenseLayer(weight=w1, bias=np.zeros(4), activation="relu"),
+            ],
+            dropout_rate=rate,
+        )
+        batch = np.array([[2.0, 3.0], [-0.0, 4.0], [5.0, 5.0], [-1.0, 0.0], [3.0, -0.0], [7.0, 1.0]])
+        g = make_rng(33).normal(size=(6, 4))
+        g[0] = [0.0, -0.0, np.inf, -np.inf]
+        g[1, 1:] = [np.nan, -0.0, 0.0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = _assert_same_bytes(net, batch, mode, 34, dtype, g)
+        if dtype == np.float64:
+            pre0, pre1 = ref[0][0], ref[1][0]
+            assert np.isposinf(pre0).any() and np.isneginf(pre0).any() and np.isnan(pre1).any()
+            finite = pre0[np.isfinite(pre0)]
+            assert np.any(finite < 0) and np.any(finite == 0) and np.any(finite > 0)
+
+    def test_relu_trace_holds_one_output_per_layer(self):
+        rate = 0.2
+        net = init_dense_net([5, 64, 32, 16], ["relu"] * 3, make_rng(35), dropout_rate=rate)
+        batch = make_rng(36).normal(size=(100, 5))
+        trace = forward_pass(net, batch, mode="train", rng=make_rng(37))
+        assert _trace_nbytes(trace) == 8 * 100 * (5 + 64 + 32 + 16)
+        for lt in trace.layers:
+            assert lt.pre is None and lt.activated is None and lt.dropout_mask is None
+            assert lt.scale == 1.0 / (1.0 - rate)
+
+    def test_relu_output_is_zero_or_scaled(self):
+        rate = 0.3
+        net = init_dense_net([3, 50], ["relu"], make_rng(2), dropout_rate=rate)
+        batch = make_rng(38).normal(size=(8, 3))
+        kept = forward_pass(net, batch).output * (1.0 / (1.0 - rate))
+        out = forward_pass(net, batch, mode="train", rng=make_rng(3)).output
+        assert np.all((out == 0.0) | (out == kept))
+        assert np.any((out == 0.0) & (kept > 0.0)) and np.any((out == kept) & (kept > 0.0))
 
 
 class TestInit:
