@@ -127,7 +127,7 @@ def parse_config(
         coupon_values=coupon_values,
         seed=seed,
         features=FeatureConfig(**feat_raw),
-        response=spec_factory(len(coupon_values), coupon_values),
+        response=spec_factory(coupon_values),
         **gen_raw,
     )
 
@@ -192,6 +192,14 @@ def _load_dataset(path, n_arms: int) -> RctDataset:
     return dataset
 
 
+def _load_model_for(path, n_arms: int):
+    """Load a checkpoint whose arm count must match the config's."""
+    model = load_model(path)
+    if model.n_arms != n_arms:
+        raise ValidationError(f"model has {model.n_arms} arms but the config defines {n_arms}")
+    return model
+
+
 def _cmd_generate(args) -> int:
     cfg = parse_config(args.config, seed=args.seed)
     out = _out_dir(args)
@@ -252,11 +260,7 @@ def _cmd_predict(args) -> int:
 def _cmd_allocate(args) -> int:
     cfg = parse_config(args.config, seed=args.seed)
     out = _out_dir(args)
-    model = load_model(args.model)
-    if model.n_arms != cfg.generation.n_arms:
-        raise ValidationError(
-            f"model has {model.n_arms} arms but the config defines {cfg.generation.n_arms}"
-        )
+    model = _load_model_for(args.model, cfg.generation.n_arms)
     dataset = _load_dataset(args.data, model.n_arms)
     pm = predict_matrix(model, dataset.features)
     problem = build_problem(pm.amount, pm.direct, cfg.generation.coupon_values, args.budget)
@@ -265,9 +269,12 @@ def _cmd_allocate(args) -> int:
     else:
         plan = solve_lagrangian(problem)
     _atomic_write(out / "plan.csv", lambda p: plan.to_csv(p, dataset.customer_id))
-    logger.info(
-        "allocated at budget %.6g: value %.6g, cost %.6g", args.budget, plan.total_value, plan.total_cost
-    )
+    line = "allocated at budget %.6g: value %.6g, cost %.6g"
+    values = [args.budget, plan.total_value, plan.total_cost]
+    if plan.dual_bound is not None:  # the Lagrangian certifies its gap; the DP is exact
+        line += ", dual bound %.6g, gap %.6g"
+        values += [plan.dual_bound, plan.dual_bound - plan.total_value]
+    logger.info(line, *values)
     return 0
 
 
@@ -298,11 +305,7 @@ def _cmd_sweep(args) -> int:
     if not cfg.budget_grid:
         raise ValidationError("a budget grid is required (flag --budget-grid or evaluation.budget_grid)")
     if args.model is not None:
-        model = load_model(args.model)
-        if model.n_arms != gen.n_arms:
-            raise ValidationError(
-                f"model has {model.n_arms} arms but the config defines {gen.n_arms}"
-            )
+        model = _load_model_for(args.model, gen.n_arms)
         pm = predict_matrix(model, dataset.features)
     else:
         # cross-fitted, as in `evaluate`: no plan is scored on the log its model was fit on;

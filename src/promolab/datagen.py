@@ -250,7 +250,7 @@ class GenConfig:
         if self.promo_gamma_shape <= 0:
             raise ValidationError("promo_gamma_shape must be positive")
         if self.response is None:
-            self.response = default_response_spec(self.n_arms)
+            self.response = default_response_spec(self.coupon_values)
         if self.response.n_arms != self.n_arms:
             raise ValidationError("response spec arm count must match coupon_values")
         control = self.control_arm
@@ -467,12 +467,14 @@ _WORLD_COEFFICIENTS = {
 }
 
 
-def _world_spec(world: str, n_arms: int, coupon_values: np.ndarray | None) -> ResponseSpec:
-    """One default world with effects linear in the coupon value and a neutral control arm."""
-    if coupon_values is None:
-        coupon_values = np.linspace(0.0, 3.0, n_arms)
+def _world_spec(world: str, coupon_values: np.ndarray) -> ResponseSpec:
+    """One default world with effects linear in the coupon value and a neutral control arm.
+
+    Coupon values without exactly one zero still give a spec; ``GenConfig``
+    rejects them.
+    """
     c = np.asarray(coupon_values, dtype=np.float64)
-    control = int(np.flatnonzero(c == 0.0)[0])
+    control = c == 0.0
     blocks = {}
     for name, (intercept, coefs, slope, interaction_slopes) in _WORLD_COEFFICIENTS[world].items():
         arm_effects = slope * c
@@ -483,17 +485,17 @@ def _world_spec(world: str, n_arms: int, coupon_values: np.ndarray | None) -> Re
     return ResponseSpec(feature_center=_DEFAULT_CENTER.copy(), feature_scale=_DEFAULT_SCALE.copy(), **blocks)
 
 
-def default_response_spec(n_arms: int, coupon_values: np.ndarray | None = None) -> ResponseSpec:
+def default_response_spec(coupon_values: np.ndarray) -> ResponseSpec:
     """Separable default world: response effects scale with coupon value.
 
     Direct and enduring responses share feature heterogeneity, so modeling
     either helps the other; effects are big enough that a trained model can
     approach the true ranking.
     """
-    return _world_spec("default", n_arms, coupon_values)
+    return _world_spec("default", coupon_values)
 
 
-def decorrelated_response_spec(n_arms: int, coupon_values: np.ndarray | None = None) -> ResponseSpec:
+def decorrelated_response_spec(coupon_values: np.ndarray) -> ResponseSpec:
     """World where direct uplift and enduring uplift live on disjoint features.
 
     The direct response to coupons is heterogeneous in short-term frequency
@@ -501,4 +503,4 @@ def decorrelated_response_spec(n_arms: int, coupon_values: np.ndarray | None = N
     only (and anti-aligned with the direct interaction), so chasing the
     direct signal picks the wrong customers for the enduring objective.
     """
-    return _world_spec("decorrelated", n_arms, coupon_values)
+    return _world_spec("decorrelated", coupon_values)

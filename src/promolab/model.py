@@ -30,14 +30,17 @@ that slot.
 Each variant is data: ``_VARIANTS`` lists its parts (embedding tables, trunk
 slices, heads) and its loss terms, and one forward and one backward walker
 interpret that list for building, training, prediction and checkpoints. The
-forward walker records traces for training and the gradient checks, and keeps
-none when it only scores (``predict`` and the validation loss).
+forward walker checks the model input once and runs ``nncore.forward_pass``
+on each part. Training and the gradient checks keep every part's trace for
+the backward walker; scoring (``predict`` and the validation loss) drops each
+part's trace as soon as the part returns.
 """
 
 from __future__ import annotations
 
 import json
 import zipfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
@@ -54,7 +57,6 @@ from .nncore import (
     init_adam,
     init_dense_net,
     make_rng,
-    net_output,
     net_parameters,
 )
 
@@ -334,11 +336,18 @@ class _ModelTrace:
     slots: dict  # slot -> (N,) head output; a missing head reports the direct one
 
 
+def _require_finite(what: str, x: np.ndarray):
+    if not np.all(np.isfinite(x)):
+        raise ValidationError(f"{what} contains non-finite values")
+
+
 def _walk_parts(model: ResponseModel, features, arms, run, dtype=np.float64):
     """Walk the variant's parts forward and return ``(arms, slots)``.
 
     An embedding's output is the standardized features next to each record's
-    arm row; ``run(part, x)`` maps a trunk's or a head's input to its output.
+    arm row; it is the model input, and the only place finiteness is checked
+    on the way in. ``run(part, x)`` maps a trunk's or a head's input to its
+    output.
     """
     arms = np.asarray(arms, dtype=np.int64)
     z = model.standardize(features, dtype=dtype)
@@ -351,6 +360,7 @@ def _walk_parts(model: ResponseModel, features, arms, run, dtype=np.float64):
     for part in _VARIANTS[model.config.variant].parts:
         if part.kind == "embedding":
             out = np.hstack([z, getattr(model, part.name)[arms].astype(dtype)])
+            _require_finite("model input", out)
         else:
             out = run(part, outputs[part.source])
         outputs[part.name] = out
@@ -363,40 +373,34 @@ def _model_forward(
     model: ResponseModel,
     features: np.ndarray,
     arms: np.ndarray,
-    mode: str = "eval",
     rng: np.random.Generator | None = None,
     dtype=np.float64,
 ) -> _ModelTrace:
-    """The recorded forward pass that training and the gradient checks backpropagate through."""
+    """The recorded forward pass that training and the gradient checks backpropagate through.
+
+    Dropout runs when ``rng`` is given (training); the gradient checks pass none.
+    """
     traces: dict = {}
 
     def run(part, x):
         # looked up at call time, so wrappers patched onto this module see every call
-        traces[part.name] = forward_pass(getattr(model, part.name), x, mode, rng, dtype=dtype)
+        traces[part.name] = forward_pass(getattr(model, part.name), x, rng, dtype=dtype)
         return traces[part.name].output
 
     arms, slots = _walk_parts(model, features, arms, run, dtype)
     return _ModelTrace(arms, traces, slots)
 
 
-def _require_finite(what: str, x: np.ndarray):
-    if not np.all(np.isfinite(x)):
-        raise ValidationError(f"{what} contains non-finite values")
-
-
 def _eval_slots(model: ResponseModel, features: np.ndarray, arms: np.ndarray) -> dict:
-    """Head outputs of an eval-mode pass that keeps no trace.
+    """Head outputs of a pass without dropout that drops each part's trace when the part returns.
 
-    Finiteness is checked once on the model input (each embedding's output)
-    and once on each trunk's output, so a trunk that overflows raises before
-    a sigmoid head can saturate it to 0 or 1.
+    Each trunk's output is checked for finiteness too, so a trunk that
+    overflows raises before a sigmoid head can saturate it to 0 or 1.
     """
-    inputs = {p.name for p in _TABLES[model.config.variant]}
 
     def run(part, x):
-        if part.source in inputs:
-            _require_finite("model input", x)
-        out = net_output(getattr(model, part.name), x)
+        # looked up at call time, so wrappers patched onto this module see every call
+        out = forward_pass(getattr(model, part.name), x).output
         if part.kind == "trunk":
             _require_finite(f"{part.name} output", out)
         return out
@@ -457,7 +461,7 @@ def _loss_terms(model: ResponseModel, s, y, slots: dict):
 
 
 def predict(model: ResponseModel, features: np.ndarray, arms: np.ndarray) -> PredictionMatrix:
-    """Head outputs for each record under its given arm (eval mode, chunked)."""
+    """Head outputs for each record under its given arm (no dropout, chunked)."""
     features = np.asarray(features, dtype=np.float64)
     arms = np.asarray(arms, dtype=np.int64)
     spans = [slice(lo, lo + _PREDICT_CHUNK) for lo in range(0, len(features), _PREDICT_CHUNK)]
@@ -529,23 +533,36 @@ class TrainResult:
     stopped_epoch: int
 
 
+@contextmanager
+def _diverged(epoch: int):
+    """Re-raise a ``ValidationError`` from the body as a ``TrainingError``.
+
+    ``train_model`` checks its inputs before the first step, so a value a
+    check refuses after that (a prediction outside a loss's domain, a
+    non-finite gradient or trunk output) comes from the net, not the input.
+    """
+    try:
+        yield
+    except ValidationError as exc:
+        raise TrainingError(f"diverged at epoch {epoch}: {exc}") from exc
+
+
 def _train_step(model, params, adam, features, arms, s, y, rng, epoch: int) -> float:
     """One minibatch: forward, loss, backward and an Adam update; returns the summed loss.
 
     The trace and the gradients are locals, so they are freed when the step
     returns and never overlap the next step's forward pass.
     """
-    mt = _model_forward(model, features, arms, mode="train", rng=rng)
-    value, slot_grads = _loss_terms(model, s, y, mt.slots)
+    mt = _model_forward(model, features, arms, rng)
+    with _diverged(epoch):
+        value, slot_grads = _loss_terms(model, s, y, mt.slots)
     batch_loss = float(np.sum(value))
     if not np.isfinite(batch_loss):
         raise TrainingError(f"non-finite training loss at epoch {epoch}")
     nb = len(features)
     grads = _model_backward(model, mt, {k: g / nb for k, g in slot_grads.items()})
-    try:
+    with _diverged(epoch):
         adam_update(params, grads, adam)
-    except ValidationError as exc:
-        raise TrainingError(f"diverged at epoch {epoch}: {exc}") from exc
     return batch_loss
 
 
@@ -627,7 +644,8 @@ def train_model(
                 model, params, adam, f_tr[sel], a_tr[sel], s_tr[sel], y_tr[sel], dropout_rng, epoch
             )
 
-        val_loss = _mean_loss(model, f_val, a_val, s_val, y_val)
+        with _diverged(epoch):
+            val_loss = _mean_loss(model, f_val, a_val, s_val, y_val)
         if not np.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss at epoch {epoch}")
         history.append(

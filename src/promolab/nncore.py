@@ -2,15 +2,14 @@
 
 Everything runs in float64. A network is a plain stack of affine layers with
 one of four activations (relu, sigmoid, exp, identity); dropout is the
-inverted kind, applied after each layer's activation in train mode only, so
-eval mode needs no rescaling. Backpropagation is written out explicitly for
-this fixed topology; the tests check it against central finite differences.
+inverted kind, applied after each layer's activation only when the forward
+pass is given an rng, so a pass without one needs no rescaling.
+Backpropagation is written out explicitly for this fixed topology; the tests
+check it against central finite differences.
 
-Two forward paths share one per-layer step (``_layer_forward``):
-``forward_pass`` records a ``ForwardTrace`` for ``backward_pass``, and is what
-training and the gradient checks run; ``net_output`` keeps no trace and
-returns only the last layer's output, for callers that only score (eval mode,
-no dropout).
+One forward pass, ``forward_pass``, serves training, scoring and the
+gradient checks. It records a ``ForwardTrace`` for ``backward_pass``; a
+caller that only scores keeps the output and drops the trace.
 
 The trace keeps what backward needs and no more. A relu layer keeps only its
 output and its dropout scale: relu runs in place, dropout multiplies the
@@ -172,15 +171,15 @@ class LayerTrace:
     one exception: where a finite ``g * scale`` overflows at a kept unit whose
     pre-activation is not positive, that form gives ``inf * 0 = NaN`` and this
     one a zero. Other activations also keep ``pre``, ``activated`` and the
-    scaled float ``dropout_mask`` (None in eval mode) that their derivatives
-    read.
+    scaled float ``dropout_mask`` (None without dropout) that their
+    derivatives read.
     """
 
     output: np.ndarray  # after activation and dropout
     scale: float = 1.0  # relu: dropout scale that backward multiplies in
     pre: np.ndarray | None = None  # pre-activation; None for relu
     activated: np.ndarray | None = None  # before dropout; None for relu
-    dropout_mask: np.ndarray | None = None  # scaled keep mask; None for relu and in eval mode
+    dropout_mask: np.ndarray | None = None  # scaled keep mask; None for relu and without dropout
 
 
 @dataclass
@@ -195,21 +194,29 @@ class ForwardTrace:
         return self.layers[-1].output
 
 
-def _layer_forward(layer: DenseLayer, x: np.ndarray):
-    """``(pre, activated)`` of one layer: ``activation(x @ weight + bias)``.
+def forward_pass(
+    net: DenseNet,
+    batch: np.ndarray,
+    rng: np.random.Generator | None = None,
+    dtype=np.float64,
+) -> ForwardTrace:
+    """Run the net over a (batch, features) matrix and record what backward needs.
 
-    The bias is added in place on the matmul result, and a relu also runs in
-    place, so for a relu ``pre`` is ``activated`` and no longer holds the
-    pre-activation.
+    Each layer is ``activation(x @ weight + bias)``, with the bias added in
+    place on the matmul result and a relu run in place too. Shapes are
+    checked; finiteness is not, so the caller checks its inputs (the model
+    checks its input once per pass).
+
+    Dropout runs exactly when ``rng`` is given and the net's rate is above 0.
+    Its masks are drawn from ``rng`` and scaled by 1/(1 - rate), so the output
+    without dropout is the expectation of the output with it wherever the
+    dropped activations feed a linear map. A relu layer applies its mask in
+    place and keeps no mask (see ``LayerTrace``).
+
+    ``dtype`` upgrades the arithmetic (e.g. to ``np.longdouble``) without
+    touching the stored float64 parameters; finite-difference checks use that
+    to push evaluation round-off below the differencing scale.
     """
-    pre = x @ layer.weight
-    pre += layer.bias
-    if layer.activation == "relu":
-        return pre, np.maximum(pre, 0.0, out=pre)
-    return pre, _activate(layer.activation, pre)
-
-
-def _check_batch(net: DenseNet, batch: np.ndarray, dtype) -> np.ndarray:
     batch = np.asarray(batch, dtype=dtype)
     if batch.ndim != 2:
         raise ShapeError(f"batch must be 2-D (batch, features), got shape {batch.shape}")
@@ -217,70 +224,27 @@ def _check_batch(net: DenseNet, batch: np.ndarray, dtype) -> np.ndarray:
         raise ShapeError(
             f"batch has {batch.shape[1]} columns but the net expects {net.input_dim}"
         )
-    return batch
-
-
-def net_output(net: DenseNet, batch: np.ndarray) -> np.ndarray:
-    """The last layer's output of an eval-mode pass, with no trace kept.
-
-    Same arithmetic and bytes as ``forward_pass(net, batch).output``, but each
-    layer's array is released as the next one forms. Shapes are checked;
-    finiteness is not, so the caller checks its inputs (``forward_pass``
-    checks its own).
-    """
-    x = _check_batch(net, batch, np.float64)
-    for layer in net.layers:
-        _, x = _layer_forward(layer, x)
-    return x
-
-
-def forward_pass(
-    net: DenseNet,
-    batch: np.ndarray,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-    dtype=np.float64,
-) -> ForwardTrace:
-    """Run the net over a (batch, features) matrix and record what backward needs.
-
-    This is the recording path: training and the gradient checks run it,
-    because ``backward_pass`` needs the trace. Callers that only need the
-    output use ``net_output``. The batch must be finite.
-
-    In train mode dropout masks are drawn from ``rng`` and scaled by
-    1/(1 - rate) so the eval-mode output is the expectation of the train-mode
-    output wherever the dropped activations feed a linear map. A relu layer
-    applies its mask in place and keeps no mask (see ``LayerTrace``).
-
-    ``dtype`` upgrades the arithmetic (e.g. to ``np.longdouble``) without
-    touching the stored float64 parameters; finite-difference checks use that
-    to push evaluation round-off below the differencing scale.
-    """
-    if mode not in ("train", "eval"):
-        raise ValidationError(f"mode must be 'train' or 'eval', got {mode!r}")
-    batch = _check_batch(net, batch, dtype)
-    if not np.all(np.isfinite(batch)):
-        raise ValidationError("batch contains non-finite values")
-    use_dropout = mode == "train" and net.dropout_rate > 0.0
-    if use_dropout and rng is None:
-        raise ValidationError("train-mode forward with dropout needs an rng")
+    use_dropout = rng is not None and net.dropout_rate > 0.0
 
     trace = ForwardTrace(inputs=batch)
     x = batch
     for layer in net.layers:
-        pre, activated = _layer_forward(layer, x)
-        keep = rng.random(activated.shape) >= net.dropout_rate if use_dropout else None
+        pre = x @ layer.weight
+        pre += layer.bias
+        keep = rng.random(pre.shape) >= net.dropout_rate if use_dropout else None
         if layer.activation == "relu":
-            lt = LayerTrace(output=activated)
+            lt = LayerTrace(output=np.maximum(pre, 0.0, out=pre))
             if use_dropout:
                 lt.scale = 1.0 / (1.0 - net.dropout_rate)
-                activated *= keep
-                activated *= lt.scale
-        elif use_dropout:
-            mask = keep / (1.0 - net.dropout_rate)
-            lt = LayerTrace(output=activated * mask, pre=pre, activated=activated, dropout_mask=mask)
+                lt.output *= keep
+                lt.output *= lt.scale
         else:
-            lt = LayerTrace(output=activated, pre=pre, activated=activated)
+            activated = _activate(layer.activation, pre)
+            if use_dropout:
+                mask = keep / (1.0 - net.dropout_rate)
+                lt = LayerTrace(output=activated * mask, pre=pre, activated=activated, dropout_mask=mask)
+            else:
+                lt = LayerTrace(output=activated, pre=pre, activated=activated)
         trace.layers.append(lt)
         x = lt.output
     return trace

@@ -58,14 +58,15 @@ def brute_force(problem: AllocationProblem) -> AllocationPlan:
     return AllocationPlan(arms=best_arms, total_value=value, total_cost=cost)
 
 
-def reference_forward(net: DenseNet, batch, mode="eval", rng=None, dtype=np.float64):
+def reference_forward(net: DenseNet, batch, rng=None, dtype=np.float64):
     """Forward pass keeping ``(pre, activated, output, mask)`` for every layer.
 
-    Draws dropout from ``rng`` in the engine's order, so with equal rngs the
-    two passes drop the same units.
+    Like the engine, it drops units exactly when ``rng`` is given and the
+    rate is above 0, drawing from ``rng`` in the engine's order, so with equal
+    rngs the two passes drop the same units.
     """
     x = np.asarray(batch, dtype=dtype)
-    use_dropout = mode == "train" and net.dropout_rate > 0.0
+    use_dropout = rng is not None and net.dropout_rate > 0.0
     layers = []
     for layer in net.layers:
         pre = x @ layer.weight
@@ -218,7 +219,7 @@ def gradient_check(
     """Check ``backward_pass`` against finite differences for one net and loss.
 
     ``loss_fn`` maps the net output to ``(scalar loss, d loss / d output)``.
-    Runs in eval mode so the loss surface is deterministic. Returns the max
+    Runs without dropout so the loss surface is deterministic. Returns the max
     sampled relative error; it raises nothing and reports a number even for
     badly broken gradients.
 
@@ -228,12 +229,12 @@ def gradient_check(
     """
 
     def loss_value() -> float:
-        trace = forward_pass(net, batch, mode="eval", dtype=fd_dtype)
+        trace = forward_pass(net, batch, dtype=fd_dtype)
         value, _ = loss_fn(trace.output)
         return value
 
     def analytic() -> list[np.ndarray]:
-        trace = forward_pass(net, batch, mode="eval")
+        trace = forward_pass(net, batch)
         _, dout = loss_fn(trace.output)
         back = backward_pass(net, trace, dout)
         return flatten_gradients(back)
@@ -258,7 +259,7 @@ def model_gradient_check(
     """Finite-difference check of the whole model's gradients on one batch.
 
     Covers every parameter tensor including the embedding tables, using the
-    variant's own composite loss (eval mode, mean over the batch). Returns
+    variant's own composite loss (no dropout, mean over the batch). Returns
     the worst sampled relative error. The differenced loss runs in
     ``fd_dtype`` (extended precision by default) so eval round-off does not
     masquerade as gradient error on small entries, and the relu and exp-clamp
@@ -273,18 +274,18 @@ def model_gradient_check(
     n = len(features)
 
     def loss_value() -> float:
-        mt = _model_forward(model, features, arms, mode="eval", dtype=fd_dtype)
+        mt = _model_forward(model, features, arms, dtype=fd_dtype)
         value, _ = _loss_terms(model, s.astype(fd_dtype), y.astype(fd_dtype), mt.slots)
         return np.sum(value) / n
 
     def region_signature() -> np.ndarray:
-        mt = _model_forward(model, features, arms, mode="eval")
+        mt = _model_forward(model, features, arms)
         sigs = []
         for part_name, net in model.parts():
             trace = mt.traces[part_name]
             for layer, lt in zip(net.layers, trace.layers):
                 if layer.activation == "relu":
-                    sigs.append(lt.output.ravel() > 0)  # relu(pre) > 0 iff pre > 0 in eval mode
+                    sigs.append(lt.output.ravel() > 0)  # relu(pre) > 0 iff pre > 0 without dropout
                 elif layer.activation == "exp":
                     sigs.append(lt.pre.ravel() < _EXP_CLIP)
         if not sigs:
@@ -292,7 +293,7 @@ def model_gradient_check(
         return np.concatenate(sigs)
 
     def analytic() -> list[np.ndarray]:
-        mt = _model_forward(model, features, arms, mode="eval")
+        mt = _model_forward(model, features, arms)
         _, slot_grads = _loss_terms(model, s, y, mt.slots)
         return _model_backward(model, mt, {k: g / n for k, g in slot_grads.items()})
 

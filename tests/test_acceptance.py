@@ -234,7 +234,7 @@ def test_criterion_7_targeting_beats_random_spend(acceptance_log):
         cfg = GenConfig(
             n_customers=8000,
             coupon_values=coupons,
-            response=decorrelated_response_spec(3, coupons),
+            response=decorrelated_response_spec(coupons),
             seed=1000 + k,
         )
         ds, truth = generate_rct(cfg)

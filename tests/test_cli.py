@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import logging
 import re
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 import yaml
 
 from promolab import evaluator
+from promolab import model as model_module
 from promolab.cli import main, parse_config
 from promolab.datagen import RctDataset
 from promolab.errors import ValidationError
@@ -139,6 +141,27 @@ class TestAllocate:
         assert len(rows) == 601
         arms = np.array([int(r[1]) for r in rows[1:]])
         assert set(np.unique(arms)) <= {0, 1, 2}
+
+    @pytest.mark.parametrize("solver", ["lagrangian", "dp"])
+    def test_info_line_reports_dual_gap(self, workdir, tmp_path, caplog, solver):
+        root, cfg = workdir
+        caplog.set_level(logging.INFO, logger="promolab.cli")
+        code = main(
+            [
+                "allocate", "--config", str(cfg), "--model", str(root / "model.npz"),
+                "--data", str(root / "dataset.csv"), "--budget", "40",
+                "--solver", solver, "--out", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("allocated")]
+        found = re.search(r"value (\S+), cost \S+, dual bound (\S+), gap (\S+)$", line)
+        if solver == "dp":
+            assert found is None and line.startswith("allocated at budget 40: value ")
+            return
+        value, bound, gap = (float(x) for x in found.groups())
+        assert bound >= value and gap >= 0.0
+        assert gap == pytest.approx(bound - value, abs=1e-5 * bound)
 
     def test_budget_flag_required(self, workdir, tmp_path):
         root, cfg = workdir
@@ -379,6 +402,27 @@ class TestExitCodes:
         assert code == 2
         assert len(calls) == 1
 
+    def test_diverged_training_is_runtime_failure(self, workdir, tmp_path, monkeypatch):
+        # the log is valid, so a trunk that overflows in training exits 2, not 1
+        root, cfg = workdir
+        build_model = model_module.build_model
+
+        def overflowing(*args, **kwargs):
+            model = build_model(*args, **kwargs)
+            model.trunk_a.layers[0].weight[...] = 1e308
+            return model
+
+        monkeypatch.setattr(model_module, "build_model", overflowing)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(
+                [
+                    "train", "--config", str(cfg), "--seed", "3",
+                    "--data", str(root / "dataset.csv"), "--out", str(tmp_path),
+                ]
+            )
+        assert code == 2
+        assert not (tmp_path / "model.npz").exists()
+
     def test_single_class_outcome_still_sweeps(self, workdir, tmp_path):
         # the curve needs no fit metric, so `sweep` without --model writes it
         root, cfg = workdir
@@ -406,6 +450,13 @@ class TestParseConfig:
         path.write_text("generation:\n  world: decorrelated\n  coupon_values: [0.0, 3.0]\n")
         cfg = parse_config(path)
         assert cfg.generation.n_arms == 2
+
+    @pytest.mark.parametrize("world", ["default", "decorrelated"])
+    def test_coupons_without_zero_arm_rejected(self, tmp_path, world):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"generation:\n  world: {world}\n  coupon_values: [0.5, 1.0]\n")
+        with pytest.raises(ValidationError, match="zero-incentive arm"):
+            parse_config(path)
 
     def test_unknown_world_rejected(self, tmp_path):
         path = tmp_path / "cfg.yaml"

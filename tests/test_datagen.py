@@ -90,20 +90,20 @@ class TestSampleCpg:
 
 class TestResponseSpec:
     def test_control_arm_must_be_neutral(self):
-        spec = default_response_spec(3, np.array([0.0, 1.0, 2.0]))
+        spec = default_response_spec(np.array([0.0, 1.0, 2.0]))
         spec.direct.arm_effects[0] = 0.5
         with pytest.raises(ValidationError):
             GenConfig(n_customers=10, coupon_values=np.array([0.0, 1.0, 2.0]), response=spec)
 
     def test_effects_monotone_in_coupon(self):
         coupons = np.array([0.0, 1.0, 2.0, 3.0])
-        spec = default_response_spec(4, coupons)
+        spec = default_response_spec(coupons)
         features = np.array([40.0, 9.0, 2.0, 3.7, 2.2])
         p = [true_response(features, j, spec)[0] for j in range(4)]
         assert np.all(np.diff(p) > 0)
 
     def test_true_response_matches_surfaces(self):
-        spec = default_response_spec(3, np.array([0.0, 1.0, 2.0]))
+        spec = default_response_spec(np.array([0.0, 1.0, 2.0]))
         features = np.array([[10.0, 5.0, 1.0, 2.0, 1.0], [60.0, 12.0, 4.0, 8.0, 3.0]])
         p, mu = true_response(features, 1, spec)
         ps, promos, posts = spec.surfaces(features)
@@ -126,6 +126,22 @@ class TestGenConfigValidation:
             GenConfig(n_customers=10, coupon_values=np.array([0.0, 0.0, 1.0]))
         with pytest.raises(ValidationError):
             GenConfig(n_customers=10, coupon_values=np.array([0.5, 1.0]))
+
+    def test_default_world_follows_coupon_values(self):
+        coupons = np.array([0.0, 0.5, 1.0])
+        cfg = GenConfig(n_customers=10, coupon_values=coupons)
+        expected = default_response_spec(coupons)
+        for block in ("direct", "promo", "post"):
+            got, want = getattr(cfg.response, block), getattr(expected, block)
+            np.testing.assert_array_equal(got.arm_effects, want.arm_effects)
+            np.testing.assert_array_equal(got.interactions, want.interactions)
+        # the default world's direct coupon slope is 0.30
+        np.testing.assert_allclose(cfg.response.direct.arm_effects, [0.0, 0.15, 0.3], rtol=1e-15)
+
+    def test_default_world_control_arm_need_not_come_first(self):
+        cfg = GenConfig(n_customers=10, coupon_values=np.array([1.0, 0.0]))
+        assert cfg.control_arm == 1
+        assert cfg.response.direct.arm_effects.tolist() == [0.3, 0.0]
 
     def test_probs_must_sum_to_one(self):
         with pytest.raises(ValidationError):
@@ -324,7 +340,7 @@ class TestWorldShapes:
         cfg = GenConfig(
             n_customers=4000,
             coupon_values=coupons,
-            response=decorrelated_response_spec(3, coupons),
+            response=decorrelated_response_spec(coupons),
             seed=13,
         )
         _, truth = generate_rct(cfg)

@@ -13,7 +13,7 @@ import pytest
 
 from promolab import model as model_module
 from promolab.datagen import generate_rct
-from promolab.errors import ValidationError
+from promolab.errors import TrainingError, ValidationError
 from promolab.losses import LossWeights
 from promolab.model import (
     ModelConfig,
@@ -26,7 +26,7 @@ from promolab.model import (
     save_model,
     train_model,
 )
-from promolab.nncore import make_rng
+from promolab.nncore import init_adam, make_rng
 
 from oracles import model_gradient_check
 
@@ -43,8 +43,8 @@ def tiny_batch(n=64, n_arms=3, seed=5):
     return features, arms, s, y
 
 
-def narrow_model(variant, n_arms=3, seed=0):
-    config = ModelConfig(variant=variant, **NARROW)
+def narrow_model(variant, n_arms=3, seed=0, **overrides):
+    config = ModelConfig(variant=variant, **{**NARROW, **overrides})
     f, _, _, _ = tiny_batch(n_arms=n_arms)
     mean = f.mean(axis=0)
     sd = f.std(axis=0)
@@ -177,27 +177,36 @@ class TestPredict:
 
 
 class TestEvalWalk:
-    """Scoring runs the traceless eval walk; training keeps the traced one."""
+    """Scoring and training walk the parts through the same forward pass; scoring keeps no trace."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_slots_match_traced_forward_bytes(self, variant):
         model, _ = narrow_model(variant)
         features, arms, _, _ = tiny_batch(n=200)
-        traced = model_module._model_forward(model, features, arms, mode="eval").slots
+        traced = model_module._model_forward(model, features, arms).slots
         slots = model_module._eval_slots(model, features, arms)
         assert list(slots) == list(traced)
         for name in traced:
             assert slots[name].tobytes() == traced[name].tobytes(), name
 
-    def test_scoring_keeps_no_trace(self, monkeypatch):
-        def traced(*args, **kwargs):
-            raise AssertionError("scoring ran the recording forward pass")
+    def test_scoring_never_drops_units(self):
+        # scoring passes no rng, so a dropout-0.5 model scores the same bytes
+        # on every call, and those of the recorded pass without an rng
+        model, _ = narrow_model("full", dropout_rate=0.5)
+        features, arms, _, _ = tiny_batch(n=50)
+        first = predict(model, features, arms)
+        again = predict(model, features, arms)
+        recorded = model_module._model_forward(model, features, arms).slots
+        for slot, field_name in zip(recorded, ("direct", "enduring_propensity", "amount")):
+            assert getattr(first, field_name).tobytes() == getattr(again, field_name).tobytes()
+            assert getattr(first, field_name).tobytes() == recorded[slot].tobytes(), slot
 
-        monkeypatch.setattr(model_module, "forward_pass", traced)
+    def test_recorded_pass_rejects_non_finite_input(self):
         model, _ = narrow_model("full")
         features, arms, _, _ = tiny_batch(n=50)
-        predict(model, features, arms)
-        predict_matrix(model, features)
+        features[7, 2] = np.nan
+        with pytest.raises(ValidationError, match="model input"):
+            model_module._model_forward(model, features, arms, make_rng(1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("scorer", ["predict", "predict_matrix"])
@@ -295,6 +304,40 @@ class TestTraining:
         with pytest.raises(ValidationError):
             train_model(dataset.features, dataset.arm, dataset.s, y, cfg.n_arms, config=fast_model_config)
 
+    @pytest.mark.parametrize(
+        "part,field,value",
+        [("trunk_a", "weight", 1e308), ("amount_head", "bias", -1e4)],
+        ids=["trunk_overflow", "amount_underflow"],
+    )
+    def test_divergence_is_a_training_error(self, part, field, value):
+        # the batch is valid input: an overflowed trunk, or an exp-link amount
+        # that underflows to 0 outside the Tweedie loss's domain, is divergence
+        model, _ = narrow_model("full")
+        getattr(getattr(model, part).layers[0], field)[...] = value
+        params = model.parameters()
+        features, arms, s, y = tiny_batch(n=64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError):
+                model_module._train_step(
+                    model, params, init_adam(params), features, arms, s, y, make_rng(1), 1
+                )
+
+    def test_divergence_in_validation_is_a_training_error(self, monkeypatch):
+        # an update that overflows the trunk first shows in the validation pass
+        step = model_module._train_step
+
+        def overflowing_step(model, *args):
+            loss = step(model, *args)
+            model.trunk_a.layers[0].weight[...] = 1e308
+            return loss
+
+        monkeypatch.setattr(model_module, "_train_step", overflowing_step)
+        features, arms, s, y = tiny_batch(n=200)
+        config = ModelConfig(batch_size=512, max_epochs=1, **NARROW)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError, match="trunk_a output"):
+                train_model(features, arms, s, y, 3, config=config, seed=0)
+
     def test_callees_looked_up_at_call_time(self, monkeypatch):
         # tracers wrap these module attributes, so the walkers must not hold on
         # to the functions they found at import
@@ -334,7 +377,7 @@ class TestTrainingMemory:
     def test_train_trace_holds_relu_outputs_and_head_fields(self):
         model, config = narrow_model("full")
         features, arms, _, _ = tiny_batch(n=64)
-        mt = model_module._model_forward(model, features, arms, mode="train", rng=make_rng(1))
+        mt = model_module._model_forward(model, features, arms, make_rng(1))
         arrays = {}
         for trace in mt.traces.values():
             arrays[id(trace.inputs)] = trace.inputs
