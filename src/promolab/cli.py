@@ -31,18 +31,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .allocator import build_problem, solve_exact_dp, solve_lagrangian
-from .datagen import (
-    FeatureConfig,
-    GenConfig,
-    RctDataset,
-    decorrelated_response_spec,
-    default_response_spec,
-    generate_rct,
-)
+from .datagen import FeatureConfig, GenConfig, RctDataset, generate_rct
 from .errors import PromolabError, ValidationError
 from .evaluator import (
     EvalReport,
@@ -68,8 +60,6 @@ ENV_LOG_LEVEL = "PROMOLAB_LOG_LEVEL"
 
 logger = logging.getLogger("promolab.cli")
 
-_WORLDS = ("default", "decorrelated")
-
 
 @dataclasses.dataclass
 class PipelineConfig:
@@ -89,10 +79,33 @@ class PipelineConfig:
             raise ValidationError("evaluation.budget_grid entries must be nonnegative")
 
 
-def _known_keys(section: dict, allowed, where: str):
-    unknown = sorted(set(section) - set(allowed))
+def _section(value, allowed, where: str) -> dict:
+    """A copy of one config section, checked to be a mapping of ``allowed`` keys.
+
+    An empty or omitted section is an empty mapping.
+    """
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where} must be a mapping, got {type(value).__name__}")
+    unknown = sorted(set(value) - set(allowed))
     if unknown:
         raise ValidationError(f"unknown key(s) {unknown} in {where}")
+    return dict(value)
+
+
+def _fields(cls, *excluded) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls) if f.name not in excluded]
+
+
+def _build(where: str, make, **kwargs):
+    """``make(**kwargs)``, where a wrongly typed value is a ``ValidationError`` naming ``where``."""
+    try:
+        return make(**kwargs)
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def parse_config(
@@ -106,49 +119,27 @@ def parse_config(
     raw = {}
     if path is not None:
         with open(path) as f:
-            raw = yaml.safe_load(f) or {}
-        if not isinstance(raw, dict):
-            raise ValidationError(f"config root must be a mapping, got {type(raw).__name__}")
-    _known_keys(raw, ("generation", "model", "evaluation"), "config")
+            raw = _section(yaml.safe_load(f), ("generation", "model", "evaluation"), "config")
 
-    gen_raw = dict(raw.get("generation") or {})
-    gen_keys = [f.name for f in dataclasses.fields(GenConfig) if f.name not in ("seed", "response")]
-    _known_keys(gen_raw, gen_keys + ["world"], "generation")
-    world = gen_raw.pop("world", "default")
-    if world not in _WORLDS:
-        raise ValidationError(f"generation.world must be one of {_WORLDS}, got {world!r}")
-    feat_raw = dict(gen_raw.pop("features", None) or {})
-    _known_keys(feat_raw, [f.name for f in dataclasses.fields(FeatureConfig)], "generation.features")
-    coupon_values = np.asarray(
-        gen_raw.pop("coupon_values", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]), dtype=np.float64
-    )
-    spec_factory = default_response_spec if world == "default" else decorrelated_response_spec
-    generation = GenConfig(
-        coupon_values=coupon_values,
-        seed=seed,
-        features=FeatureConfig(**feat_raw),
-        response=spec_factory(coupon_values),
-        **gen_raw,
-    )
+    gen_raw = _section(raw.get("generation"), _fields(GenConfig, "seed"), "generation")
+    feat_raw = _section(gen_raw.pop("features", None), _fields(FeatureConfig), "generation.features")
+    features = FeatureConfig(**feat_raw)
+    generation = _build("generation", GenConfig, seed=seed, features=features, **gen_raw)
 
-    model_raw = dict(raw.get("model") or {})
-    _known_keys(model_raw, [f.name for f in dataclasses.fields(ModelConfig)], "model")
+    model_raw = _section(raw.get("model"), _fields(ModelConfig), "model")
     if "weights" in model_raw:
-        w = model_raw["weights"]
-        if not isinstance(w, dict):
-            raise ValidationError("model.weights must be a mapping")
-        _known_keys(w, [f.name for f in dataclasses.fields(LossWeights)], "model.weights")
+        model_raw["weights"] = _section(model_raw["weights"], _fields(LossWeights), "model.weights")
     if variant is not None:
         model_raw["variant"] = variant
-    model = ModelConfig(**model_raw)
+    model = _build("model", ModelConfig, **model_raw)
 
-    eval_raw = dict(raw.get("evaluation") or {})
-    _known_keys(eval_raw, ("n_folds", "budget", "budget_grid"), "evaluation")
+    eval_keys = _fields(PipelineConfig, "generation", "model")
+    eval_raw = _section(raw.get("evaluation"), eval_keys, "evaluation")
     if budget is not None:
         eval_raw["budget"] = budget
     if budget_grid is not None:
         eval_raw["budget_grid"] = budget_grid
-    return PipelineConfig(generation=generation, model=model, **eval_raw)
+    return _build("evaluation", PipelineConfig, generation=generation, model=model, **eval_raw)
 
 
 def _parse_budget_grid(text: str | None):
@@ -169,9 +160,13 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _atomic_write(path: Path, writer, suffix: str = ".tmp"):
-    """Run ``writer(tmp_path)`` then rename over ``path``."""
-    tmp = Path(str(path) + suffix)
+def _atomic_write(path: Path, writer):
+    """Run ``writer(tmp_path)`` then rename over ``path``.
+
+    The temp name keeps the target's suffix, since some writers (``np.savez``)
+    append their own suffix to a name that lacks it.
+    """
+    tmp = path.with_suffix(".tmp" + path.suffix)
     try:
         writer(tmp)
         os.replace(tmp, path)
@@ -221,8 +216,7 @@ def _cmd_train(args) -> int:
         dataset.features, dataset.arm, dataset.s, dataset.y, n_arms,
         config=cfg.model, seed=args.seed,
     )
-    # np.savez appends ".npz" to names that lack it, so the temp name keeps it
-    _atomic_write(out / "model.npz", lambda p: save_model(result.model, p), suffix=".tmp.npz")
+    _atomic_write(out / "model.npz", lambda p: save_model(result.model, p))
     history = {
         "variant": cfg.model.variant,
         "best_epoch": result.best_epoch,

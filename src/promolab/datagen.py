@@ -226,9 +226,13 @@ class GenConfig:
     promo_gamma_shape: float = 2.0
     seed: int = 0
     features: FeatureConfig = field(default_factory=FeatureConfig)
-    response: ResponseSpec | None = None  # default: default_response_spec(coupon_values)
+    world: str = "default"  # a key of _WORLD_COEFFICIENTS
 
     def __post_init__(self):
+        if self.world not in _WORLD_COEFFICIENTS:
+            raise ValidationError(
+                f"unknown world {self.world!r}; expected one of {tuple(_WORLD_COEFFICIENTS)}"
+            )
         self.coupon_values = np.asarray(self.coupon_values, dtype=np.float64)
         if self.n_customers < 1:
             raise ValidationError("n_customers must be at least 1")
@@ -249,14 +253,11 @@ class GenConfig:
         _check_cpg_domain(1.0, self.phi, self.rho)
         if self.promo_gamma_shape <= 0:
             raise ValidationError("promo_gamma_shape must be positive")
-        if self.response is None:
-            self.response = default_response_spec(self.coupon_values)
-        if self.response.n_arms != self.n_arms:
-            raise ValidationError("response spec arm count must match coupon_values")
-        control = self.control_arm
-        for block in (self.response.direct, self.response.promo, self.response.post):
-            if block.arm_effects[control] != 0.0 or np.any(block.interactions[control] != 0.0):
-                raise ValidationError("the zero-incentive arm must carry zero effects")
+
+    @property
+    def response(self) -> ResponseSpec:
+        """The world's true response surfaces over this config's coupon values."""
+        return _world_spec(self.world, self.coupon_values)
 
     @property
     def n_arms(self) -> int:
@@ -453,6 +454,12 @@ _DEFAULT_SCALE = np.array([32.8, 6.0, 2.0, 3.55, 2.92])
 
 # Each world's (intercept, feature coefficients, coupon slope of the arm
 # effect, coupon slope of the arm x feature interactions) for every block.
+# default: direct and enduring responses share feature heterogeneity, so
+#   modeling either helps the other, with effects big enough for a trained
+#   model to approach the true ranking.
+# decorrelated: the direct uplift varies with short-term frequency only, the
+#   enduring uplift with long-term monetary value only (anti-aligned with the
+#   direct interaction), so chasing the direct signal picks the wrong customers.
 _WORLD_COEFFICIENTS = {
     "default": {
         "direct": (-1.3, (-0.7, 0.5, 0.45, 0.25, 0.2), 0.30, (0.0, 0.10, 0.15, 0.0, 0.08)),
@@ -468,39 +475,13 @@ _WORLD_COEFFICIENTS = {
 
 
 def _world_spec(world: str, coupon_values: np.ndarray) -> ResponseSpec:
-    """One default world with effects linear in the coupon value and a neutral control arm.
-
-    Coupon values without exactly one zero still give a spec; ``GenConfig``
-    rejects them.
-    """
+    """One world's response spec: one arm per coupon value, with effects
+    proportional to the coupon value, so the zero-coupon (control) arm's are zero."""
     c = np.asarray(coupon_values, dtype=np.float64)
-    control = c == 0.0
     blocks = {}
     for name, (intercept, coefs, slope, interaction_slopes) in _WORLD_COEFFICIENTS[world].items():
         arm_effects = slope * c
         interactions = np.outer(c, interaction_slopes)
-        arm_effects[control] = 0.0
-        interactions[control] = 0.0
         blocks[name] = LinearResponse(intercept, np.array(coefs), arm_effects, interactions)
     return ResponseSpec(feature_center=_DEFAULT_CENTER.copy(), feature_scale=_DEFAULT_SCALE.copy(), **blocks)
 
-
-def default_response_spec(coupon_values: np.ndarray) -> ResponseSpec:
-    """Separable default world: response effects scale with coupon value.
-
-    Direct and enduring responses share feature heterogeneity, so modeling
-    either helps the other; effects are big enough that a trained model can
-    approach the true ranking.
-    """
-    return _world_spec("default", coupon_values)
-
-
-def decorrelated_response_spec(coupon_values: np.ndarray) -> ResponseSpec:
-    """World where direct uplift and enduring uplift live on disjoint features.
-
-    The direct response to coupons is heterogeneous in short-term frequency
-    only; the enduring response is heterogeneous in long-term monetary value
-    only (and anti-aligned with the direct interaction), so chasing the
-    direct signal picks the wrong customers for the enduring objective.
-    """
-    return _world_spec("decorrelated", coupon_values)

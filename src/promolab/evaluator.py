@@ -342,8 +342,14 @@ class EvalReport:
 
     @classmethod
     def load(cls, path) -> "EvalReport":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        """Read ``save`` output; raises ``ValidationError`` naming ``path`` when it is not such a file."""
+        try:
+            with open(path) as f:
+                return cls.from_dict(json.load(f))
+        except KeyError as exc:
+            raise ValidationError(f"{path}: malformed evaluation report: missing {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}: malformed evaluation report: {exc}") from exc
 
 
 def evaluate_variant(

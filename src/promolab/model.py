@@ -70,7 +70,8 @@ _STREAM_DROPOUT = 3
 
 _PREDICT_CHUNK = 8192
 
-# A variant is a graph of parts, each held in the ResponseModel field it names.
+# A variant is a graph of parts, each held under its name in ResponseModel.tables
+# (embeddings) or ResponseModel.nets (trunks and heads).
 # An embedding is an arm table; its output is the standardized features next
 # to each record's arm row. A trunk is the relu layers of ``hidden_dims``
 # between two cuts and reads an earlier part. A head is one unit over an
@@ -123,8 +124,6 @@ _VARIANTS = {
     "two_model": _Spec(_TWO_TOWERS, (_DIRECT, _AMOUNT)),
 }
 VARIANTS = tuple(_VARIANTS)
-_NETS = {v: [p for p in spec.parts if p.kind != "embedding"] for v, spec in _VARIANTS.items()}
-_TABLES = {v: [p for p in spec.parts if p.kind == "embedding"] for v, spec in _VARIANTS.items()}
 _SLOT_LOSSES = {v: {slot: loss for slot, loss, _ in spec.terms} for v, spec in _VARIANTS.items()}
 
 
@@ -244,15 +243,8 @@ class ResponseModel:
     n_arms: int
     feature_mean: np.ndarray
     feature_sd: np.ndarray
-    embedding: np.ndarray  # (M, E)
-    trunk_a: DenseNet
-    direct_head: DenseNet
-    trunk_b: DenseNet | None = None
-    enduring_head: DenseNet | None = None
-    trunk_c: DenseNet | None = None
-    amount_head: DenseNet | None = None
-    amount_trunk: DenseNet | None = None  # two_model only
-    amount_embedding: np.ndarray | None = None  # two_model only
+    tables: dict  # embedding name -> (M, E) arm table, in part order
+    nets: dict  # trunk or head name -> DenseNet, in part order
 
     @property
     def n_features(self) -> int:
@@ -260,16 +252,16 @@ class ResponseModel:
 
     @property
     def embedding_dim(self) -> int:
-        return self.embedding.shape[1]
+        return self.tables["embedding"].shape[1]
 
     def parts(self) -> list[tuple[str, DenseNet]]:
         """Named sub-networks in build order (parameter layout depends on it)."""
-        return [(p.name, getattr(self, p.name)) for p in _NETS[self.config.variant]]
+        return list(self.nets.items())
 
     def parameters(self) -> list[np.ndarray]:
         """Embedding tables, then each part's weights and biases."""
-        params = [getattr(self, p.name) for p in _TABLES[self.config.variant]]
-        for _, net in self.parts():
+        params = list(self.tables.values())
+        for net in self.nets.values():
             params.extend(net_parameters(net))
         return params
 
@@ -307,24 +299,23 @@ def build_model(
     depth = config._cut_depths()
     losses = _SLOT_LOSSES[config.variant]
     width: dict[str, int] = {}
-    members: dict[str, object] = {}
+    tables: dict[str, np.ndarray] = {}
+    nets: dict[str, DenseNet] = {}
     for part in _VARIANTS[config.variant].parts:
         if part.kind == "embedding":
-            members[part.name] = rng.uniform(-0.05, 0.05, size=(n_arms, emb_dim))
+            tables[part.name] = rng.uniform(-0.05, 0.05, size=(n_arms, emb_dim))
             width[part.name] = len(feature_mean) + emb_dim
         elif part.kind == "trunk":
             dims = config.hidden_dims[depth[part.cuts[0]] : depth[part.cuts[1]]]
-            members[part.name] = init_dense_net(
+            nets[part.name] = init_dense_net(
                 (width[part.source],) + dims, ["relu"] * len(dims), rng,
                 dropout_rate=config.dropout_rate,
             )
             width[part.name] = dims[-1]
         else:
             activation = _LINKS[losses[part.slot]][0]
-            members[part.name] = init_dense_net([width[part.source], 1], [activation], rng)
-    return ResponseModel(
-        config=config, n_arms=n_arms, feature_mean=feature_mean, feature_sd=feature_sd, **members
-    )
+            nets[part.name] = init_dense_net([width[part.source], 1], [activation], rng)
+    return ResponseModel(config, n_arms, feature_mean, feature_sd, tables, nets)
 
 
 @dataclass
@@ -359,7 +350,7 @@ def _walk_parts(model: ResponseModel, features, arms, run, dtype=np.float64):
     slots: dict = {}
     for part in _VARIANTS[model.config.variant].parts:
         if part.kind == "embedding":
-            out = np.hstack([z, getattr(model, part.name)[arms].astype(dtype)])
+            out = np.hstack([z, model.tables[part.name][arms].astype(dtype)])
             _require_finite("model input", out)
         else:
             out = run(part, outputs[part.source])
@@ -384,7 +375,7 @@ def _model_forward(
 
     def run(part, x):
         # looked up at call time, so wrappers patched onto this module see every call
-        traces[part.name] = forward_pass(getattr(model, part.name), x, rng, dtype=dtype)
+        traces[part.name] = forward_pass(model.nets[part.name], x, rng, dtype=dtype)
         return traces[part.name].output
 
     arms, slots = _walk_parts(model, features, arms, run, dtype)
@@ -400,7 +391,7 @@ def _eval_slots(model: ResponseModel, features: np.ndarray, arms: np.ndarray) ->
 
     def run(part, x):
         # looked up at call time, so wrappers patched onto this module see every call
-        out = forward_pass(getattr(model, part.name), x).output
+        out = forward_pass(model.nets[part.name], x).output
         if part.kind == "trunk":
             _require_finite(f"{part.name} output", out)
         return out
@@ -424,16 +415,15 @@ def _model_backward(
         else:
             g = upstream[part.name]
         if part.kind == "embedding":
-            table = np.zeros_like(getattr(model, part.name))
+            table = np.zeros_like(model.tables[part.name])
             np.add.at(table, mtrace.arms, g[:, model.n_features :])
             grads[part.name] = [table]
             continue
-        back = backward_pass(getattr(model, part.name), mtrace.traces[part.name], g)
+        back = backward_pass(model.nets[part.name], mtrace.traces[part.name], g)
         grads[part.name] = flatten_gradients(back)
         into = back.input_gradient
         upstream[part.source] = upstream[part.source] + into if part.source in upstream else into
-    order = _TABLES[model.config.variant] + _NETS[model.config.variant]
-    return [grad for part in order for grad in grads[part.name]]
+    return [grad for name in (*model.tables, *model.nets) for grad in grads[name]]
 
 
 def _slot_labels(s, y) -> dict:
@@ -505,10 +495,10 @@ def _warm_start_heads(model: ResponseModel, s_train: np.ndarray, y_train: np.nda
     """
     labels = _slot_labels(s_train, y_train)
     losses = _SLOT_LOSSES[model.config.variant]
-    for part in _NETS[model.config.variant]:
+    for part in _VARIANTS[model.config.variant].parts:
         if part.kind == "head":
             mean = float(np.mean(labels[part.slot]))
-            getattr(model, part.name).layers[-1].bias[0] = _LINKS[losses[part.slot]][1](mean)
+            model.nets[part.name].layers[-1].bias[0] = _LINKS[losses[part.slot]][1](mean)
 
 
 @dataclass
@@ -687,22 +677,9 @@ def train_model(
 _CHECKPOINT_FORMAT = 1
 
 
-def _part_headers(model: ResponseModel) -> list[dict]:
-    """The checkpoint header's entry for each part, in part order."""
-    return [
-        {
-            "name": name,
-            "activations": [layer.activation for layer in net.layers],
-            "dropout_rate": net.dropout_rate,
-            "n_layers": len(net.layers),
-        }
-        for name, net in model.parts()
-    ]
-
-
 def _array_names(model: ResponseModel) -> list[str]:
     """Checkpoint array names, aligned with ``model.parameters()``."""
-    names = [p.name for p in _TABLES[model.config.variant]]
+    names = list(model.tables)
     for name, net in model.parts():
         names += [f"{name}__{kind}{i}" for i in range(len(net.layers)) for kind in "wb"]
     return names
@@ -712,16 +689,10 @@ def save_model(model: ResponseModel, path):
     """Write a self-describing checkpoint (npz, no pickling).
 
     Stores every parameter array bit-exactly plus a JSON header with the
-    config, variant, and per-part activations, so ``load_model`` needs
-    nothing but the file.
+    format, the config and the arm count. The config and the arm count fix
+    the layout, so ``load_model`` needs nothing but the file.
     """
-    meta = {
-        "format": _CHECKPOINT_FORMAT,
-        "config": model.config.to_dict(),
-        "n_arms": model.n_arms,
-        "parts": _part_headers(model),
-        "has_amount_embedding": model.amount_embedding is not None,
-    }
+    meta = {"format": _CHECKPOINT_FORMAT, "config": model.config.to_dict(), "n_arms": model.n_arms}
     arrays = {"feature_mean": model.feature_mean, "feature_sd": model.feature_sd}
     arrays.update(zip(_array_names(model), model.parameters()))
     header = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
@@ -732,10 +703,10 @@ def load_model(path) -> ResponseModel:
     """Rebuild a model from ``save_model`` output, byte-for-byte.
 
     Builds the layout the header's config describes and copies the stored
-    arrays into it. Raises ``ValidationError`` naming ``path`` when the file
-    is not such a checkpoint: unreadable, missing a header key or an array,
-    an unknown config key, parts other than the layout's, or an array whose
-    shape is not the layout's.
+    arrays into it; other header keys are ignored. Raises ``ValidationError``
+    naming ``path`` when the file is not such a checkpoint: unreadable,
+    missing a header key or an array, an unknown config key, or an array
+    whose shape is not the layout's.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -749,10 +720,6 @@ def load_model(path) -> ResponseModel:
             model = build_model(
                 config, int(meta["n_arms"]), data["feature_mean"], data["feature_sd"], make_rng(0)
             )
-            if meta["parts"] != _part_headers(model):
-                raise ValidationError(
-                    f"the header's parts are not those of its {config.variant} config"
-                )
             for name, param in zip(_array_names(model), model.parameters()):
                 stored = data[name]
                 if stored.shape != param.shape:

@@ -67,14 +67,11 @@ def _write_defective_checkpoint(good, bad, defect):
         arrays["embedding"] = arrays["embedding"][:-1]
     elif defect == "short_feature_sd":
         arrays["feature_sd"] = arrays["feature_sd"][:-1]
-    elif defect == "no_parts":
-        del meta["parts"]
     elif defect == "unknown_config_key":
         meta["config"]["frobnicate"] = 1
     elif defect == "full_header_direct_only_parts":
-        # a full config over what a direct_only model stores: the first two parts
-        meta["parts"] = meta["parts"][:2]
-        kept = {part["name"] for part in meta["parts"]}
+        # a full config over what a direct_only model stores: no trunk_b, nor the parts after it
+        kept = {"trunk_a", "direct_head"}
         arrays = {k: v for k, v in arrays.items() if "__" not in k or k.split("__")[0] in kept}
     header = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     np.savez(bad, __header__=header, **arrays)
@@ -85,7 +82,6 @@ def _write_defective_checkpoint(good, bad, defect):
         "missing_array",
         "short_embedding",
         "short_feature_sd",
-        "no_parts",
         "unknown_config_key",
         "text_file",
         "truncated",

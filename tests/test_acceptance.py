@@ -23,7 +23,6 @@ from promolab.allocator import (
 from promolab.datagen import (
     GenConfig,
     cpg_parameters,
-    decorrelated_response_spec,
     generate_rct,
     redraw_outcomes,
     sample_cpg,
@@ -234,7 +233,7 @@ def test_criterion_7_targeting_beats_random_spend(acceptance_log):
         cfg = GenConfig(
             n_customers=8000,
             coupon_values=coupons,
-            response=decorrelated_response_spec(coupons),
+            world="decorrelated",
             seed=1000 + k,
         )
         ds, truth = generate_rct(cfg)

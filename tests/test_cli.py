@@ -13,7 +13,7 @@ import yaml
 
 from promolab import evaluator
 from promolab import model as model_module
-from promolab.cli import main, parse_config
+from promolab.cli import _atomic_write, main, parse_config
 from promolab.datagen import RctDataset
 from promolab.errors import ValidationError
 from promolab.evaluator import EvalReport, load_curve_csv
@@ -319,6 +319,35 @@ class TestExitCodes:
         with pytest.raises(ValidationError, match=f"evaluation.{key}"):
             parse_config(cfg)
 
+    @pytest.mark.parametrize(
+        "section, text",
+        [
+            ("model", "model:\n  hidden_dims: abc\n"),
+            ("generation.features", "generation:\n  features: [1, 2]\n"),
+            ("model", "model: [1]\n"),
+            ("generation", "generation:\n  assignment_probs: 0.5\n"),
+            ("evaluation", "evaluation:\n  budget_grid: 5\n"),
+            ("model", "model:\n  weights: {w_amount: x}\n"),
+        ],
+        ids=["hidden_dims", "features", "model", "assignment_probs", "budget_grid", "weights"],
+    )
+    def test_wrongly_typed_config_value(self, tmp_path, capsys, section, text):
+        cfg = tmp_path / "typed.yaml"
+        cfg.write_text(text)
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {section}")
+        assert not (tmp_path / "dataset.csv").exists()
+
+    @pytest.mark.parametrize(
+        "content", ["not json\n", '{"variant": "full"}\n'], ids=["not_json", "missing_key"]
+    )
+    def test_malformed_eval_json_rejected(self, tmp_path, capsys, content):
+        bad = tmp_path / "eval_bad.json"
+        bad.write_text(content)
+        assert main(["report", "--out", str(tmp_path), str(bad)]) == 1
+        assert f"error: {bad}: malformed evaluation report" in capsys.readouterr().err
+        assert not (tmp_path / "report.md").exists()
+
     def test_bad_log_level(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PROMOLAB_LOG_LEVEL", "LOUD")
         assert main(["report", "--out", str(tmp_path), "x.json"]) == 1
@@ -409,7 +438,7 @@ class TestExitCodes:
 
         def overflowing(*args, **kwargs):
             model = build_model(*args, **kwargs)
-            model.trunk_a.layers[0].weight[...] = 1e308
+            model.nets["trunk_a"].layers[0].weight[...] = 1e308
             return model
 
         monkeypatch.setattr(model_module, "build_model", overflowing)
@@ -449,6 +478,7 @@ class TestParseConfig:
         path = tmp_path / "cfg.yaml"
         path.write_text("generation:\n  world: decorrelated\n  coupon_values: [0.0, 3.0]\n")
         cfg = parse_config(path)
+        assert cfg.generation.world == "decorrelated"
         assert cfg.generation.n_arms == 2
 
     @pytest.mark.parametrize("world", ["default", "decorrelated"])
@@ -497,3 +527,18 @@ class TestParseConfig:
         path.write_text("- a\n- b\n")
         with pytest.raises(ValidationError):
             parse_config(path)
+
+
+class TestAtomicWrite:
+    def test_failed_writer_keeps_earlier_artifact(self, tmp_path):
+        target = tmp_path / "model.npz"
+        target.write_bytes(b"earlier")
+
+        def interrupted(path):
+            Path(path).write_bytes(b"partial")
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            _atomic_write(target, interrupted)
+        assert target.read_bytes() == b"earlier"
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]

@@ -18,8 +18,6 @@ from promolab.datagen import (
     LinearResponse,
     RctDataset,
     cpg_parameters,
-    decorrelated_response_spec,
-    default_response_spec,
     generate_rct,
     load_ground_truth_csv,
     redraw_outcomes,
@@ -89,21 +87,27 @@ class TestSampleCpg:
 
 
 class TestResponseSpec:
-    def test_control_arm_must_be_neutral(self):
-        spec = default_response_spec(np.array([0.0, 1.0, 2.0]))
-        spec.direct.arm_effects[0] = 0.5
-        with pytest.raises(ValidationError):
-            GenConfig(n_customers=10, coupon_values=np.array([0.0, 1.0, 2.0]), response=spec)
+    def test_control_row_is_zero_in_every_world(self):
+        for world in ("default", "decorrelated"):
+            for coupons in ([0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]):
+                cfg = GenConfig(n_customers=10, coupon_values=np.array(coupons), world=world)
+                for block in (cfg.response.direct, cfg.response.promo, cfg.response.post):
+                    assert block.arm_effects[cfg.control_arm] == 0.0, (world, coupons)
+                    assert np.all(block.interactions[cfg.control_arm] == 0.0), (world, coupons)
+
+    def test_unknown_world_rejected(self):
+        with pytest.raises(ValidationError, match="unknown world 'exotic'"):
+            GenConfig(n_customers=10, world="exotic")
 
     def test_effects_monotone_in_coupon(self):
         coupons = np.array([0.0, 1.0, 2.0, 3.0])
-        spec = default_response_spec(coupons)
+        spec = GenConfig(n_customers=10, coupon_values=coupons).response
         features = np.array([40.0, 9.0, 2.0, 3.7, 2.2])
         p = [true_response(features, j, spec)[0] for j in range(4)]
         assert np.all(np.diff(p) > 0)
 
     def test_true_response_matches_surfaces(self):
-        spec = default_response_spec(np.array([0.0, 1.0, 2.0]))
+        spec = GenConfig(n_customers=10, coupon_values=np.array([0.0, 1.0, 2.0])).response
         features = np.array([[10.0, 5.0, 1.0, 2.0, 1.0], [60.0, 12.0, 4.0, 8.0, 3.0]])
         p, mu = true_response(features, 1, spec)
         ps, promos, posts = spec.surfaces(features)
@@ -130,11 +134,6 @@ class TestGenConfigValidation:
     def test_default_world_follows_coupon_values(self):
         coupons = np.array([0.0, 0.5, 1.0])
         cfg = GenConfig(n_customers=10, coupon_values=coupons)
-        expected = default_response_spec(coupons)
-        for block in ("direct", "promo", "post"):
-            got, want = getattr(cfg.response, block), getattr(expected, block)
-            np.testing.assert_array_equal(got.arm_effects, want.arm_effects)
-            np.testing.assert_array_equal(got.interactions, want.interactions)
         # the default world's direct coupon slope is 0.30
         np.testing.assert_allclose(cfg.response.direct.arm_effects, [0.0, 0.15, 0.3], rtol=1e-15)
 
@@ -340,7 +339,7 @@ class TestWorldShapes:
         cfg = GenConfig(
             n_customers=4000,
             coupon_values=coupons,
-            response=decorrelated_response_spec(coupons),
+            world="decorrelated",
             seed=13,
         )
         _, truth = generate_rct(cfg)

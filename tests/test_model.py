@@ -1,6 +1,7 @@
 """Model construction, gradients per variant, training loop, checkpoints."""
 
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -93,28 +94,28 @@ class TestConfig:
 class TestBuild:
     def test_full_variant_shapes(self):
         model, config = narrow_model("full")
-        in_dim = 5 + model.embedding.shape[1]
-        assert model.embedding.shape == (3, default_embedding_dim(3))
-        assert model.trunk_a.layers[0].weight.shape == (in_dim, 16)
-        assert model.direct_head.layers[0].weight.shape == (16, 1)
-        assert model.enduring_head.layers[0].weight.shape == (8, 1)
-        assert model.amount_head.layers[0].weight.shape == (4, 1)
-        assert model.amount_trunk is None
+        in_dim = 5 + model.tables["embedding"].shape[1]
+        assert model.tables["embedding"].shape == (3, default_embedding_dim(3))
+        assert model.nets["trunk_a"].layers[0].weight.shape == (in_dim, 16)
+        assert model.nets["direct_head"].layers[0].weight.shape == (16, 1)
+        assert model.nets["enduring_head"].layers[0].weight.shape == (8, 1)
+        assert model.nets["amount_head"].layers[0].weight.shape == (4, 1)
+        assert "amount_trunk" not in model.nets
 
     def test_direct_only_has_no_amount_parts(self):
         model, _ = narrow_model("direct_only")
-        assert model.trunk_b is None
-        assert model.enduring_head is None
-        assert model.amount_head is None
+        assert "trunk_b" not in model.nets
+        assert "enduring_head" not in model.nets
+        assert "amount_head" not in model.nets
 
     def test_two_model_has_disjoint_towers(self):
         model, _ = narrow_model("two_model")
-        assert model.amount_trunk is not None
-        assert model.amount_embedding is not None
-        assert model.trunk_b is None
+        assert "amount_trunk" in model.nets
+        assert "amount_embedding" in model.tables
+        assert "trunk_b" not in model.nets
         # both towers run the full hidden stack independently
-        assert len(model.trunk_a.layers) == len(NARROW["hidden_dims"])
-        assert len(model.amount_trunk.layers) == len(NARROW["hidden_dims"])
+        assert len(model.nets["trunk_a"].layers) == len(NARROW["hidden_dims"])
+        assert len(model.nets["amount_trunk"].layers) == len(NARROW["hidden_dims"])
 
     def test_build_deterministic(self):
         a, _ = narrow_model("full", seed=3)
@@ -125,7 +126,9 @@ class TestBuild:
     def test_seed_changes_weights(self):
         a, _ = narrow_model("full", seed=3)
         b, _ = narrow_model("full", seed=4)
-        assert not np.array_equal(a.trunk_a.layers[0].weight, b.trunk_a.layers[0].weight)
+        assert not np.array_equal(
+            a.nets["trunk_a"].layers[0].weight, b.nets["trunk_a"].layers[0].weight
+        )
 
 
 class TestGradients:
@@ -224,7 +227,7 @@ class TestEvalWalk:
     def test_overflowing_trunk_raises_before_heads_saturate(self, variant):
         # a sigmoid head would map the overflowed trunk to exact 0s and 1s
         model, _ = narrow_model(variant)
-        model.trunk_a.layers[0].weight[...] = 1e308
+        model.nets["trunk_a"].layers[0].weight[...] = 1e308
         features, arms, _, _ = tiny_batch(n=64)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValidationError, match="trunk_a output"):
@@ -313,7 +316,7 @@ class TestTraining:
         # the batch is valid input: an overflowed trunk, or an exp-link amount
         # that underflows to 0 outside the Tweedie loss's domain, is divergence
         model, _ = narrow_model("full")
-        getattr(getattr(model, part).layers[0], field)[...] = value
+        getattr(model.nets[part].layers[0], field)[...] = value
         params = model.parameters()
         features, arms, s, y = tiny_batch(n=64)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -328,7 +331,7 @@ class TestTraining:
 
         def overflowing_step(model, *args):
             loss = step(model, *args)
-            model.trunk_a.layers[0].weight[...] = 1e308
+            model.nets["trunk_a"].layers[0].weight[...] = 1e308
             return loss
 
         monkeypatch.setattr(model_module, "_train_step", overflowing_step)
@@ -368,7 +371,9 @@ class TestTraining:
         )
         a = train_model(sub.features, sub.arm, sub.s, sub.y, cfg.n_arms, config=base, seed=2)
         b = train_model(sub.features, sub.arm, sub.s, sub.y, cfg.n_arms, config=heavy, seed=2)
-        assert not np.array_equal(a.model.trunk_a.layers[0].weight, b.model.trunk_a.layers[0].weight)
+        assert not np.array_equal(
+            a.model.nets["trunk_a"].layers[0].weight, b.model.nets["trunk_a"].layers[0].weight
+        )
 
 
 class TestTrainingMemory:
@@ -446,6 +451,50 @@ class TestCheckpoint:
         with pytest.raises(ValidationError, match=re.escape(str(bad))):
             load_model(bad)
 
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_loads_checkpoint_with_earlier_header_keys(self, variant, tmp_path):
+        # checkpoints written before the header shrank to format, config and
+        # n_arms also list every part and whether a second arm table exists
+        model, _ = narrow_model(variant, seed=13)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        with np.load(path, allow_pickle=False) as payload:
+            arrays = {name: payload[name] for name in payload.files}
+        meta = json.loads(arrays.pop("__header__").tobytes())
+        meta["parts"] = [
+            {
+                "name": name,
+                "activations": [layer.activation for layer in net.layers],
+                "dropout_rate": net.dropout_rate,
+                "n_layers": len(net.layers),
+            }
+            for name, net in model.parts()
+        ]
+        meta["has_amount_embedding"] = "amount_embedding" in model.tables
+        header = json.dumps(meta, sort_keys=True).encode("utf-8")
+        np.savez(path, __header__=np.frombuffer(header, dtype=np.uint8), **arrays)
+        loaded = load_model(path)
+        assert [p.tobytes() for p in loaded.parameters()] == [p.tobytes() for p in model.parameters()]
+
+    def test_readme_documents_header_keys_and_parts(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (sentence,) = re.findall(r"JSON\s+object\s+with\s+the\s+keys\s(.*?)\.\s", readme, re.S)
+        documented_keys = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", sentence))
+        model, _ = narrow_model("full")
+        save_model(model, tmp_path / "model.npz")
+        with np.load(tmp_path / "model.npz", allow_pickle=False) as payload:
+            meta = json.loads(payload["__header__"].tobytes())
+        assert sorted(documented_keys) == sorted(meta)
+        table = readme.split("| variant | parts |\n| --- | --- |\n")[1].split("\n\n")[0]
+        documented_parts = {}
+        for row in table.splitlines():
+            variants, parts = row.strip("|").split("|")
+            for variant in re.findall(r"`(\w+)`", variants):
+                documented_parts[variant] = re.findall(r"`(\w+)`", parts)
+        assert sorted(documented_parts) == sorted(VARIANTS)
+        for variant, parts in documented_parts.items():
+            assert parts == [name for name, _ in narrow_model(variant)[0].parts()], variant
+
     def test_file_is_pickle_free(self, tmp_path):
         model, _ = narrow_model("full")
         path = tmp_path / "model.npz"
@@ -464,6 +513,9 @@ class TestVariantBytes:
     The digests were computed before the variants became a table walked by
     one generic forward and backward pass; that rewrite had to leave every
     parameter, history float, prediction and checkpoint header unchanged.
+    The header digests alone were derived again when the header dropped its
+    ``parts`` and ``has_amount_embedding`` keys, which the config and the arm
+    count already determine; the other three digests did not move.
     """
 
     PINNED = {
@@ -471,31 +523,31 @@ class TestVariantBytes:
             "parameters": "e6ef9c677ca75053238915fcc6195b2a03a6322658ca5e1a7066547791e017fd",
             "history": "8f279141cc05a67a76aea281ce068ea7db8c2a9941802237e9425efca20d4eed",
             "predict_matrix": "2b0d3e51494c42194a40e634011d58733063c0ae2b83c6a8786e1f4dc4d3e7b7",
-            "header": "e73dc1692d5119450457f1f47eecff552e212a1ccfe312392e39975e48bcf2ef",
+            "header": "9da612222bc0bec52c8afb1ab4b7368b2abc94471830f552bf2ed630ab99a658",
         },
         "no_enduring_ce": {
             "parameters": "9225b5b06ba5344a620c291e5600bae4bdeb78381986869ed5d1bd21a7649405",
             "history": "da294e1917d7bc66ec2640c4c26900f755eb957e4945af543b96a677da6f2df4",
             "predict_matrix": "a287b85fac2711a41288a148f3bca6b537e083a47f9763a35e481c7f1549d1ab",
-            "header": "5ae9e5b4240b9ce6508362f610c2c6cc7aed053f7a6755e22fc8167e10ac665f",
+            "header": "ef9925748e31a53b59629de12b513d365f2f2d832882fd3bc3b340ba4bc63503",
         },
         "l2_amount": {
             "parameters": "1313cac7c55b1a06677a8063b9e4fd2709daf85eccc226ec30751ba33de1649f",
             "history": "daf5e2eca168d254bc7c2289b363759430a2250ba52615e30efd56e999d07e50",
             "predict_matrix": "2ee9c257ab3d90cb646bced1172ecaa1fc33730ab99c9842fbef8ea37420b0d5",
-            "header": "4e4def8bea932e42ef26299558ef47b19ec415a941af8b3c14a79895b3bf15f0",
+            "header": "bb336e7b43e3a156e0fa7a125ed76adcfd9b894a69da5fac2a5bc67bed99fc7a",
         },
         "direct_only": {
             "parameters": "da965213c14bd666d010978a2439789d876db6caf991960ddb8632762ef14f51",
             "history": "6284f74105d338f055738fe7bbd488586a80568254d1434b27968dfeb1d8711f",
             "predict_matrix": "0a8dbdfa17fc6b92a3e4da0577fa929947661ceb92c01e3909dad5d3c0e163c8",
-            "header": "8dc6277cafd6a04d5bb763b2cef08d3652671090890d9f3f126c3e081769cb69",
+            "header": "53b26cf471252d834909faa75c8dd0a3544035ca460264c41feb2c827bf94998",
         },
         "two_model": {
             "parameters": "6a118690094df304a6ee922cd13ba8c3d10955770a00d0908e5e948b3ec1fce1",
             "history": "9810c60cc09cec25153e0615ca6c558e737180284aaf131eb41109341249dbcb",
             "predict_matrix": "ce74985ab05dae5025ed4bcc3af696a0929b77fa997bea0bad4b9a989dd9b577",
-            "header": "78ee0181168553b5ae3f176de2ecd8212f5ac147287eb13bb6dfd60e9d03fc81",
+            "header": "2eb2c392d23da3c2caa62aef3652f5fe8c7336a98ad743a1bd1f9d1d9fbfd0e8",
         },
     }
 
