@@ -30,7 +30,7 @@ apart from the ones ``train_model`` derives from the same seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -99,6 +99,11 @@ def _draw_cpg(mu, phi: float, rho: float, count_rng, gamma_rng) -> np.ndarray:
     return out
 
 
+def _is_real(value) -> bool:
+    """An int or float (numpy's included), and not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass
 class FeatureConfig:
     """Distribution parameters for the five customer features.
@@ -116,6 +121,21 @@ class FeatureConfig:
     money_long_log_sd: float = 0.8
     money_short_log_mean: float = 0.3
     money_short_log_sd: float = 1.0
+
+    def __post_init__(self):
+        # each bound is the domain of the numpy sampler that reads the value
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _is_real(value) or not np.isfinite(value):
+                raise ValidationError(f"features.{f.name} must be a finite number, got {value!r}")
+        for names, ok, domain in (
+            (("recency_p", "freq_long_p", "freq_short_p"), lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+            (("freq_long_n", "freq_short_n"), lambda v: v > 0, "be positive"),
+            (("money_long_log_sd", "money_short_log_sd"), lambda v: v >= 0, "be nonnegative"),
+        ):
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise ValidationError(f"features.{name} must {domain}, got {getattr(self, name)}")
 
     def sample(self, rngs, n: int) -> np.ndarray:
         """(n, 5) feature rows; column k is drawn from ``rngs[k]`` in row order."""
@@ -234,7 +254,10 @@ class GenConfig:
                 f"unknown world {self.world!r}; expected one of {tuple(_WORLD_COEFFICIENTS)}"
             )
         self.coupon_values = np.asarray(self.coupon_values, dtype=np.float64)
-        if self.n_customers < 1:
+        n = self.n_customers
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValidationError(f"n_customers must be an integer, got {n!r}")
+        if n < 1:
             raise ValidationError("n_customers must be at least 1")
         zero_arms = np.flatnonzero(self.coupon_values == 0.0)
         if len(zero_arms) != 1:

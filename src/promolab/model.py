@@ -33,7 +33,10 @@ interpret that list for building, training, prediction and checkpoints. The
 forward walker checks the model input once and runs ``nncore.forward_pass``
 on each part. Training and the gradient checks keep every part's trace for
 the backward walker; scoring (``predict`` and the validation loss) drops each
-part's trace as soon as the part returns.
+part's trace as soon as the part returns. The traces, scores and gradients
+live in an ``nncore`` workspace that ``train_model`` and ``predict_matrix``
+each make per call, so they are valid only until the next step or chunk;
+scoring's layers take turns in three buffers (``_ScoringWorkspace``).
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .errors import ShapeError, TrainingError, ValidationError
 from .losses import LossWeights, cross_entropy_loss, l2_loss, tweedie_loss
 from .nncore import (
     DenseNet,
+    _Workspace,
     adam_update,
     backward_pass,
     flatten_gradients,
@@ -366,32 +370,43 @@ def _model_forward(
     arms: np.ndarray,
     rng: np.random.Generator | None = None,
     dtype=np.float64,
+    workspace: _Workspace | None = None,
 ) -> _ModelTrace:
     """The recorded forward pass that training and the gradient checks backpropagate through.
 
     Dropout runs when ``rng`` is given (training); the gradient checks pass none.
+    The traces live in ``workspace`` (see ``nncore.forward_pass``).
     """
     traces: dict = {}
 
     def run(part, x):
         # looked up at call time, so wrappers patched onto this module see every call
-        traces[part.name] = forward_pass(model.nets[part.name], x, rng, dtype=dtype)
+        traces[part.name] = forward_pass(
+            model.nets[part.name], x, rng, dtype=dtype, workspace=workspace
+        )
         return traces[part.name].output
 
     arms, slots = _walk_parts(model, features, arms, run, dtype)
     return _ModelTrace(arms, traces, slots)
 
 
-def _eval_slots(model: ResponseModel, features: np.ndarray, arms: np.ndarray) -> dict:
+def _eval_slots(
+    model: ResponseModel,
+    features: np.ndarray,
+    arms: np.ndarray,
+    workspace: _Workspace | None = None,
+) -> dict:
     """Head outputs of a pass without dropout that drops each part's trace when the part returns.
 
     Each trunk's output is checked for finiteness too, so a trunk that
-    overflows raises before a sigmoid head can saturate it to 0 or 1.
+    overflows raises before a sigmoid head can saturate it to 0 or 1. The
+    outputs live in ``workspace``, so a caller that reuses it copies them out
+    first.
     """
 
     def run(part, x):
         # looked up at call time, so wrappers patched onto this module see every call
-        out = forward_pass(model.nets[part.name], x).output
+        out = forward_pass(model.nets[part.name], x, workspace=workspace).output
         if part.kind == "trunk":
             _require_finite(f"{part.name} output", out)
         return out
@@ -399,14 +414,38 @@ def _eval_slots(model: ResponseModel, features: np.ndarray, arms: np.ndarray) ->
     return _walk_parts(model, features, arms, run)[1]
 
 
+class _ScoringWorkspace(_Workspace):
+    """A workspace for passes that keep no trace, whose layers share three buffers.
+
+    The n-th key a walk takes (one per layer) gets buffer n mod 3, the same
+    one in every walk. A layer's output then lasts through the two layers
+    after it, and in every variant a part's readers run within those two (a
+    head, then the next trunk), so scoring holds three layer outputs at a
+    time, not every one.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._slots: dict = {}
+
+    def take(self, key, shape, dtype=np.float64) -> np.ndarray:
+        slot = self._slots.setdefault(key, len(self._slots) % 3)
+        return super().take(slot, shape, dtype)
+
+
 def _model_backward(
-    model: ResponseModel, mtrace: _ModelTrace, slot_grads: dict
+    model: ResponseModel,
+    mtrace: _ModelTrace,
+    slot_grads: dict,
+    workspace: _Workspace | None = None,
 ) -> list[np.ndarray]:
     """Gradients aligned with ``model.parameters()``.
 
-    Walks the parts in reverse, adding each part's input gradient into the
-    gradient of the part it reads.
+    Walks the parts in reverse, adding each part's input gradient in place
+    into the gradient of the part it reads. The gradients live in
+    ``workspace`` (a throwaway one when none is given) until its next pass.
     """
+    ws = _Workspace() if workspace is None else workspace
     upstream: dict = {}
     grads: dict = {}
     for part in reversed(_VARIANTS[model.config.variant].parts):
@@ -415,14 +454,18 @@ def _model_backward(
         else:
             g = upstream[part.name]
         if part.kind == "embedding":
-            table = np.zeros_like(model.tables[part.name])
-            np.add.at(table, mtrace.arms, g[:, model.n_features :])
-            grads[part.name] = [table]
+            table = model.tables[part.name]
+            grad = ws.take(("table", part.name), table.shape, table.dtype)
+            grad[...] = 0.0
+            np.add.at(grad, mtrace.arms, g[:, model.n_features :])
+            grads[part.name] = [grad]
             continue
-        back = backward_pass(model.nets[part.name], mtrace.traces[part.name], g)
+        back = backward_pass(model.nets[part.name], mtrace.traces[part.name], g, workspace=ws)
         grads[part.name] = flatten_gradients(back)
-        into = back.input_gradient
-        upstream[part.source] = upstream[part.source] + into if part.source in upstream else into
+        if part.source in upstream:
+            upstream[part.source] += back.input_gradient
+        else:
+            upstream[part.source] = back.input_gradient
     return [grad for name in (*model.tables, *model.nets) for grad in grads[name]]
 
 
@@ -450,37 +493,49 @@ def _loss_terms(model: ResponseModel, s, y, slots: dict):
     return sum(values[1:], values[0]), grads
 
 
+def _predict_into(model: ResponseModel, features, arms, out: list, workspace: _Workspace):
+    """Write each slot's head outputs into ``out``'s (N,) views in ``_SLOTS`` order, chunk by chunk.
+
+    Each chunk's outputs are copied out before the next chunk reuses ``workspace``.
+    """
+    for lo in range(0, len(features), _PREDICT_CHUNK):
+        hi = lo + _PREDICT_CHUNK
+        slots = _eval_slots(model, features[lo:hi], arms[lo:hi], workspace)
+        for column, slot in zip(out, _SLOTS):
+            column[lo:hi] = slots[slot]
+    amount_loss = _SLOT_LOSSES[model.config.variant].get("amount")
+    if amount_loss is not None and _LINKS[amount_loss][0] == "identity":
+        np.maximum(out[-1], _AMOUNT_FLOOR, out=out[-1])
+
+
 def predict(model: ResponseModel, features: np.ndarray, arms: np.ndarray) -> PredictionMatrix:
     """Head outputs for each record under its given arm (no dropout, chunked)."""
     features = np.asarray(features, dtype=np.float64)
     arms = np.asarray(arms, dtype=np.int64)
-    spans = [slice(lo, lo + _PREDICT_CHUNK) for lo in range(0, len(features), _PREDICT_CHUNK)]
-    chunks = [_eval_slots(model, features[c], arms[c]) for c in spans]
-    out = {s: np.concatenate([c[s] for c in chunks]) if chunks else np.empty(0) for s in _SLOTS}
-    amount_loss = _SLOT_LOSSES[model.config.variant].get("amount")
-    if amount_loss is not None and _LINKS[amount_loss][0] == "identity":
-        out["amount"] = np.maximum(out["amount"], _AMOUNT_FLOOR)
-    return PredictionMatrix(*(out[s] for s in _SLOTS))
-
-
-def predict_matrix(model: ResponseModel, features: np.ndarray) -> PredictionMatrix:
-    """Head outputs for every arm, one forward sweep per arm."""
-    features = np.asarray(features, dtype=np.float64)
-    n = len(features)
-    out = PredictionMatrix(*(np.empty((n, model.n_arms)) for _ in fields(PredictionMatrix)))
-    for j in range(model.n_arms):
-        column = predict(model, features, np.full(n, j, dtype=np.int64))
-        for f in fields(PredictionMatrix):
-            getattr(out, f.name)[:, j] = getattr(column, f.name)
+    out = PredictionMatrix(*(np.empty(len(features)) for _ in _SLOTS))
+    columns = [getattr(out, f.name) for f in fields(out)]
+    _predict_into(model, features, arms, columns, _ScoringWorkspace())
     return out
 
 
-def _mean_loss(model: ResponseModel, features, arms, s, y) -> float:
+def predict_matrix(model: ResponseModel, features: np.ndarray) -> PredictionMatrix:
+    """Head outputs for every arm, one forward sweep per arm through one workspace."""
+    features = np.asarray(features, dtype=np.float64)
+    n = len(features)
+    out = PredictionMatrix(*(np.empty((n, model.n_arms)) for _ in _SLOTS))
+    workspace = _ScoringWorkspace()
+    for j in range(model.n_arms):
+        columns = [getattr(out, f.name)[:, j] for f in fields(out)]
+        _predict_into(model, features, np.full(n, j, dtype=np.int64), columns, workspace)
+    return out
+
+
+def _mean_loss(model: ResponseModel, features, arms, s, y, workspace: _Workspace | None) -> float:
     total = 0.0
     n = len(features)
     for lo in range(0, n, _PREDICT_CHUNK):
         hi = lo + _PREDICT_CHUNK
-        slots = _eval_slots(model, features[lo:hi], arms[lo:hi])
+        slots = _eval_slots(model, features[lo:hi], arms[lo:hi], workspace)
         value, _ = _loss_terms(model, s[lo:hi], y[lo:hi], slots)
         total += float(np.sum(value))
     return total / n
@@ -537,20 +592,24 @@ def _diverged(epoch: int):
         raise TrainingError(f"diverged at epoch {epoch}: {exc}") from exc
 
 
-def _train_step(model, params, adam, features, arms, s, y, rng, epoch: int) -> float:
+def _train_step(
+    model, params, adam, features, arms, s, y, rng, epoch: int, workspace: _Workspace | None = None
+) -> float:
     """One minibatch: forward, loss, backward and an Adam update; returns the summed loss.
 
-    The trace and the gradients are locals, so they are freed when the step
-    returns and never overlap the next step's forward pass.
+    The trace and the gradients live in ``workspace``, which the next step
+    reuses; the arrays that view it are locals, so they are gone when the
+    step returns and never overlap the next step's forward pass.
     """
-    mt = _model_forward(model, features, arms, rng)
+    ws = _Workspace() if workspace is None else workspace
+    mt = _model_forward(model, features, arms, rng, workspace=ws)
     with _diverged(epoch):
         value, slot_grads = _loss_terms(model, s, y, mt.slots)
     batch_loss = float(np.sum(value))
     if not np.isfinite(batch_loss):
         raise TrainingError(f"non-finite training loss at epoch {epoch}")
     nb = len(features)
-    grads = _model_backward(model, mt, {k: g / nb for k, g in slot_grads.items()})
+    grads = _model_backward(model, mt, {k: g / nb for k, g in slot_grads.items()}, ws)
     with _diverged(epoch):
         adam_update(params, grads, adam)
     return batch_loss
@@ -572,6 +631,13 @@ def train_model(
     validation improvement; training stops after ``patience_epochs`` of them
     and the best-validation parameters are restored. All randomness (split,
     init, batch order, dropout) runs on streams derived from ``seed``.
+
+    The steps write into one workspace. The validation pass shares it when
+    its rows fit the step buffers. A larger validation set runs on fresh
+    arrays, as scoring without a workspace does, and the workspace is dropped
+    before it and rebuilt by the next epoch's first step, so validation
+    chunks of up to ``_PREDICT_CHUNK`` rows never sit beside the training
+    buffers.
     """
     if config is None:
         config = ModelConfig()
@@ -624,18 +690,24 @@ def train_model(
     since_improve = 0
     history = []
     epoch = -1
+    workspace = None
 
     for epoch in range(1, config.max_epochs + 1):
         order = batch_rng.permutation(n_train)
         train_total = 0.0
+        if workspace is None:
+            workspace = _Workspace()
         for lo in range(0, n_train, config.batch_size):
             sel = order[lo : lo + config.batch_size]
             train_total += _train_step(
-                model, params, adam, f_tr[sel], a_tr[sel], s_tr[sel], y_tr[sel], dropout_rng, epoch
+                model, params, adam, f_tr[sel], a_tr[sel], s_tr[sel], y_tr[sel], dropout_rng, epoch,
+                workspace,
             )
+        if n_val > min(config.batch_size, n_train):
+            workspace = None
 
         with _diverged(epoch):
-            val_loss = _mean_loss(model, f_val, a_val, s_val, y_val)
+            val_loss = _mean_loss(model, f_val, a_val, s_val, y_val, workspace)
         if not np.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss at epoch {epoch}")
         history.append(

@@ -19,6 +19,21 @@ its pre-activation was and it was kept). So a wide relu trunk holds one array
 per layer instead of four. The other activations, used by the one-unit heads,
 keep their pre-activation, activation and float dropout mask.
 
+Both passes write their arrays into a workspace (``_Workspace``): layer
+outputs, dropout draws, gradients and input gradients land in buffers it
+holds under fixed keys, so a training loop or a chunked scoring loop that
+passes one workspace to every call allocates its arrays once. The caller
+owns the workspace and frees it by dropping it; nothing is cached at module
+level. ``model.train_model`` makes one per call for its steps (and for its
+validation pass when that fits the step buffers), and ``model.predict_matrix``
+makes one per call for its arms and chunks, in which the layers of a pass
+that keeps no trace take turns in three buffers. A trace and the gradients
+written into a workspace are valid only until the next pass through it (the
+next training step or scoring chunk) overwrites them. A pass given no
+workspace makes a throwaway one, so its results are its own; the gradient
+checks run that way. ``adam_update`` works in place, block by block, with
+scratch of its own.
+
 Randomness is always drawn from a :class:`numpy.random.Generator` backed by
 PCG64; ``make_rng`` builds one from a seed plus an optional stream key so
 identical seeds give identical streams everywhere.
@@ -26,6 +41,7 @@ identical seeds give identical streams everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -44,6 +60,10 @@ _EXP_CLIP = 500.0
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPSILON = 1e-8
+
+# elements per block of the blocked loops (dropout draws, Adam): 256 KB of
+# float64, so a block's operands stay in cache between the loop's ufuncs
+_BLOCK = 32768
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -184,7 +204,10 @@ class LayerTrace:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer activations of one forward pass, inputs included."""
+    """Per-layer activations of one forward pass, inputs included.
+
+    The layer arrays are views of the pass's workspace buffers.
+    """
 
     inputs: np.ndarray
     layers: list[LayerTrace] = field(default_factory=list)
@@ -194,24 +217,63 @@ class ForwardTrace:
         return self.layers[-1].output
 
 
+class _Workspace:
+    """Buffers that the passes of one training or scoring call write into.
+
+    ``take(key, shape, dtype)`` returns a new C-contiguous view of the buffer
+    held under ``key``, replacing the buffer only when it is too small or of
+    another dtype. A view's values last until the next ``take`` of its key;
+    a view never outlives its buffer, since it holds it.
+    """
+
+    def __init__(self):
+        self._buffers: dict = {}
+
+    def take(self, key, shape, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[key] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
+
+def _keep_blocks(rng: np.random.Generator, rate: float, size: int, ws: _Workspace):
+    """Yield ``(lo, hi, keep)``: which of units ``lo:hi`` of ``size`` survive dropout.
+
+    The draws are those of one ``rng.random(size) >= rate``, the same doubles
+    in the same order, taken a block at a time into reused scratch.
+    """
+    draw = ws.take("draw", (min(size, _BLOCK),))
+    keep = ws.take("keep", (min(size, _BLOCK),), bool)
+    for lo in range(0, size, _BLOCK):
+        hi = min(lo + _BLOCK, size)
+        rng.random(out=draw[: hi - lo])
+        yield lo, hi, np.greater_equal(draw[: hi - lo], rate, out=keep[: hi - lo])
+
+
 def forward_pass(
     net: DenseNet,
     batch: np.ndarray,
     rng: np.random.Generator | None = None,
     dtype=np.float64,
+    *,
+    workspace: _Workspace | None = None,
 ) -> ForwardTrace:
     """Run the net over a (batch, features) matrix and record what backward needs.
 
-    Each layer is ``activation(x @ weight + bias)``, with the bias added in
-    place on the matmul result and a relu run in place too. Shapes are
-    checked; finiteness is not, so the caller checks its inputs (the model
-    checks its input once per pass).
+    Each layer is ``activation(x @ weight + bias)``, with the matmul written
+    into the layer's workspace buffer, the bias added in place and a relu run
+    in place too. Shapes are checked; finiteness is not, so the caller checks
+    its inputs (the model checks its input once per pass).
 
     Dropout runs exactly when ``rng`` is given and the net's rate is above 0.
     Its masks are drawn from ``rng`` and scaled by 1/(1 - rate), so the output
     without dropout is the expectation of the output with it wherever the
     dropped activations feed a linear map. A relu layer applies its mask in
-    place and keeps no mask (see ``LayerTrace``).
+    place, block by block, and keeps no mask (see ``LayerTrace``).
+
+    The trace's arrays live in ``workspace`` (a throwaway one when none is
+    given) and stay valid until its next pass.
 
     ``dtype`` upgrades the arithmetic (e.g. to ``np.longdouble``) without
     touching the stored float64 parameters; finite-difference checks use that
@@ -224,25 +286,38 @@ def forward_pass(
         raise ShapeError(
             f"batch has {batch.shape[1]} columns but the net expects {net.input_dim}"
         )
-    use_dropout = rng is not None and net.dropout_rate > 0.0
+    ws = _Workspace() if workspace is None else workspace
+    rate = net.dropout_rate
+    use_dropout = rng is not None and rate > 0.0
 
     trace = ForwardTrace(inputs=batch)
     x = batch
     for layer in net.layers:
-        pre = x @ layer.weight
-        pre += layer.bias
-        keep = rng.random(pre.shape) >= net.dropout_rate if use_dropout else None
+        shape = (x.shape[0], layer.fan_out)
         if layer.activation == "relu":
-            lt = LayerTrace(output=np.maximum(pre, 0.0, out=pre))
+            out = np.matmul(x, layer.weight, out=ws.take(("out", id(layer)), shape, dtype))
+            out += layer.bias
+            lt = LayerTrace(output=np.maximum(out, 0.0, out=out))
             if use_dropout:
-                lt.scale = 1.0 / (1.0 - net.dropout_rate)
-                lt.output *= keep
-                lt.output *= lt.scale
+                lt.scale = 1.0 / (1.0 - rate)
+                flat = out.reshape(-1)
+                for lo, hi, keep in _keep_blocks(rng, rate, flat.size, ws):
+                    flat[lo:hi] *= keep
+                    flat[lo:hi] *= lt.scale
         else:
+            pre = np.matmul(x, layer.weight, out=ws.take(("pre", id(layer)), shape, dtype))
+            pre += layer.bias
             activated = _activate(layer.activation, pre)
             if use_dropout:
-                mask = keep / (1.0 - net.dropout_rate)
-                lt = LayerTrace(output=activated * mask, pre=pre, activated=activated, dropout_mask=mask)
+                mask = ws.take(("mask", id(layer)), shape).reshape(-1)
+                for lo, hi, keep in _keep_blocks(rng, rate, mask.size, ws):
+                    np.divide(keep, 1.0 - rate, out=mask[lo:hi])
+                mask = mask.reshape(shape)
+                output = np.multiply(
+                    activated, mask,
+                    out=ws.take(("out", id(layer)), shape, np.result_type(activated, mask)),
+                )
+                lt = LayerTrace(output=output, pre=pre, activated=activated, dropout_mask=mask)
             else:
                 lt = LayerTrace(output=activated, pre=pre, activated=activated)
         trace.layers.append(lt)
@@ -259,13 +334,30 @@ class BackwardResult:
     input_gradient: np.ndarray
 
 
-def backward_pass(net: DenseNet, trace: ForwardTrace, output_gradient: np.ndarray) -> BackwardResult:
+def _product(ws: _Workspace, key, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b`` for arrays of one shape, written into the workspace buffer under ``key``."""
+    return np.multiply(a, b, out=ws.take(key, a.shape, np.result_type(a, b)))
+
+
+def backward_pass(
+    net: DenseNet,
+    trace: ForwardTrace,
+    output_gradient: np.ndarray,
+    *,
+    workspace: _Workspace | None = None,
+) -> BackwardResult:
     """Backpropagate d(loss)/d(output) through a recorded forward pass.
 
     Returns the gradient of the scalar loss with respect to every weight and
     bias, plus the gradient with respect to the input batch (needed when nets
     are chained). Deterministic given the trace (dropout masks are replayed,
     not redrawn; a relu layer's mask is read back from its output).
+
+    Every gradient lands in a buffer of ``workspace`` (a throwaway one when
+    none is given): each layer's weight and bias gradients in its own, the
+    input gradient in one per net, and the gradient at each layer's
+    pre-activation in scratch that all passes share. ``output_gradient`` is
+    only read.
     """
     if len(trace.layers) != len(net.layers):
         raise ShapeError(
@@ -277,6 +369,7 @@ def backward_pass(net: DenseNet, trace: ForwardTrace, output_gradient: np.ndarra
             f"output_gradient shape {output_gradient.shape} does not match "
             f"net output shape {trace.output.shape}"
         )
+    ws = _Workspace() if workspace is None else workspace
 
     weight_grads: list[np.ndarray] = [None] * len(net.layers)  # type: ignore[list-item]
     bias_grads: list[np.ndarray] = [None] * len(net.layers)  # type: ignore[list-item]
@@ -287,16 +380,25 @@ def backward_pass(net: DenseNet, trace: ForwardTrace, output_gradient: np.ndarra
         if ltrace.output.shape != (g.shape[0], layer.fan_out):
             raise ShapeError(f"trace layer {i} does not match the net (stale trace?)")
         if layer.activation == "relu":
-            dpre = g * (ltrace.output > 0.0)
+            alive = np.greater(ltrace.output, 0.0, out=ws.take("alive", g.shape, bool))
+            dpre = _product(ws, "dpre", g, alive)
             dpre *= ltrace.scale
         else:
             if ltrace.dropout_mask is not None:
-                g = g * ltrace.dropout_mask
-            dpre = g * _activation_derivative(layer.activation, ltrace.pre, ltrace.activated)
+                g = _product(ws, "dpre", g, ltrace.dropout_mask)
+            derivative = _activation_derivative(layer.activation, ltrace.pre, ltrace.activated)
+            dpre = _product(ws, "dpre", g, derivative)
         below = trace.layers[i - 1].output if i > 0 else trace.inputs
-        weight_grads[i] = below.T @ dpre
-        bias_grads[i] = dpre.sum(axis=0)
-        g = dpre @ layer.weight.T
+        weight_grads[i] = np.matmul(
+            below.T, dpre,
+            out=ws.take(("dw", id(layer)), layer.weight.shape, np.result_type(below, dpre)),
+        )
+        bias_grads[i] = np.sum(
+            dpre, axis=0, out=ws.take(("db", id(layer)), layer.bias.shape, dpre.dtype)
+        )
+        key = ("din", id(net)) if i == 0 else "dout"
+        out = ws.take(key, (dpre.shape[0], layer.fan_in), np.result_type(dpre, layer.weight))
+        g = np.matmul(dpre, layer.weight.T, out=out)
     return BackwardResult(weight_grads=weight_grads, bias_grads=bias_grads, input_gradient=g)
 
 
@@ -316,6 +418,20 @@ def flatten_gradients(back: BackwardResult) -> list[np.ndarray]:
         grads.append(dw)
         grads.append(db)
     return grads
+
+
+def _blocks(*arrays: np.ndarray) -> list:
+    """Equally shaped arrays cut into blocks of about ``_BLOCK`` elements each.
+
+    Returns one list of views per block, cut along the leading axis, at least
+    one entry per block. Arrays that fit one block are their own block, and
+    0-d arrays are viewed as one entry.
+    """
+    arrays = [a.reshape(1) if a.ndim == 0 else a for a in map(np.asarray, arrays)]
+    k = max(1, _BLOCK // max(1, math.prod(arrays[0].shape[1:])))
+    if len(arrays[0]) <= k:
+        return [arrays]
+    return [[a[lo : lo + k] for a in arrays] for lo in range(0, len(arrays[0]), k)]
 
 
 @dataclass
@@ -346,6 +462,12 @@ def adam_update(
 
     Rejects non-finite gradients before touching anything, so a rejected
     update leaves parameters and moments unchanged.
+
+    The step runs block by block through each tensor with two blocks of
+    scratch, in the operation order of the array form
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g^2``,
+    ``p -= lr (m / c1) / (sqrt(v / c2) + eps)``, so it writes the same bytes
+    without allocating a tensor-sized temporary.
     """
     if len(params) != len(grads) or len(params) != len(state.first_moment):
         raise ShapeError(
@@ -355,8 +477,13 @@ def adam_update(
     for p, g, m in zip(params, grads, state.first_moment):
         if p.shape != g.shape or p.shape != m.shape:
             raise ShapeError(f"param shape {p.shape} vs grad {g.shape} vs moment {m.shape}")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
+    blocks = [b for four in zip(params, grads, state.first_moment, state.second_moment)
+              for b in _blocks(*four)]
+    size = max((p.size for p, _, _, _ in blocks), default=0)
+    scratch, denominator = np.empty(size), np.empty(size)
+    finite = np.empty(size, dtype=bool)
+    for _, g, _, _ in blocks:
+        if not np.isfinite(g, out=finite[: g.size].reshape(g.shape)).all():
             raise ValidationError("non-finite gradient; update rejected")
 
     state.step_count += 1
@@ -364,12 +491,19 @@ def adam_update(
     b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * np.square(g)
-        m_hat = m / bias1
-        v_hat = v / bias2
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPSILON)
+    lr = state.learning_rate
+    for pb, gb, mb, vb in blocks:
+        s = scratch[: pb.size].reshape(pb.shape)
+        d = denominator[: pb.size].reshape(pb.shape)
+        mb *= b1
+        mb += np.multiply(1.0 - b1, gb, out=s)
+        vb *= b2
+        np.square(gb, out=s)
+        vb += np.multiply(1.0 - b2, s, out=s)
+        np.divide(mb, bias1, out=s)
+        np.multiply(lr, s, out=s)
+        np.divide(vb, bias2, out=d)
+        np.sqrt(d, out=d)
+        d += _ADAM_EPSILON
+        pb -= np.divide(s, d, out=s)
     return params, state

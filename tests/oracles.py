@@ -6,6 +6,8 @@ finite differences of the loss, evaluated in extended precision.
 ``reference_forward`` and ``reference_backward`` are the engine's passes in
 their four-array form (pre-activation, activation, output and float dropout
 mask kept for every layer), which the compact trace must match byte for byte.
+``reference_adam_update`` is Adam in its whole-array form, which the blocked
+in-place update must match byte for byte.
 """
 
 from typing import Callable, Sequence
@@ -16,7 +18,11 @@ from promolab.allocator import BUDGET_TOLERANCE, AllocationPlan, AllocationProbl
 from promolab.errors import InfeasiblePlanError, InstanceTooLargeError, ShapeError, ValidationError
 from promolab.model import ResponseModel, _loss_terms, _model_backward, _model_forward
 from promolab.nncore import (
+    _ADAM_BETA1,
+    _ADAM_BETA2,
+    _ADAM_EPSILON,
     _EXP_CLIP,
+    AdamState,
     DenseNet,
     _activate,
     _activation_derivative,
@@ -104,6 +110,26 @@ def reference_backward(net: DenseNet, inputs, layers, output_gradient):
         bias_grads[i] = dpre.sum(axis=0)
         g = dpre @ layer.weight.T
     return weight_grads, bias_grads, g
+
+
+def reference_adam_update(params, grads, state: AdamState):
+    """One Adam step on whole arrays, in place; each line allocates its temporaries."""
+    for g in grads:
+        if not np.all(np.isfinite(g)):
+            raise ValidationError("non-finite gradient; update rejected")
+    state.step_count += 1
+    t = state.step_count
+    b1, b2 = _ADAM_BETA1, _ADAM_BETA2
+    bias1 = 1.0 - b1**t
+    bias2 = 1.0 - b2**t
+    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * np.square(g)
+        m_hat = m / bias1
+        v_hat = v / bias2
+        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPSILON)
 
 
 def _entry_gradient_error(

@@ -348,6 +348,26 @@ class TestExitCodes:
         assert f"error: {bad}: malformed evaluation report" in capsys.readouterr().err
         assert not (tmp_path / "report.md").exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("generation:\n  features:\n    recency_p: 1.5\n", "features.recency_p must lie in (0, 1]"),
+            ("generation:\n  n_customers: 2.5\n", "n_customers must be an integer"),
+            (
+                "generation:\n  features:\n    money_long_log_sd: -1\n",
+                "features.money_long_log_sd must be nonnegative",
+            ),
+        ],
+        ids=["recency_p", "n_customers", "money_long_log_sd"],
+    )
+    def test_invalid_generation_value(self, tmp_path, capsys, text, message):
+        # each once passed parse_config and failed inside numpy's samplers (exit 2)
+        cfg = tmp_path / "gen.yaml"
+        cfg.write_text(text)
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "dataset.csv").exists()
+
     def test_bad_log_level(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PROMOLAB_LOG_LEVEL", "LOUD")
         assert main(["report", "--out", str(tmp_path), "x.json"]) == 1

@@ -155,6 +155,50 @@ class TestGenConfigValidation:
         np.testing.assert_allclose(cfg.assignment_probs, 0.25)
         assert cfg.control_arm == 0
 
+    @pytest.mark.parametrize("n", [2.5, 10.0, True, "10"], ids=["fraction", "float", "bool", "str"])
+    def test_n_customers_must_be_an_integer(self, n):
+        with pytest.raises(ValidationError, match="n_customers must be an integer"):
+            GenConfig(n_customers=n)
+
+    def test_numpy_integer_n_customers_accepted(self):
+        assert GenConfig(n_customers=np.int64(10)).n_customers == 10
+
+
+class TestFeatureConfigValidation:
+    """Every value numpy's samplers would reject, or a non-number, is a ValidationError."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("recency_p", 1.5),
+            ("recency_p", 0.0),
+            ("freq_long_p", -0.1),
+            ("freq_short_p", 2.0),
+            ("freq_long_n", 0),
+            ("freq_short_n", -1),
+            ("money_long_log_sd", -1.0),
+            ("money_short_log_sd", -0.5),
+            ("money_long_log_mean", np.nan),
+            ("money_short_log_mean", np.inf),
+            ("recency_p", "abc"),
+            ("freq_long_n", None),
+            ("freq_short_p", True),
+        ],
+    )
+    def test_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"features.{field}"):
+            FeatureConfig(**{field: value})
+
+    def test_boundary_values_sample(self):
+        # p = 1 and a zero log sd are the samplers' own limits, and numpy
+        # integers pass as numbers
+        config = FeatureConfig(
+            recency_p=1.0, freq_long_p=1.0, freq_short_n=np.int64(1), money_long_log_sd=0.0
+        )
+        rows = config.sample([make_rng(0, k) for k in range(5)], 20)
+        assert rows.shape == (20, 5) and np.all(np.isfinite(rows))
+        assert np.all(rows[:, 0] == 1) and np.all(rows[:, 3] == np.exp(1.0))
+
 
 class TestGenerateRct:
     def test_deterministic(self, small_world):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from promolab import model as model_module
-from promolab.datagen import generate_rct
+from promolab.datagen import GenConfig, generate_rct
 from promolab.errors import TrainingError, ValidationError
 from promolab.losses import LossWeights
 from promolab.model import (
@@ -27,7 +28,7 @@ from promolab.model import (
     save_model,
     train_model,
 )
-from promolab.nncore import init_adam, make_rng
+from promolab.nncore import _Workspace, init_adam, make_rng
 
 from oracles import model_gradient_check
 
@@ -177,6 +178,56 @@ class TestPredict:
         full = predict(model, features, arms)
         parts = [predict(model, features[i : i + 77], arms[i : i + 77]) for i in range(0, 300, 77)]
         np.testing.assert_allclose(full.amount, np.concatenate([p.amount for p in parts]), atol=0)
+
+
+class TestSharedBuffers:
+    """Chunks, arms and steps that share one workspace give the bytes of separate calls."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_small_chunks_give_one_chunk_bytes(self, variant, monkeypatch):
+        # l2_amount's identity head hands back its pre-activation buffer,
+        # which the next chunk rewrites. Chunks of 16 rows (the last has 2)
+        # keep each row at its place modulo the row groups of BLAS's
+        # matrix-vector kernel, whose rounding depends on that place (ROADMAP
+        # item 4): 7-row chunks move the head bytes even with fresh arrays.
+        model, _ = narrow_model(variant)
+        features, arms, _, _ = tiny_batch(n=50)
+        whole = (predict(model, features, arms), predict_matrix(model, features))
+        monkeypatch.setattr(model_module, "_PREDICT_CHUNK", 16)
+        chunked = (predict(model, features, arms), predict_matrix(model, features))
+        for a, b in zip(whole, chunked):
+            for name in ("direct", "enduring_propensity", "amount"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_scoring_buffers_give_traced_bytes(self, variant):
+        # scoring's three rotating buffers must never hand a layer the
+        # buffer of an output a later part still reads; the second walk
+        # reuses the buffers the first one sized
+        model, _ = narrow_model(variant)
+        features, arms, _, _ = tiny_batch(n=60)
+        traced = model_module._model_forward(model, features, arms).slots
+        ws = model_module._ScoringWorkspace()
+        for n in (60, 45):
+            slots = model_module._eval_slots(model, features[:n], arms[:n], ws)
+            for name in traced:
+                assert slots[name].tobytes() == traced[name][:n].tobytes(), name
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_reused_workspace_gives_fresh_bytes(self, variant):
+        # a smaller batch after a larger one, as the last step of an epoch
+        model, _ = narrow_model(variant, dropout_rate=0.3)
+
+        def step(ws, n, seed):
+            features, arms, s, y = tiny_batch(n=n, seed=seed)
+            mt = model_module._model_forward(model, features, arms, make_rng(seed), workspace=ws)
+            _, slot_grads = model_module._loss_terms(model, s, y, mt.slots)
+            grads = model_module._model_backward(model, mt, slot_grads, ws)
+            return b"".join(a.tobytes() for a in [*mt.slots.values(), *grads])
+
+        ws = _Workspace()
+        step(ws, 64, 1)
+        assert step(ws, 23, 2) == step(_Workspace(), 23, 2)
 
 
 class TestEvalWalk:
@@ -419,6 +470,26 @@ class TestTrainingMemory:
         train_model(features, arms, s, y, 3, config=config, seed=0)
         assert len(overlaps) == 2 * 6  # 180 training rows in batches of 32, two epochs
         assert overlaps == [0] * len(overlaps)
+
+    # tracemalloc peaks of the train_model calls below when every step
+    # allocated its layer outputs, dropout draws, gradients and Adam
+    # temporaries afresh and validation scored on fresh arrays (numpy 2.4).
+    # At 1 100 customers the validation set fits the step buffers; at 20 000
+    # its 2 000 rows do not, and it runs after the step buffers are dropped.
+    FRESH_ARRAYS_PEAK = {1100: 130_191_816, 20_000: 134_121_781}
+
+    @pytest.mark.parametrize("n_customers", sorted(FRESH_ARRAYS_PEAK))
+    def test_peak_no_higher_than_with_fresh_arrays(self, n_customers):
+        # the workspace replaces transient arrays; it must not add to the peak
+        dataset, _ = generate_rct(GenConfig(n_customers=n_customers, seed=2))
+        config = ModelConfig(max_epochs=1)
+        tracemalloc.start()
+        try:
+            train_model(dataset.features, dataset.arm, dataset.s, dataset.y, 7, config=config, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.FRESH_ARRAYS_PEAK[n_customers]
 
 
 class TestCheckpoint:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from promolab import nncore
 from promolab.errors import ShapeError, ValidationError
 from promolab.nncore import (
     AdamState,
@@ -21,6 +22,7 @@ from promolab.nncore import (
 from oracles import (
     gradient_check,
     max_relative_gradient_error,
+    reference_adam_update,
     reference_backward,
     reference_forward,
 )
@@ -369,6 +371,52 @@ class TestCompactTrace:
         assert np.any((out == 0.0) & (kept > 0.0)) and np.any((out == kept) & (kept > 0.0))
 
 
+class TestWorkspace:
+    """What passes through one workspace share: buffers, never values or their arguments."""
+
+    @pytest.mark.parametrize("head", ["identity", "sigmoid", "relu"])
+    def test_backward_leaves_output_gradient_unchanged(self, head):
+        net = init_dense_net([5, 24, 3], ["relu", head], make_rng(51), dropout_rate=0.3)
+        ws = nncore._Workspace()
+        trace = forward_pass(net, make_rng(52).normal(size=(40, 5)), make_rng(53), workspace=ws)
+        g = make_rng(54).normal(size=(40, 3))
+        g[0] = [0.0, -0.0, np.nan]
+        kept = g.copy()
+        with np.errstate(invalid="ignore"):
+            backward_pass(net, trace, g, workspace=ws)
+        assert g.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("head", ["identity", "sigmoid"])
+    def test_reused_for_a_smaller_batch(self, head, mode):
+        net = init_dense_net([5, 24, 12, 2], ["relu", "relu", head], make_rng(58), dropout_rate=0.3)
+
+        def passes(rows, ws, seed):
+            rng = make_rng(seed) if mode == "train" else None
+            batch = make_rng(seed + 1).normal(size=(rows, 5))
+            g = make_rng(seed + 2).normal(size=(rows, 2))
+            trace = forward_pass(net, batch, rng, workspace=ws)
+            back = backward_pass(net, trace, g, workspace=ws)
+            arrays = [lt.output for lt in trace.layers] + [back.input_gradient]
+            return b"".join(a.tobytes() for a in arrays + flatten_gradients(back))
+
+        ws = nncore._Workspace()
+        passes(64, ws, 60)
+        assert passes(20, ws, 70) == passes(20, nncore._Workspace(), 70)
+
+    def test_later_pass_overwrites_the_trace(self):
+        # a trace lives in its workspace: the next pass through it rewrites it
+        net = init_dense_net([3, 8], ["relu"], make_rng(59))
+        ws = nncore._Workspace()
+        first = forward_pass(net, np.ones((4, 3)), workspace=ws).output
+        kept = first.copy()
+        second = forward_pass(net, -np.ones((4, 3)), workspace=ws).output
+        assert np.shares_memory(first, second)
+        assert not np.array_equal(first, kept)
+        # a pass given no workspace keeps its arrays to itself
+        assert not np.shares_memory(forward_pass(net, np.ones((4, 3))).output, second)
+
+
 class TestInit:
     def test_bounds_scale_with_fan_in(self):
         net = init_dense_net([100, 50], ["relu"], make_rng(0))
@@ -424,6 +472,48 @@ class TestAdam:
         state = init_adam(p)
         with pytest.raises(ShapeError):
             adam_update(p, [np.zeros(4)], state)
+
+    @staticmethod
+    def _block_crossing_tensors(seed):
+        # one block and one entry past it, a 1-element bias, and a matrix of
+        # many row blocks; gradients span several orders of magnitude
+        rng = make_rng(seed)
+        shapes = [(nncore._BLOCK + 1,), (1,), (1024, 1024)]
+        params = [rng.normal(size=shape) for shape in shapes]
+        grads = [[rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3) for shape in shapes]
+                 for _ in range(4)]
+        return params, grads
+
+    def test_blocked_update_matches_array_form_bytes(self):
+        params, steps = self._block_crossing_tensors(40)
+        reference = [p.copy() for p in params]
+        state = init_adam(params, learning_rate=3e-3)
+        ref_state = init_adam(reference, learning_rate=3e-3)
+        for grads in steps:
+            adam_update(params, grads, state)
+            reference_adam_update(reference, grads, ref_state)
+            for a, b in zip(
+                params + state.first_moment + state.second_moment,
+                reference + ref_state.first_moment + ref_state.second_moment,
+            ):
+                assert a.tobytes() == b.tobytes()
+            # the learning rate decays between steps, as on a plateau
+            state.learning_rate *= 0.1
+            ref_state.learning_rate *= 0.1
+        assert state.step_count == ref_state.step_count == len(steps)
+
+    def test_non_finite_gradient_in_a_late_block_touches_nothing(self):
+        params, steps = self._block_crossing_tensors(41)
+        state = init_adam(params)
+        adam_update(params, steps[0], state)
+        before = [a.copy() for a in params + state.first_moment + state.second_moment]
+        grads = steps[1]
+        grads[2][-1, -1] = np.inf  # the last entry of the last block of the last tensor
+        with pytest.raises(ValidationError):
+            adam_update(params, grads, state)
+        after = params + state.first_moment + state.second_moment
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
+        assert state.step_count == 1
 
     def test_descends_a_quadratic(self):
         p = [np.array([5.0])]
