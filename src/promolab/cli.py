@@ -35,7 +35,7 @@ import yaml
 
 from .allocator import build_problem, solve_exact_dp, solve_lagrangian
 from .datagen import FeatureConfig, GenConfig, RctDataset, generate_rct
-from .errors import PromolabError, ValidationError
+from .errors import PromolabError, ValidationError, require_integer
 from .evaluator import (
     EvalReport,
     budget_sweep,
@@ -70,6 +70,7 @@ class PipelineConfig:
     budget_grid: tuple = ()
 
     def __post_init__(self):
+        require_integer("evaluation.n_folds", self.n_folds)
         if self.n_folds < 2:
             raise ValidationError("evaluation.n_folds must be at least 2")
         if self.budget is not None and not self.budget >= 0:  # NaN fails too

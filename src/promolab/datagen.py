@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_integer
 from .nncore import make_rng, sigmoid
 from .tables import pair_columns, read_table, write_table
 
@@ -254,10 +254,8 @@ class GenConfig:
                 f"unknown world {self.world!r}; expected one of {tuple(_WORLD_COEFFICIENTS)}"
             )
         self.coupon_values = np.asarray(self.coupon_values, dtype=np.float64)
-        n = self.n_customers
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValidationError(f"n_customers must be an integer, got {n!r}")
-        if n < 1:
+        require_integer("generation.n_customers", self.n_customers)
+        if self.n_customers < 1:
             raise ValidationError("n_customers must be at least 1")
         zero_arms = np.flatnonzero(self.coupon_values == 0.0)
         if len(zero_arms) != 1:
@@ -269,6 +267,11 @@ class GenConfig:
         if self.assignment_probs is None:
             self.assignment_probs = np.full(self.n_arms, 1.0 / self.n_arms)
         self.assignment_probs = np.asarray(self.assignment_probs, dtype=np.float64)
+        # a NaN slips past the comparisons below; an inf breaks the samplers or empties a draw
+        for name in ("coupon_values", "assignment_probs", "phi", "promo_gamma_shape"):
+            value = np.asarray(getattr(self, name))
+            if not np.all(np.isfinite(value)):
+                raise ValidationError(f"generation.{name} must be finite, got {value.tolist()}")
         if len(self.assignment_probs) != self.n_arms:
             raise ValidationError("assignment_probs length must match the arm count")
         if np.any(self.assignment_probs < 0) or abs(self.assignment_probs.sum() - 1.0) > 1e-9:

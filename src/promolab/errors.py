@@ -1,8 +1,10 @@
-"""Shared exception types.
+"""Shared exception types, and the integer check that config fields share.
 
 ValidationError (and subclasses) signal bad inputs or configuration and map
 to CLI exit code 1; every other PromolabError maps to exit code 2.
 """
+
+import numbers
 
 
 class PromolabError(Exception):
@@ -35,3 +37,9 @@ class MetricUndefinedError(PromolabError):
 
 class TrainingError(PromolabError):
     """Training aborted (e.g. loss became non-finite)."""
+
+
+def require_integer(name: str, value) -> None:
+    """Raise ``ValidationError`` naming ``name`` unless ``value`` is an int (numpy's too), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")

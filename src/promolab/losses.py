@@ -34,8 +34,9 @@ class LossWeights:
 
     def __post_init__(self):
         ws = (self.w_amount, self.w_enduring, self.w_direct)
-        if any(w < 0 for w in ws):
-            raise ValidationError(f"loss weights must be nonnegative, got {ws}")
+        for name, w in zip(("w_amount", "w_enduring", "w_direct"), ws):
+            if not (np.isfinite(w) and w >= 0):
+                raise ValidationError(f"weights.{name} must be finite and nonnegative, got {w!r}")
         if all(w == 0 for w in ws):
             raise ValidationError("at least one loss weight must be positive")
 

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeError, TrainingError, ValidationError
+from .errors import ShapeError, TrainingError, ValidationError, require_integer
 from .losses import LossWeights, cross_entropy_loss, l2_loss, tweedie_loss
 from .nncore import (
     DenseNet,
@@ -180,6 +180,11 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValidationError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+        for name in ("batch_size", "max_epochs", "patience_epochs", "plateau_epochs",
+                     "direct_head_depth", "enduring_head_depth"):
+            require_integer(f"model.{name}", getattr(self, name))
+        for d in self.hidden_dims:
+            require_integer("model.hidden_dims entry", d)
         self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
         if len(self.hidden_dims) < 2:
             raise ValidationError("need at least two trunk layers")
@@ -194,8 +199,10 @@ class ModelConfig:
             )
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValidationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValidationError(
+                f"model.learning_rate must be positive and finite, got {self.learning_rate!r}"
+            )
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience_epochs < 1:
             raise ValidationError("batch_size, max_epochs and patience_epochs must be >= 1")
         if self.plateau_epochs < 1:
@@ -208,8 +215,10 @@ class ModelConfig:
             raise ValidationError(f"rho must lie strictly between 1 and 2, got {self.rho}")
         if isinstance(self.weights, dict):
             self.weights = LossWeights(**self.weights)
-        if self.embedding_dim is not None and self.embedding_dim < 1:
-            raise ValidationError("embedding_dim must be positive when given")
+        if self.embedding_dim is not None:
+            require_integer("model.embedding_dim", self.embedding_dim)
+            if self.embedding_dim < 1:
+                raise ValidationError("embedding_dim must be positive when given")
 
     def _cut_depths(self) -> dict:
         """Trunk layers below each cut a trunk slice may start or end at, in depth order."""
@@ -269,8 +278,9 @@ class ResponseModel:
             params.extend(net_parameters(net))
         return params
 
-    def standardize(self, features: np.ndarray, dtype=np.float64) -> np.ndarray:
-        features = np.asarray(features, dtype=dtype)
+    def standardize(self, features: np.ndarray) -> np.ndarray:
+        """Features scaled by the training mean and sd, in ``result_type(features, float64)``."""
+        features = np.asarray(features)
         if features.ndim != 2 or features.shape[1] != self.n_features:
             raise ShapeError(
                 f"features must be (n, {self.n_features}), got {features.shape}"
@@ -336,16 +346,16 @@ def _require_finite(what: str, x: np.ndarray):
         raise ValidationError(f"{what} contains non-finite values")
 
 
-def _walk_parts(model: ResponseModel, features, arms, run, dtype=np.float64):
+def _walk_parts(model: ResponseModel, features, arms, run):
     """Walk the variant's parts forward and return ``(arms, slots)``.
 
     An embedding's output is the standardized features next to each record's
     arm row; it is the model input, and the only place finiteness is checked
     on the way in. ``run(part, x)`` maps a trunk's or a head's input to its
-    output.
+    output. The walk runs in the dtype ``standardize`` gives the features.
     """
     arms = np.asarray(arms, dtype=np.int64)
-    z = model.standardize(features, dtype=dtype)
+    z = model.standardize(features)
     if arms.shape != (z.shape[0],):
         raise ShapeError(f"arms must have shape ({z.shape[0]},), got {arms.shape}")
     if np.any(arms < 0) or np.any(arms >= model.n_arms):
@@ -354,7 +364,7 @@ def _walk_parts(model: ResponseModel, features, arms, run, dtype=np.float64):
     slots: dict = {}
     for part in _VARIANTS[model.config.variant].parts:
         if part.kind == "embedding":
-            out = np.hstack([z, model.tables[part.name][arms].astype(dtype)])
+            out = np.hstack([z, model.tables[part.name][arms]])
             _require_finite("model input", out)
         else:
             out = run(part, outputs[part.source])
@@ -369,7 +379,6 @@ def _model_forward(
     features: np.ndarray,
     arms: np.ndarray,
     rng: np.random.Generator | None = None,
-    dtype=np.float64,
     workspace: _Workspace | None = None,
 ) -> _ModelTrace:
     """The recorded forward pass that training and the gradient checks backpropagate through.
@@ -381,12 +390,10 @@ def _model_forward(
 
     def run(part, x):
         # looked up at call time, so wrappers patched onto this module see every call
-        traces[part.name] = forward_pass(
-            model.nets[part.name], x, rng, dtype=dtype, workspace=workspace
-        )
+        traces[part.name] = forward_pass(model.nets[part.name], x, rng, workspace=workspace)
         return traces[part.name].output
 
-    arms, slots = _walk_parts(model, features, arms, run, dtype)
+    arms, slots = _walk_parts(model, features, arms, run)
     return _ModelTrace(arms, traces, slots)
 
 

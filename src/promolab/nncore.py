@@ -1,38 +1,33 @@
 """Minimal dense feed-forward network engine with hand-derived gradients.
 
-Everything runs in float64. A network is a plain stack of affine layers with
-one of four activations (relu, sigmoid, exp, identity); dropout is the
-inverted kind, applied after each layer's activation only when the forward
-pass is given an rng, so a pass without one needs no rescaling.
-Backpropagation is written out explicitly for this fixed topology; the tests
-check it against central finite differences.
+A network is a plain stack of affine layers with one of four activations:
+relu for trunk layers, and sigmoid, exp or identity as the link of a
+one-unit head. Dropout is the inverted kind; only relu layers drop units,
+and only when the forward pass is given an rng, so a pass without one needs
+no rescaling. Backpropagation is written out explicitly for this fixed
+topology; the tests check it against central finite differences.
+
+A pass runs in ``np.result_type(batch, np.float64)`` against the stored
+float64 parameters: float64 for every package caller, extended precision
+when the finite-difference checks pass a longdouble batch.
 
 One forward pass, ``forward_pass``, serves training, scoring and the
 gradient checks. It records a ``ForwardTrace`` for ``backward_pass``; a
-caller that only scores keeps the output and drops the trace.
-
-The trace keeps what backward needs and no more. A relu layer keeps only its
-output and its dropout scale: relu runs in place, dropout multiplies the
-output in place by the keep mask and the scale, and backward reads relu'
-times the mask back from the output (a unit's output is positive exactly when
-its pre-activation was and it was kept). So a wide relu trunk holds one array
-per layer instead of four. The other activations, used by the one-unit heads,
-keep their pre-activation, activation and float dropout mask.
+caller that only scores keeps the output and drops the trace. The trace
+keeps what backward needs and no more: a relu layer its output and dropout
+scale (backward reads relu' times the mask back from the output, see
+``LayerTrace``), a link layer its output and pre-activation.
 
 Both passes write their arrays into a workspace (``_Workspace``): layer
 outputs, dropout draws, gradients and input gradients land in buffers it
 holds under fixed keys, so a training loop or a chunked scoring loop that
 passes one workspace to every call allocates its arrays once. The caller
 owns the workspace and frees it by dropping it; nothing is cached at module
-level. ``model.train_model`` makes one per call for its steps (and for its
-validation pass when that fits the step buffers), and ``model.predict_matrix``
-makes one per call for its arms and chunks, in which the layers of a pass
-that keeps no trace take turns in three buffers. A trace and the gradients
-written into a workspace are valid only until the next pass through it (the
-next training step or scoring chunk) overwrites them. A pass given no
-workspace makes a throwaway one, so its results are its own; the gradient
-checks run that way. ``adam_update`` works in place, block by block, with
-scratch of its own.
+level. A trace and the gradients written into a workspace are valid only
+until the next pass through it overwrites them. A pass given no workspace
+makes a throwaway one, so its results are its own; the gradient checks run
+that way. ``adam_update`` works in place, block by block, with scratch of
+its own.
 
 Randomness is always drawn from a :class:`numpy.random.Generator` backed by
 PCG64; ``make_rng`` builds one from a seed plus an optional stream key so
@@ -61,7 +56,7 @@ _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPSILON = 1e-8
 
-# elements per block of the blocked loops (dropout draws, Adam): 256 KB of
+# elements per block of the blocked loops (dropout masks, Adam): 256 KB of
 # float64, so a block's operands stay in cache between the loop's ufuncs
 _BLOCK = 32768
 
@@ -78,9 +73,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _activate(name: str, pre: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(pre, 0.0)
+def _link(name: str, pre: np.ndarray) -> np.ndarray:
     if name == "sigmoid":
         return sigmoid(pre)
     if name == "exp":
@@ -90,15 +83,13 @@ def _activate(name: str, pre: np.ndarray) -> np.ndarray:
     raise ValidationError(f"unknown activation {name!r}; expected one of {ACTIVATIONS}")
 
 
-def _activation_derivative(name: str, pre: np.ndarray, activated: np.ndarray) -> np.ndarray:
+def _link_derivative(name: str, pre: np.ndarray, output: np.ndarray) -> np.ndarray:
     # relu's derivative is read off the layer output in ``backward_pass``
     if name == "sigmoid":
-        return activated * (1.0 - activated)
+        return output * (1.0 - output)
     if name == "exp":
-        return np.where(pre < _EXP_CLIP, activated, 0.0)
-    if name == "identity":
-        return np.ones_like(pre)
-    raise ValidationError(f"unknown activation {name!r}; expected one of {ACTIVATIONS}")
+        return np.where(pre < _EXP_CLIP, output, 0.0)
+    return np.ones_like(pre)  # identity
 
 
 @dataclass
@@ -134,7 +125,11 @@ class DenseLayer:
 
 @dataclass
 class DenseNet:
-    """A stack of dense layers with a shared inverted-dropout rate."""
+    """A stack of dense layers whose relu layers share one inverted-dropout rate.
+
+    Only relu layers drop units; a layer with a link activation (sigmoid,
+    exp, identity) keeps every unit whatever the rate.
+    """
 
     layers: list[DenseLayer]
     dropout_rate: float = 0.0
@@ -190,16 +185,13 @@ class LayerTrace:
     form ``(g * mask) * [pre > 0]``, signed zeros, inf and NaN included, with
     one exception: where a finite ``g * scale`` overflows at a kept unit whose
     pre-activation is not positive, that form gives ``inf * 0 = NaN`` and this
-    one a zero. Other activations also keep ``pre``, ``activated`` and the
-    scaled float ``dropout_mask`` (None without dropout) that their
-    derivatives read.
+    one a zero. A link layer never drops a unit, so its ``scale`` is 1, and it
+    also keeps ``pre``, which its derivative reads with ``output``.
     """
 
-    output: np.ndarray  # after activation and dropout
-    scale: float = 1.0  # relu: dropout scale that backward multiplies in
-    pre: np.ndarray | None = None  # pre-activation; None for relu
-    activated: np.ndarray | None = None  # before dropout; None for relu
-    dropout_mask: np.ndarray | None = None  # scaled keep mask; None for relu and without dropout
+    output: np.ndarray  # after activation and, for relu, dropout
+    scale: float = 1.0  # dropout scale that backward multiplies in; 1 for a link layer
+    pre: np.ndarray | None = None  # pre-activation of a link layer; None for relu
 
 
 @dataclass
@@ -237,49 +229,35 @@ class _Workspace:
         return buf[:size].reshape(shape)
 
 
-def _keep_blocks(rng: np.random.Generator, rate: float, size: int, ws: _Workspace):
-    """Yield ``(lo, hi, keep)``: which of units ``lo:hi`` of ``size`` survive dropout.
-
-    The draws are those of one ``rng.random(size) >= rate``, the same doubles
-    in the same order, taken a block at a time into reused scratch.
-    """
-    draw = ws.take("draw", (min(size, _BLOCK),))
-    keep = ws.take("keep", (min(size, _BLOCK),), bool)
-    for lo in range(0, size, _BLOCK):
-        hi = min(lo + _BLOCK, size)
-        rng.random(out=draw[: hi - lo])
-        yield lo, hi, np.greater_equal(draw[: hi - lo], rate, out=keep[: hi - lo])
-
-
 def forward_pass(
     net: DenseNet,
     batch: np.ndarray,
     rng: np.random.Generator | None = None,
-    dtype=np.float64,
     *,
     workspace: _Workspace | None = None,
 ) -> ForwardTrace:
     """Run the net over a (batch, features) matrix and record what backward needs.
 
-    Each layer is ``activation(x @ weight + bias)``, with the matmul written
-    into the layer's workspace buffer, the bias added in place and a relu run
-    in place too. Shapes are checked; finiteness is not, so the caller checks
-    its inputs (the model checks its input once per pass).
+    Every layer runs one step: the matmul into the layer's workspace buffer,
+    then the bias added in place. A relu layer then applies relu in place and,
+    when dropout runs, its keep mask; a link layer applies its link. Shapes
+    are checked; finiteness is not, so the caller checks its inputs (the
+    model checks its input once per pass).
 
-    Dropout runs exactly when ``rng`` is given and the net's rate is above 0.
-    Its masks are drawn from ``rng`` and scaled by 1/(1 - rate), so the output
-    without dropout is the expectation of the output with it wherever the
-    dropped activations feed a linear map. A relu layer applies its mask in
-    place, block by block, and keeps no mask (see ``LayerTrace``).
+    Dropout runs on the relu layers exactly when ``rng`` is given and the
+    net's rate is above 0; a link layer never drops a unit. The masks are
+    drawn from ``rng`` in row-major order, a block at a time, and scaled by
+    1/(1 - rate), so the output without dropout is the expectation of the
+    output with it wherever the dropped activations feed a linear map. No
+    mask is kept (see ``LayerTrace``).
 
-    The trace's arrays live in ``workspace`` (a throwaway one when none is
-    given) and stay valid until its next pass.
-
-    ``dtype`` upgrades the arithmetic (e.g. to ``np.longdouble``) without
-    touching the stored float64 parameters; finite-difference checks use that
-    to push evaluation round-off below the differencing scale.
+    The pass runs in ``np.result_type(batch, np.float64)``: an int or float32
+    batch runs in float64, a longdouble batch in longdouble, against the
+    stored float64 parameters. The trace's arrays live in ``workspace`` (a
+    throwaway one when none is given) and stay valid until its next pass.
     """
-    batch = np.asarray(batch, dtype=dtype)
+    batch = np.asarray(batch)
+    batch = batch.astype(np.result_type(batch, np.float64), copy=False)
     if batch.ndim != 2:
         raise ShapeError(f"batch must be 2-D (batch, features), got shape {batch.shape}")
     if batch.shape[1] != net.input_dim:
@@ -294,32 +272,22 @@ def forward_pass(
     x = batch
     for layer in net.layers:
         shape = (x.shape[0], layer.fan_out)
-        if layer.activation == "relu":
-            out = np.matmul(x, layer.weight, out=ws.take(("out", id(layer)), shape, dtype))
-            out += layer.bias
+        out = np.matmul(x, layer.weight, out=ws.take(("out", id(layer)), shape, batch.dtype))
+        out += layer.bias
+        if layer.activation != "relu":
+            lt = LayerTrace(output=_link(layer.activation, out), pre=out)
+        else:
             lt = LayerTrace(output=np.maximum(out, 0.0, out=out))
             if use_dropout:
                 lt.scale = 1.0 / (1.0 - rate)
-                flat = out.reshape(-1)
-                for lo, hi, keep in _keep_blocks(rng, rate, flat.size, ws):
-                    flat[lo:hi] *= keep
-                    flat[lo:hi] *= lt.scale
-        else:
-            pre = np.matmul(x, layer.weight, out=ws.take(("pre", id(layer)), shape, dtype))
-            pre += layer.bias
-            activated = _activate(layer.activation, pre)
-            if use_dropout:
-                mask = ws.take(("mask", id(layer)), shape).reshape(-1)
-                for lo, hi, keep in _keep_blocks(rng, rate, mask.size, ws):
-                    np.divide(keep, 1.0 - rate, out=mask[lo:hi])
-                mask = mask.reshape(shape)
-                output = np.multiply(
-                    activated, mask,
-                    out=ws.take(("out", id(layer)), shape, np.result_type(activated, mask)),
-                )
-                lt = LayerTrace(output=output, pre=pre, activated=activated, dropout_mask=mask)
-            else:
-                lt = LayerTrace(output=activated, pre=pre, activated=activated)
+                blocks = _blocks(out)
+                draw = ws.take("draw", blocks[0][0].shape)
+                keep = ws.take("keep", blocks[0][0].shape, bool)
+                for (block,) in blocks:
+                    rows = len(block)
+                    rng.random(out=draw[:rows])
+                    block *= np.greater_equal(draw[:rows], rate, out=keep[:rows])
+                    block *= lt.scale
         trace.layers.append(lt)
         x = lt.output
     return trace
@@ -334,11 +302,6 @@ class BackwardResult:
     input_gradient: np.ndarray
 
 
-def _product(ws: _Workspace, key, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a * b`` for arrays of one shape, written into the workspace buffer under ``key``."""
-    return np.multiply(a, b, out=ws.take(key, a.shape, np.result_type(a, b)))
-
-
 def backward_pass(
     net: DenseNet,
     trace: ForwardTrace,
@@ -350,8 +313,8 @@ def backward_pass(
 
     Returns the gradient of the scalar loss with respect to every weight and
     bias, plus the gradient with respect to the input batch (needed when nets
-    are chained). Deterministic given the trace (dropout masks are replayed,
-    not redrawn; a relu layer's mask is read back from its output).
+    are chained). Deterministic given the trace: a relu layer's dropout mask is
+    read back from its output, not redrawn.
 
     Every gradient lands in a buffer of ``workspace`` (a throwaway one when
     none is given): each layer's weight and bias gradients in its own, the
@@ -380,14 +343,13 @@ def backward_pass(
         if ltrace.output.shape != (g.shape[0], layer.fan_out):
             raise ShapeError(f"trace layer {i} does not match the net (stale trace?)")
         if layer.activation == "relu":
-            alive = np.greater(ltrace.output, 0.0, out=ws.take("alive", g.shape, bool))
-            dpre = _product(ws, "dpre", g, alive)
-            dpre *= ltrace.scale
+            derivative = np.greater(ltrace.output, 0.0, out=ws.take("alive", g.shape, bool))
         else:
-            if ltrace.dropout_mask is not None:
-                g = _product(ws, "dpre", g, ltrace.dropout_mask)
-            derivative = _activation_derivative(layer.activation, ltrace.pre, ltrace.activated)
-            dpre = _product(ws, "dpre", g, derivative)
+            derivative = _link_derivative(layer.activation, ltrace.pre, ltrace.output)
+        dpre = np.multiply(
+            g, derivative, out=ws.take("dpre", g.shape, np.result_type(g, derivative))
+        )
+        dpre *= ltrace.scale
         below = trace.layers[i - 1].output if i > 0 else trace.inputs
         weight_grads[i] = np.matmul(
             below.T, dpre,

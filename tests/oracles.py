@@ -5,7 +5,8 @@ checks compare ``backward_pass`` and the model's backward walk with central
 finite differences of the loss, evaluated in extended precision.
 ``reference_forward`` and ``reference_backward`` are the engine's passes in
 their four-array form (pre-activation, activation, output and float dropout
-mask kept for every layer), which the compact trace must match byte for byte.
+mask kept for every layer, the mask None where no unit drops), which the
+compact trace must match byte for byte.
 ``reference_adam_update`` is Adam in its whole-array form, which the blocked
 in-place update must match byte for byte.
 """
@@ -24,8 +25,8 @@ from promolab.nncore import (
     _EXP_CLIP,
     AdamState,
     DenseNet,
-    _activate,
-    _activation_derivative,
+    _link,
+    _link_derivative,
     backward_pass,
     flatten_gradients,
     forward_pass,
@@ -64,30 +65,35 @@ def brute_force(problem: AllocationProblem) -> AllocationPlan:
     return AllocationPlan(arms=best_arms, total_value=value, total_cost=cost)
 
 
-def reference_forward(net: DenseNet, batch, rng=None, dtype=np.float64):
-    """Forward pass keeping ``(pre, activated, output, mask)`` for every layer.
+def reference_forward(net: DenseNet, batch, rng=None):
+    """``(inputs, layers)``: a forward pass keeping ``(pre, activated, output, mask)`` per layer.
 
-    Like the engine, it drops units exactly when ``rng`` is given and the
-    rate is above 0, drawing from ``rng`` in the engine's order, so with equal
-    rngs the two passes drop the same units.
+    Like the engine, it runs in ``np.result_type(batch, np.float64)`` and
+    drops relu units exactly when ``rng`` is given and the rate is above 0,
+    drawing from ``rng`` in the engine's order, so with equal rngs the two
+    passes drop the same units. A link layer keeps every unit; its mask is
+    None.
     """
-    x = np.asarray(batch, dtype=dtype)
+    inputs = np.asarray(batch)
+    inputs = inputs.astype(np.result_type(inputs, np.float64))
     use_dropout = rng is not None and net.dropout_rate > 0.0
     layers = []
+    x = inputs
     for layer in net.layers:
         pre = x @ layer.weight
         pre += layer.bias
-        activated = _activate(layer.activation, pre)
-        if use_dropout:
-            keep = rng.random(activated.shape) >= net.dropout_rate
-            mask = keep / (1.0 - net.dropout_rate)
-            out = activated * mask
+        mask = None
+        if layer.activation != "relu":
+            activated = out = _link(layer.activation, pre)
         else:
-            mask = None
-            out = activated
+            activated = out = np.maximum(pre, 0.0)
+            if use_dropout:
+                keep = rng.random(activated.shape) >= net.dropout_rate
+                mask = keep / (1.0 - net.dropout_rate)
+                out = activated * mask
         layers.append((pre, activated, out, mask))
         x = out
-    return np.asarray(batch, dtype=dtype), layers
+    return inputs, layers
 
 
 def reference_backward(net: DenseNet, inputs, layers, output_gradient):
@@ -103,7 +109,7 @@ def reference_backward(net: DenseNet, inputs, layers, output_gradient):
         if layer.activation == "relu":
             derivative = (pre > 0.0).astype(np.float64)
         else:
-            derivative = _activation_derivative(layer.activation, pre, activated)
+            derivative = _link_derivative(layer.activation, pre, activated)
         dpre = g * derivative
         below = layers[i - 1][2] if i > 0 else inputs
         weight_grads[i] = below.T @ dpre
@@ -249,13 +255,15 @@ def gradient_check(
     sampled relative error; it raises nothing and reports a number even for
     badly broken gradients.
 
-    The differenced loss is evaluated in ``fd_dtype`` (extended precision by
-    default) because float64 round-off at eps=1e-5 would swamp the smallest
-    genuine gradient entries; the analytic side stays in float64.
+    The differenced loss is evaluated on the batch cast to ``fd_dtype``
+    (extended precision by default), which the pass then runs in, because
+    float64 round-off at eps=1e-5 would swamp the smallest genuine gradient
+    entries; the analytic side stays in float64.
     """
+    fd_batch = np.asarray(batch, dtype=fd_dtype)
 
     def loss_value() -> float:
-        trace = forward_pass(net, batch, dtype=fd_dtype)
+        trace = forward_pass(net, fd_batch)
         value, _ = loss_fn(trace.output)
         return value
 
@@ -286,9 +294,9 @@ def model_gradient_check(
 
     Covers every parameter tensor including the embedding tables, using the
     variant's own composite loss (no dropout, mean over the batch). Returns
-    the worst sampled relative error. The differenced loss runs in
-    ``fd_dtype`` (extended precision by default) so eval round-off does not
-    masquerade as gradient error on small entries, and the relu and exp-clamp
+    the worst sampled relative error. The differenced loss runs on features
+    cast to ``fd_dtype`` (extended precision by default) so eval round-off
+    does not masquerade as gradient error on small entries, and the relu and exp-clamp
     active sets guard the differencing: an entry whose perturbation flips a
     unit across its kink is remeasured with a smaller step instead of
     averaging over the kink.
@@ -298,9 +306,10 @@ def model_gradient_check(
     s = np.asarray(s, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = len(features)
+    fd_features = features.astype(fd_dtype)
 
     def loss_value() -> float:
-        mt = _model_forward(model, features, arms, dtype=fd_dtype)
+        mt = _model_forward(model, fd_features, arms)
         value, _ = _loss_terms(model, s.astype(fd_dtype), y.astype(fd_dtype), mt.slots)
         return np.sum(value) / n
 

@@ -328,8 +328,23 @@ class TestExitCodes:
             ("generation", "generation:\n  assignment_probs: 0.5\n"),
             ("evaluation", "evaluation:\n  budget_grid: 5\n"),
             ("model", "model:\n  weights: {w_amount: x}\n"),
+            # an integer field names itself: each once raised a TypeError (exit 2)
+            # or, for hidden_dims, trained at the truncated width
+            ("model.batch_size", "model:\n  batch_size: 2.5\n"),
+            ("model.max_epochs", "model:\n  max_epochs: 1.5\n"),
+            ("model.patience_epochs", "model:\n  patience_epochs: true\n"),
+            ("model.plateau_epochs", "model:\n  plateau_epochs: '5'\n"),
+            ("model.direct_head_depth", "model:\n  direct_head_depth: 1.5\n"),
+            ("model.enduring_head_depth", "model:\n  enduring_head_depth: 3.0\n"),
+            ("model.embedding_dim", "model:\n  embedding_dim: 2.5\n"),
+            ("model.hidden_dims", "model:\n  hidden_dims: [8.7, 8, 4, 4]\n"),
+            ("evaluation.n_folds", "evaluation:\n  n_folds: 2.5\n"),
         ],
-        ids=["hidden_dims", "features", "model", "assignment_probs", "budget_grid", "weights"],
+        ids=[
+            "hidden_dims", "features", "model", "assignment_probs", "budget_grid", "weights",
+            "batch_size", "max_epochs", "patience_epochs", "plateau_epochs", "direct_head_depth",
+            "enduring_head_depth", "embedding_dim", "hidden_dims_entry", "n_folds",
+        ],
     )
     def test_wrongly_typed_config_value(self, tmp_path, capsys, section, text):
         cfg = tmp_path / "typed.yaml"
@@ -357,8 +372,23 @@ class TestExitCodes:
                 "generation:\n  features:\n    money_long_log_sd: -1\n",
                 "features.money_long_log_sd must be nonnegative",
             ),
+            # a NaN probability once put every customer on arm 0 (exit 0)
+            (
+                "generation:\n  coupon_values: [0, 1, 2]\n  assignment_probs: [.nan, 0.5, 0.5]\n",
+                "generation.assignment_probs must be finite",
+            ),
+            ("generation:\n  coupon_values: [0, 1, .inf]\n", "generation.coupon_values must be finite"),
+            ("generation:\n  coupon_values: [0, 1, .nan]\n", "generation.coupon_values must be finite"),
+            ("generation:\n  phi: .nan\n", "generation.phi must be finite"),
+            # an infinite phi once generated no post-window spend at all (exit 0)
+            ("generation:\n  phi: .inf\n", "generation.phi must be finite"),
+            ("generation:\n  promo_gamma_shape: .nan\n", "generation.promo_gamma_shape must be finite"),
+            ("generation:\n  promo_gamma_shape: .inf\n", "generation.promo_gamma_shape must be finite"),
         ],
-        ids=["recency_p", "n_customers", "money_long_log_sd"],
+        ids=[
+            "recency_p", "n_customers", "money_long_log_sd", "nan_assignment_prob",
+            "inf_coupon", "nan_coupon", "nan_phi", "inf_phi", "nan_gamma_shape", "inf_gamma_shape",
+        ],
     )
     def test_invalid_generation_value(self, tmp_path, capsys, text, message):
         # each once passed parse_config and failed inside numpy's samplers (exit 2)
@@ -367,6 +397,26 @@ class TestExitCodes:
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "dataset.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("model:\n  learning_rate: .nan\n", "model.learning_rate must be positive and finite"),
+            ("model:\n  learning_rate: .inf\n", "model.learning_rate must be positive and finite"),
+            ("model:\n  weights: {w_amount: .nan}\n", "weights.w_amount must be finite"),
+            ("model:\n  weights: {w_direct: .inf}\n", "weights.w_direct must be finite"),
+        ],
+        ids=["nan_learning_rate", "inf_learning_rate", "nan_w_amount", "inf_w_direct"],
+    )
+    def test_non_finite_model_value(self, workdir, tmp_path, capsys, text, message):
+        # each once passed validation, and train blamed the net: "diverged" (exit 2)
+        root, _ = workdir
+        cfg = tmp_path / "model.yaml"
+        cfg.write_text(text)
+        argv = ["train", "--config", str(cfg), "--data", str(root / "dataset.csv"), "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "model.npz").exists()
 
     def test_bad_log_level(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PROMOLAB_LOG_LEVEL", "LOUD")

@@ -255,6 +255,21 @@ class TestEvalWalk:
             assert getattr(first, field_name).tobytes() == getattr(again, field_name).tobytes()
             assert getattr(first, field_name).tobytes() == recorded[slot].tobytes(), slot
 
+    @pytest.mark.parametrize(
+        "dtype, runs_in",
+        [(np.int64, np.float64), (np.float32, np.float64), (np.longdouble, np.longdouble)],
+    )
+    def test_feature_dtype_sets_the_arithmetic(self, dtype, runs_in):
+        model, _ = narrow_model("full")
+        features, arms, _, _ = tiny_batch(n=40)
+        features = np.round(features).astype(dtype)
+        mt = model_module._model_forward(model, features, arms)
+        assert all(t.inputs.dtype == runs_in for t in mt.traces.values())
+        assert all(slot.dtype == runs_in for slot in mt.slots.values())
+        if runs_in == np.float64:
+            wide = model_module._model_forward(model, features.astype(np.float64), arms).slots
+            assert all(mt.slots[k].tobytes() == wide[k].tobytes() for k in wide)
+
     def test_recorded_pass_rejects_non_finite_input(self):
         model, _ = narrow_model("full")
         features, arms, _, _ = tiny_batch(n=50)
@@ -438,7 +453,7 @@ class TestTrainingMemory:
         for trace in mt.traces.values():
             arrays[id(trace.inputs)] = trace.inputs
             for lt in trace.layers:
-                for a in (lt.pre, lt.activated, lt.output, lt.dropout_mask):
+                for a in (lt.pre, lt.output):
                     if a is not None:
                         arrays[id(a)] = a
         # the model input, one output per relu layer, and pre + activation of

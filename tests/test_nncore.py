@@ -1,5 +1,7 @@
 """Engine-level checks: forward math, backward math, dropout, Adam, rngs."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,26 @@ class TestForward:
         net = _single_layer([[1.0], [1.0]], [0.0], "identity")
         with pytest.raises(ShapeError):
             forward_pass(net, np.zeros((4, 3)))
+
+    @pytest.mark.parametrize(
+        "dtype, runs_in",
+        [(np.int64, np.float64), (np.float32, np.float64), (np.float64, np.float64),
+         (np.longdouble, np.longdouble)],
+    )
+    def test_batch_dtype_sets_the_arithmetic(self, dtype, runs_in):
+        # int and float32 batches are promoted to float64, a longdouble batch stays wide
+        net = init_dense_net([3, 6, 1], ["relu", "sigmoid"], make_rng(12))
+        batch = make_rng(13).integers(-3, 4, size=(5, 3)).astype(dtype)
+        trace = forward_pass(net, batch)
+        assert trace.inputs.dtype == runs_in
+        assert all(lt.output.dtype == runs_in for lt in trace.layers)
+        back = backward_pass(net, trace, np.ones((5, 1)))
+        assert all(g.dtype == runs_in for g in flatten_gradients(back) + [back.input_gradient])
+        wide = forward_pass(net, batch.astype(np.float64)).output
+        if runs_in == np.float64:
+            assert trace.output.tobytes() == wide.tobytes()
+        else:
+            np.testing.assert_allclose(trace.output.astype(np.float64), wide, rtol=1e-14)
 
     def test_chained_dims_validated(self):
         a = DenseLayer(weight=np.zeros((2, 3)), bias=np.zeros(3))
@@ -190,13 +212,13 @@ class TestDropout:
         net = init_dense_net([3, 5, 2], ["relu", "identity"], rng, dropout_rate=0.5)
         trace = forward_pass(net, np.ones((4, 3)))
         _, ref = reference_forward(net, np.ones((4, 3)))
-        for lt, (_, activated, _, _) in zip(trace.layers, ref):
-            assert lt.dropout_mask is None and lt.scale == 1.0
+        for lt, (_, activated, _, mask) in zip(trace.layers, ref):
+            assert mask is None and lt.scale == 1.0
             # the output is the undropped activation
             np.testing.assert_array_equal(lt.output, activated)
-        # a relu keeps no activation apart from its output; identity keeps its own
-        assert trace.layers[0].activated is None
-        np.testing.assert_array_equal(trace.layers[1].output, trace.layers[1].activated)
+        # a relu keeps nothing but its output; the identity link keeps its pre-activation
+        assert trace.layers[0].pre is None
+        np.testing.assert_array_equal(trace.layers[1].pre, ref[1][0])
 
     def test_rng_without_dropout_changes_nothing(self):
         net = init_dense_net([3, 5, 2], ["relu", "sigmoid"], make_rng(1))
@@ -205,17 +227,28 @@ class TestDropout:
         plain = forward_pass(net, batch)
         given = forward_pass(net, batch, rng)
         for a, b in zip(plain.layers, given.layers):
-            assert b.dropout_mask is None and b.scale == 1.0
+            assert b.scale == 1.0
             assert a.output.tobytes() == b.output.tobytes()
         # and no draw was taken from the rng
         assert rng.random() == make_rng(3).random()
 
-    def test_mask_values_are_zero_or_scaled(self):
+    @pytest.mark.parametrize("link", ["identity", "sigmoid", "exp"])
+    def test_link_layer_keeps_every_unit(self, link):
+        # with rate > 0 and an rng only the relu layer drops units, so the rng
+        # advances by exactly its 8 * 40 draws
         rate = 0.3
-        net = init_dense_net([3, 50], ["identity"], make_rng(2), dropout_rate=rate)
-        trace = forward_pass(net, np.ones((8, 3)), make_rng(3))
-        mask = trace.layers[0].dropout_mask
-        assert set(np.unique(mask)) <= {0.0, 1.0 / (1.0 - rate)}
+        net = init_dense_net([3, 40, 50], ["relu", link], make_rng(2), dropout_rate=rate)
+        rng = make_rng(3)
+        trace = forward_pass(net, make_rng(38).normal(size=(8, 3)), rng)
+        relu, head = trace.layers
+        assert relu.scale == 1.0 / (1.0 - rate) and head.scale == 1.0
+        pre = relu.output @ net.layers[1].weight + net.layers[1].bias
+        np.testing.assert_array_equal(head.pre, pre)
+        np.testing.assert_array_equal(head.output, nncore._link(link, pre))
+        assert np.all(head.output != 0.0)
+        skipped = make_rng(3)
+        skipped.random(8 * 40)
+        assert rng.random() == skipped.random()
 
     def test_expected_train_output_matches_eval_through_linear_map(self):
         # dropout feeds a linear output layer, so averaging many masked
@@ -257,7 +290,7 @@ def _trace_nbytes(trace) -> int:
     """Bytes of the distinct arrays a trace holds, its inputs included."""
     arrays = {id(trace.inputs): trace.inputs}
     for lt in trace.layers:
-        for a in (lt.pre, lt.activated, lt.output, lt.dropout_mask):
+        for a in (lt.pre, lt.output):
             if a is not None:
                 arrays[id(a)] = a
     return sum(a.nbytes for a in arrays.values())
@@ -279,8 +312,9 @@ def _assert_same_bytes(net, batch, mode, dropout_seed, dtype, output_gradient):
     def rng():
         return make_rng(dropout_seed) if mode == "train" else None
 
-    trace = forward_pass(net, batch, rng(), dtype=dtype)
-    inputs, ref = reference_forward(net, batch, rng(), dtype=dtype)
+    batch = np.asarray(batch, dtype=dtype)
+    trace = forward_pass(net, batch, rng())
+    inputs, ref = reference_forward(net, batch, rng())
     for i, (lt, (_, _, out, _)) in enumerate(zip(trace.layers, ref)):
         assert lt.output.dtype == out.dtype
         assert _bits(lt.output) == _bits(out), f"layer {i} output"
@@ -351,14 +385,25 @@ class TestCompactTrace:
             finite = pre0[np.isfinite(pre0)]
             assert np.any(finite < 0) and np.any(finite == 0) and np.any(finite > 0)
 
+    @pytest.mark.parametrize("block", [7, 24, 1000])
+    def test_blocked_masks_match_one_draw(self, monkeypatch, block):
+        # masks drawn a block of rows at a time use the reference's one draw per
+        # layer: a row wider than a block, several rows per block, one block
+        monkeypatch.setattr(nncore, "_BLOCK", block)
+        net = init_dense_net([4, 12, 9, 1], ["relu", "relu", "sigmoid"], make_rng(41),
+                             dropout_rate=0.35)
+        batch = make_rng(42).normal(size=(16, 4))
+        _assert_same_bytes(net, batch, "train", 43, np.float64, make_rng(44).normal(size=(16, 1)))
+
     def test_relu_trace_holds_one_output_per_layer(self):
         rate = 0.2
         net = init_dense_net([5, 64, 32, 16], ["relu"] * 3, make_rng(35), dropout_rate=rate)
         batch = make_rng(36).normal(size=(100, 5))
         trace = forward_pass(net, batch, make_rng(37))
         assert _trace_nbytes(trace) == 8 * 100 * (5 + 64 + 32 + 16)
+        assert [f.name for f in fields(nncore.LayerTrace)] == ["output", "scale", "pre"]
         for lt in trace.layers:
-            assert lt.pre is None and lt.activated is None and lt.dropout_mask is None
+            assert lt.pre is None
             assert lt.scale == 1.0 / (1.0 - rate)
 
     def test_relu_output_is_zero_or_scaled(self):
