@@ -35,7 +35,7 @@ import yaml
 
 from .allocator import build_problem, solve_exact_dp, solve_lagrangian
 from .datagen import FeatureConfig, GenConfig, RctDataset, generate_rct
-from .errors import PromolabError, ValidationError, require_integer
+from .errors import PromolabError, ValidationError, at_least, check_fields, rule
 from .evaluator import (
     EvalReport,
     budget_sweep,
@@ -65,19 +65,13 @@ logger = logging.getLogger("promolab.cli")
 class PipelineConfig:
     generation: GenConfig
     model: ModelConfig
-    n_folds: int = 5
-    budget: float | None = None
-    budget_grid: tuple = ()
+    n_folds: int = rule("integer", 5, at_least(2))
+    budget: float | None = rule("real", None, at_least(0))
+    budget_grid: tuple = rule("reals", (), at_least(0))
 
     def __post_init__(self):
-        require_integer("evaluation.n_folds", self.n_folds)
-        if self.n_folds < 2:
-            raise ValidationError("evaluation.n_folds must be at least 2")
-        if self.budget is not None and not self.budget >= 0:  # NaN fails too
-            raise ValidationError("evaluation.budget must be nonnegative")
+        check_fields(self, "evaluation")
         self.budget_grid = tuple(float(b) for b in self.budget_grid)
-        if any(not b >= 0 for b in self.budget_grid):
-            raise ValidationError("evaluation.budget_grid entries must be nonnegative")
 
 
 def _section(value, allowed, where: str) -> dict:
@@ -99,16 +93,6 @@ def _fields(cls, *excluded) -> list[str]:
     return [f.name for f in dataclasses.fields(cls) if f.name not in excluded]
 
 
-def _build(where: str, make, **kwargs):
-    """``make(**kwargs)``, where a wrongly typed value is a ``ValidationError`` naming ``where``."""
-    try:
-        return make(**kwargs)
-    except ValidationError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
-
-
 def parse_config(
     path=None,
     seed: int = 0,
@@ -125,14 +109,14 @@ def parse_config(
     gen_raw = _section(raw.get("generation"), _fields(GenConfig, "seed"), "generation")
     feat_raw = _section(gen_raw.pop("features", None), _fields(FeatureConfig), "generation.features")
     features = FeatureConfig(**feat_raw)
-    generation = _build("generation", GenConfig, seed=seed, features=features, **gen_raw)
+    generation = GenConfig(seed=seed, features=features, **gen_raw)
 
     model_raw = _section(raw.get("model"), _fields(ModelConfig), "model")
     if "weights" in model_raw:
         model_raw["weights"] = _section(model_raw["weights"], _fields(LossWeights), "model.weights")
     if variant is not None:
         model_raw["variant"] = variant
-    model = _build("model", ModelConfig, **model_raw)
+    model = ModelConfig(**model_raw)
 
     eval_keys = _fields(PipelineConfig, "generation", "model")
     eval_raw = _section(raw.get("evaluation"), eval_keys, "evaluation")
@@ -140,7 +124,7 @@ def parse_config(
         eval_raw["budget"] = budget
     if budget_grid is not None:
         eval_raw["budget_grid"] = budget_grid
-    return _build("evaluation", PipelineConfig, generation=generation, model=model, **eval_raw)
+    return PipelineConfig(generation=generation, model=model, **eval_raw)
 
 
 def _parse_budget_grid(text: str | None):

@@ -30,11 +30,12 @@ apart from the ones ``train_model`` derives from the same seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, require_integer
+from .errors import NONNEGATIVE, POSITIVE, UNIT, ValidationError, at_least, check_fields, rule
+from .losses import TWEEDIE_RHO
 from .nncore import make_rng, sigmoid
 from .tables import pair_columns, read_table, write_table
 
@@ -67,8 +68,8 @@ def cpg_parameters(mu, phi: float, rho: float):
 
 
 def _check_cpg_domain(mu, phi: float, rho: float):
-    if not 1.0 < rho < 2.0:
-        raise ValidationError(f"rho must lie strictly between 1 and 2, got {rho}")
+    if rho not in TWEEDIE_RHO:
+        raise ValidationError(f"rho must {TWEEDIE_RHO}, got {rho}")
     if phi <= 0:
         raise ValidationError(f"phi must be positive, got {phi}")
     if np.any(np.asarray(mu) <= 0):
@@ -99,43 +100,27 @@ def _draw_cpg(mu, phi: float, rho: float, count_rng, gamma_rng) -> np.ndarray:
     return out
 
 
-def _is_real(value) -> bool:
-    """An int or float (numpy's included), and not a bool."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
 @dataclass
 class FeatureConfig:
     """Distribution parameters for the five customer features.
 
     Heavy-tailed by design: recency is geometric, frequencies are negative
-    binomial, monetary values are lognormal.
+    binomial (with a real ``n``), monetary values are lognormal. Each bound
+    is the domain of the numpy sampler that reads the value.
     """
 
-    recency_p: float = 0.03
-    freq_long_n: int = 3
-    freq_long_p: float = 0.25
-    freq_short_n: int = 2
-    freq_short_p: float = 0.5
-    money_long_log_mean: float = 1.0
-    money_long_log_sd: float = 0.8
-    money_short_log_mean: float = 0.3
-    money_short_log_sd: float = 1.0
+    recency_p: float = rule("real", 0.03, UNIT)
+    freq_long_n: float = rule("real", 3, POSITIVE)
+    freq_long_p: float = rule("real", 0.25, UNIT)
+    freq_short_n: float = rule("real", 2, POSITIVE)
+    freq_short_p: float = rule("real", 0.5, UNIT)
+    money_long_log_mean: float = rule("real", 1.0)
+    money_long_log_sd: float = rule("real", 0.8, NONNEGATIVE)
+    money_short_log_mean: float = rule("real", 0.3)
+    money_short_log_sd: float = rule("real", 1.0, NONNEGATIVE)
 
     def __post_init__(self):
-        # each bound is the domain of the numpy sampler that reads the value
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _is_real(value) or not np.isfinite(value):
-                raise ValidationError(f"features.{f.name} must be a finite number, got {value!r}")
-        for names, ok, domain in (
-            (("recency_p", "freq_long_p", "freq_short_p"), lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
-            (("freq_long_n", "freq_short_n"), lambda v: v > 0, "be positive"),
-            (("money_long_log_sd", "money_short_log_sd"), lambda v: v >= 0, "be nonnegative"),
-        ):
-            for name in names:
-                if not ok(getattr(self, name)):
-                    raise ValidationError(f"features.{name} must {domain}, got {getattr(self, name)}")
+        check_fields(self, "generation.features")
 
     def sample(self, rngs, n: int) -> np.ndarray:
         """(n, 5) feature rows; column k is drawn from ``rngs[k]`` in row order."""
@@ -234,51 +219,79 @@ def true_response(features, arm: int, spec: ResponseSpec):
     return p_j, mu_j
 
 
+# ---------------------------------------------------------------------------
+# Default worlds
+# ---------------------------------------------------------------------------
+
+# Standardization constants of the default FeatureConfig (approximate
+# analytic moments, frozen so the response spec is a fixed object).
+_DEFAULT_CENTER = np.array([33.3, 9.0, 2.0, 3.74, 2.23])
+_DEFAULT_SCALE = np.array([32.8, 6.0, 2.0, 3.55, 2.92])
+
+
+# Each world's (intercept, feature coefficients, coupon slope of the arm
+# effect, coupon slope of the arm x feature interactions) for every block.
+# default: direct and enduring responses share feature heterogeneity, so
+#   modeling either helps the other, with effects big enough for a trained
+#   model to approach the true ranking.
+# decorrelated: the direct uplift varies with short-term frequency only, the
+#   enduring uplift with long-term monetary value only (anti-aligned with the
+#   direct interaction), so chasing the direct signal picks the wrong customers.
+_WORLD_COEFFICIENTS = {
+    "default": {
+        "direct": (-1.3, (-0.7, 0.5, 0.45, 0.25, 0.2), 0.30, (0.0, 0.10, 0.15, 0.0, 0.08)),
+        "promo": (-0.1, (-0.1, 0.1, 0.1, 0.35, 0.25), 0.08, (0.0, 0.0, 0.0, 0.0, 0.0)),
+        "post": (0.7, (-0.45, 0.35, 0.25, 0.45, 0.3), 0.22, (0.0, 0.08, 0.0, 0.12, 0.06)),
+    },
+    "decorrelated": {
+        "direct": (-1.2, (-0.6, 0.4, 0.5, 0.1, 0.1), 0.35, (0.0, 0.0, 0.30, -0.15, 0.0)),
+        "promo": (-0.2, (-0.1, 0.1, 0.1, 0.3, 0.2), 0.05, (0.0, 0.0, 0.0, 0.0, 0.0)),
+        "post": (0.7, (-0.4, 0.3, 0.2, 0.5, 0.3), 0.10, (0.0, 0.0, -0.12, 0.30, 0.0)),
+    },
+}
+
+
+def _world_spec(world: str, coupon_values: np.ndarray) -> ResponseSpec:
+    """One world's response spec: one arm per coupon value, with effects
+    proportional to the coupon value, so the zero-coupon (control) arm's are zero."""
+    c = np.asarray(coupon_values, dtype=np.float64)
+    blocks = {}
+    for name, (intercept, coefs, slope, interaction_slopes) in _WORLD_COEFFICIENTS[world].items():
+        arm_effects = slope * c
+        interactions = np.outer(c, interaction_slopes)
+        blocks[name] = LinearResponse(intercept, np.array(coefs), arm_effects, interactions)
+    return ResponseSpec(feature_center=_DEFAULT_CENTER.copy(), feature_scale=_DEFAULT_SCALE.copy(), **blocks)
+
+
 @dataclass
 class GenConfig:
     """Full description of one synthetic promotion world."""
 
-    n_customers: int = 100_000
-    coupon_values: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]))
-    assignment_probs: np.ndarray | None = None  # default: uniform over arms
-    phi: float = 4.0
-    rho: float = 1.5
-    promo_gamma_shape: float = 2.0
-    seed: int = 0
+    n_customers: int = rule("integer", 100_000, at_least(1))
+    coupon_values: np.ndarray = rule("reals", (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0), NONNEGATIVE)
+    assignment_probs: np.ndarray | None = rule("reals", None, NONNEGATIVE)  # None: uniform over arms
+    phi: float = rule("real", 4.0, POSITIVE)
+    rho: float = rule("real", 1.5, TWEEDIE_RHO)
+    promo_gamma_shape: float = rule("real", 2.0, POSITIVE)
+    seed: int = rule("integer", 0, at_least(0))
     features: FeatureConfig = field(default_factory=FeatureConfig)
-    world: str = "default"  # a key of _WORLD_COEFFICIENTS
+    world: str = rule("name", "default", tuple(_WORLD_COEFFICIENTS))
 
     def __post_init__(self):
-        if self.world not in _WORLD_COEFFICIENTS:
-            raise ValidationError(
-                f"unknown world {self.world!r}; expected one of {tuple(_WORLD_COEFFICIENTS)}"
-            )
+        check_fields(self, "generation")
         self.coupon_values = np.asarray(self.coupon_values, dtype=np.float64)
-        require_integer("generation.n_customers", self.n_customers)
-        if self.n_customers < 1:
-            raise ValidationError("n_customers must be at least 1")
         zero_arms = np.flatnonzero(self.coupon_values == 0.0)
         if len(zero_arms) != 1:
             raise ValidationError(
                 f"exactly one zero-incentive arm required, found {len(zero_arms)}"
             )
-        if np.any(self.coupon_values < 0):
-            raise ValidationError("coupon values must be nonnegative")
         if self.assignment_probs is None:
             self.assignment_probs = np.full(self.n_arms, 1.0 / self.n_arms)
         self.assignment_probs = np.asarray(self.assignment_probs, dtype=np.float64)
-        # a NaN slips past the comparisons below; an inf breaks the samplers or empties a draw
-        for name in ("coupon_values", "assignment_probs", "phi", "promo_gamma_shape"):
-            value = np.asarray(getattr(self, name))
-            if not np.all(np.isfinite(value)):
-                raise ValidationError(f"generation.{name} must be finite, got {value.tolist()}")
         if len(self.assignment_probs) != self.n_arms:
             raise ValidationError("assignment_probs length must match the arm count")
-        if np.any(self.assignment_probs < 0) or abs(self.assignment_probs.sum() - 1.0) > 1e-9:
-            raise ValidationError("assignment_probs must be nonnegative and sum to 1")
-        _check_cpg_domain(1.0, self.phi, self.rho)
-        if self.promo_gamma_shape <= 0:
-            raise ValidationError("promo_gamma_shape must be positive")
+        if abs(self.assignment_probs.sum() - 1.0) > 1e-9:
+            raise ValidationError("assignment_probs must sum to 1")
 
     @property
     def response(self) -> ResponseSpec:
@@ -466,48 +479,3 @@ def _draw_outcomes(truth: GroundTruth, assignment_probs: np.ndarray, rngs):
     y_promo = np.where(s == 1, promo_rng.gamma(k, truth.mu_promo_given_direct[rows, arm] / k), 0.0)
     y_post = _draw_cpg(truth.mu_post[rows, arm], truth.phi, truth.rho, count_rng, gamma_rng)
     return arm, s, y_post + y_promo
-
-
-# ---------------------------------------------------------------------------
-# Default worlds
-# ---------------------------------------------------------------------------
-
-# Standardization constants of the default FeatureConfig (approximate
-# analytic moments, frozen so the response spec is a fixed object).
-_DEFAULT_CENTER = np.array([33.3, 9.0, 2.0, 3.74, 2.23])
-_DEFAULT_SCALE = np.array([32.8, 6.0, 2.0, 3.55, 2.92])
-
-
-# Each world's (intercept, feature coefficients, coupon slope of the arm
-# effect, coupon slope of the arm x feature interactions) for every block.
-# default: direct and enduring responses share feature heterogeneity, so
-#   modeling either helps the other, with effects big enough for a trained
-#   model to approach the true ranking.
-# decorrelated: the direct uplift varies with short-term frequency only, the
-#   enduring uplift with long-term monetary value only (anti-aligned with the
-#   direct interaction), so chasing the direct signal picks the wrong customers.
-_WORLD_COEFFICIENTS = {
-    "default": {
-        "direct": (-1.3, (-0.7, 0.5, 0.45, 0.25, 0.2), 0.30, (0.0, 0.10, 0.15, 0.0, 0.08)),
-        "promo": (-0.1, (-0.1, 0.1, 0.1, 0.35, 0.25), 0.08, (0.0, 0.0, 0.0, 0.0, 0.0)),
-        "post": (0.7, (-0.45, 0.35, 0.25, 0.45, 0.3), 0.22, (0.0, 0.08, 0.0, 0.12, 0.06)),
-    },
-    "decorrelated": {
-        "direct": (-1.2, (-0.6, 0.4, 0.5, 0.1, 0.1), 0.35, (0.0, 0.0, 0.30, -0.15, 0.0)),
-        "promo": (-0.2, (-0.1, 0.1, 0.1, 0.3, 0.2), 0.05, (0.0, 0.0, 0.0, 0.0, 0.0)),
-        "post": (0.7, (-0.4, 0.3, 0.2, 0.5, 0.3), 0.10, (0.0, 0.0, -0.12, 0.30, 0.0)),
-    },
-}
-
-
-def _world_spec(world: str, coupon_values: np.ndarray) -> ResponseSpec:
-    """One world's response spec: one arm per coupon value, with effects
-    proportional to the coupon value, so the zero-coupon (control) arm's are zero."""
-    c = np.asarray(coupon_values, dtype=np.float64)
-    blocks = {}
-    for name, (intercept, coefs, slope, interaction_slopes) in _WORLD_COEFFICIENTS[world].items():
-        arm_effects = slope * c
-        interactions = np.outer(c, interaction_slopes)
-        blocks[name] = LinearResponse(intercept, np.array(coefs), arm_effects, interactions)
-    return ResponseSpec(feature_center=_DEFAULT_CENTER.copy(), feature_scale=_DEFAULT_SCALE.copy(), **blocks)
-

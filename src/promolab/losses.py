@@ -17,34 +17,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NONNEGATIVE, Bound, ValidationError, check_fields, rule
 
 # Probabilities fed to cross-entropy are clipped to this band so saturated
 # sigmoids cannot produce infinite loss.
 PROB_CLIP = 1e-7
+
+# The Tweedie power indices of compound Poisson-Gamma responses.
+TWEEDIE_RHO = Bound(1.0, 2.0)
 
 
 @dataclass(frozen=True)
 class LossWeights:
     """Weights for (amount, enduring propensity, direct propensity) terms."""
 
-    w_amount: float = 10.0
-    w_enduring: float = 1.0
-    w_direct: float = 2.0
+    w_amount: float = rule("real", 10.0, NONNEGATIVE)
+    w_enduring: float = rule("real", 1.0, NONNEGATIVE)
+    w_direct: float = rule("real", 2.0, NONNEGATIVE)
 
     def __post_init__(self):
-        ws = (self.w_amount, self.w_enduring, self.w_direct)
-        for name, w in zip(("w_amount", "w_enduring", "w_direct"), ws):
-            if not (np.isfinite(w) and w >= 0):
-                raise ValidationError(f"weights.{name} must be finite and nonnegative, got {w!r}")
-        if all(w == 0 for w in ws):
+        check_fields(self, "model.weights")
+        if self.w_amount == self.w_enduring == self.w_direct == 0:
             raise ValidationError("at least one loss weight must be positive")
 
 
 def _as_rho(rho: float) -> float:
     r = float(rho)
-    if not 1.0 < r < 2.0:
-        raise ValidationError(f"rho must lie strictly between 1 and 2, got {r}")
+    if r not in TWEEDIE_RHO:
+        raise ValidationError(f"rho must {TWEEDIE_RHO}, got {r}")
     return r
 
 

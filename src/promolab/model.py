@@ -49,8 +49,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeError, TrainingError, ValidationError, require_integer
-from .losses import LossWeights, cross_entropy_loss, l2_loss, tweedie_loss
+from .errors import POSITIVE, UNIT, Bound, ShapeError, TrainingError, ValidationError, at_least, check_fields, rule
+from .losses import TWEEDIE_RHO, LossWeights, cross_entropy_loss, l2_loss, tweedie_loss
 from .nncore import (
     DenseNet,
     _Workspace,
@@ -161,35 +161,25 @@ class ModelConfig:
     ``enduring_head_depth`` count trunk layers before each auxiliary head.
     """
 
-    hidden_dims: tuple = (1024, 1024, 512, 16)
-    direct_head_depth: int = 2
-    enduring_head_depth: int = 3
-    dropout_rate: float = 0.2
-    learning_rate: float = 2e-4
-    batch_size: int = 1024
-    max_epochs: int = 200
-    patience_epochs: int = 10
-    plateau_epochs: int = 5
-    lr_decay: float = 0.1
-    validation_fraction: float = 0.1
-    rho: float = 1.5
+    hidden_dims: tuple = rule("integers", (1024, 1024, 512, 16), at_least(1), min_len=2)
+    direct_head_depth: int = rule("integer", 2)
+    enduring_head_depth: int = rule("integer", 3)
+    dropout_rate: float = rule("real", 0.2, Bound(0.0, 1.0, lo_open=False))
+    learning_rate: float = rule("real", 2e-4, POSITIVE)
+    batch_size: int = rule("integer", 1024, at_least(1))
+    max_epochs: int = rule("integer", 200, at_least(1))
+    patience_epochs: int = rule("integer", 10, at_least(1))
+    plateau_epochs: int = rule("integer", 5, at_least(1))
+    lr_decay: float = rule("real", 0.1, UNIT)
+    validation_fraction: float = rule("real", 0.1, Bound(0.0, 0.5, hi_open=False))
+    rho: float = rule("real", 1.5, TWEEDIE_RHO)
     weights: LossWeights = field(default_factory=LossWeights)
-    embedding_dim: int | None = None
-    variant: str = "full"
+    embedding_dim: int | None = rule("integer", None, at_least(1))  # None: default_embedding_dim
+    variant: str = rule("name", "full", VARIANTS)
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValidationError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        for name in ("batch_size", "max_epochs", "patience_epochs", "plateau_epochs",
-                     "direct_head_depth", "enduring_head_depth"):
-            require_integer(f"model.{name}", getattr(self, name))
-        for d in self.hidden_dims:
-            require_integer("model.hidden_dims entry", d)
+        check_fields(self, "model")
         self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
-        if len(self.hidden_dims) < 2:
-            raise ValidationError("need at least two trunk layers")
-        if any(d < 1 for d in self.hidden_dims):
-            raise ValidationError(f"hidden_dims must be positive, got {self.hidden_dims}")
         used = {c for p in _VARIANTS[self.variant].parts if p.cuts for c in p.cuts}
         cuts = {c: d for c, d in self._cut_depths().items() if c in used}
         at = list(cuts.values())
@@ -197,28 +187,8 @@ class ModelConfig:
             raise ValidationError(
                 f"the {self.variant} trunk cuts must strictly increase, got {cuts}"
             )
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValidationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValidationError(
-                f"model.learning_rate must be positive and finite, got {self.learning_rate!r}"
-            )
-        if self.batch_size < 1 or self.max_epochs < 1 or self.patience_epochs < 1:
-            raise ValidationError("batch_size, max_epochs and patience_epochs must be >= 1")
-        if self.plateau_epochs < 1:
-            raise ValidationError("plateau_epochs must be >= 1")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ValidationError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
-        if not 0.0 < self.validation_fraction <= 0.5:
-            raise ValidationError("validation_fraction must be in (0, 0.5]")
-        if not 1.0 < self.rho < 2.0:
-            raise ValidationError(f"rho must lie strictly between 1 and 2, got {self.rho}")
         if isinstance(self.weights, dict):
             self.weights = LossWeights(**self.weights)
-        if self.embedding_dim is not None:
-            require_integer("model.embedding_dim", self.embedding_dim)
-            if self.embedding_dim < 1:
-                raise ValidationError("embedding_dim must be positive when given")
 
     def _cut_depths(self) -> dict:
         """Trunk layers below each cut a trunk slice may start or end at, in depth order."""

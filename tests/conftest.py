@@ -69,6 +69,8 @@ def _write_defective_checkpoint(good, bad, defect):
         arrays["feature_sd"] = arrays["feature_sd"][:-1]
     elif defect == "unknown_config_key":
         meta["config"]["frobnicate"] = 1
+    elif defect == "bool_config_value":
+        meta["config"]["lr_decay"] = True
     elif defect == "full_header_direct_only_parts":
         # a full config over what a direct_only model stores: no trunk_b, nor the parts after it
         kept = {"trunk_a", "direct_head"}
@@ -83,6 +85,7 @@ def _write_defective_checkpoint(good, bad, defect):
         "short_embedding",
         "short_feature_sd",
         "unknown_config_key",
+        "bool_config_value",
         "text_file",
         "truncated",
         "full_header_direct_only_parts",

@@ -13,10 +13,11 @@ import yaml
 
 from promolab import evaluator
 from promolab import model as model_module
-from promolab.cli import _atomic_write, main, parse_config
-from promolab.datagen import RctDataset
+from promolab.cli import PipelineConfig, _atomic_write, main, parse_config
+from promolab.datagen import FeatureConfig, GenConfig, RctDataset
 from promolab.errors import ValidationError
 from promolab.evaluator import EvalReport, load_curve_csv
+from promolab.losses import LossWeights
 from promolab.model import ModelConfig, load_model
 
 CONFIG_YAML = """\
@@ -417,6 +418,45 @@ class TestExitCodes:
         assert main(argv) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "model.npz").exists()
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            (f"{section}.{f.name}", value)
+            for cls, section in [
+                (FeatureConfig, "generation.features"),
+                (GenConfig, "generation"),
+                (ModelConfig, "model"),
+                (LossWeights, "model.weights"),
+                (PipelineConfig, "evaluation"),
+            ]
+            for f in dataclasses.fields(cls)
+            if f.name != "seed"  # a flag, not a config key
+            for value in (
+                ["true", "'1'", ".nan"] if f.type in ("int", "float", "int | None", "float | None")
+                else ["true", "'1'", ".nan", "[true]"] if f.type in ("tuple", "np.ndarray", "np.ndarray | None")
+                else []
+            )
+        ],
+    )
+    def test_every_numeric_field_names_itself(self, tmp_path, capsys, where, value):
+        # a bool once passed as 1 (generation.phi, model.lr_decay, model.learning_rate,
+        # model.weights.w_amount) and a string once failed naming only the section
+        *path, name = where.split(".")
+        text = f"{name}: {value}\n"
+        for key in reversed(path):
+            text = f"{key}:\n" + "".join(f"  {line}\n" for line in text.splitlines())
+        cfg = tmp_path / "field.yaml"
+        cfg.write_text(text)
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert where in capsys.readouterr().err
+        assert not (tmp_path / "dataset.csv").exists()
+
+    def test_negative_seed(self, tmp_path, capsys):
+        # once a numpy ValueError from make_rng: a traceback and exit 2
+        assert main(["generate", "--seed", "-1", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: generation.seed must")
+        assert not (tmp_path / "dataset.csv").exists()
 
     def test_bad_log_level(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PROMOLAB_LOG_LEVEL", "LOUD")

@@ -96,7 +96,7 @@ class TestResponseSpec:
                     assert np.all(block.interactions[cfg.control_arm] == 0.0), (world, coupons)
 
     def test_unknown_world_rejected(self):
-        with pytest.raises(ValidationError, match="unknown world 'exotic'"):
+        with pytest.raises(ValidationError, match="generation.world must be one of .*, got 'exotic'"):
             GenConfig(n_customers=10, world="exotic")
 
     def test_effects_monotone_in_coupon(self):
