@@ -14,6 +14,17 @@ Two solvers live here:
   multiplier. Scales linearly in customers x arms and reports a dual upper
   bound; the final greedy completion step ties the remaining gap to a single
   customer's value spread.
+
+A customer's best arm under the multiplier changes only at the breakpoints of
+its upper hull (Sinha & Zoltners 1979, The multiple-choice knapsack problem).
+So the bisection scores every customer only at lam = 0 and at each doubling
+of lam, and after that rescores only the active customers: those that could
+still change arm inside the bracket. A customer leaves the active set once
+its arm is the same at both ends of the bracket and leads the runner-up there
+by more than four times the rounding bound of a score difference; the exact
+difference is linear in lam, so the computed argmax cannot move or tie
+anywhere in between. The plans, totals and dual bounds are byte for byte
+those of rescoring every customer at every step.
 """
 
 from __future__ import annotations
@@ -30,6 +41,12 @@ BUDGET_TOLERANCE = 1e-9
 _LAGRANGIAN_ITERATIONS = 100
 # First multiplier tried above 0; doubled until the plan fits the budget.
 _LAMBDA_START = 1.0
+# A customer's arm is settled once its lead over the runner-up, at both ends of
+# the bisection bracket, exceeds this times max_j |value| + 2 * hi * max_j cost:
+# four times the rounding bound of a difference of two scores.
+_LEAD_MARGIN = 8 * 2.0**-53
+# Absolute error of a product that underflows, bounded by the smallest normal float.
+_UNDERFLOW = float(np.finfo(np.float64).tiny)
 # Auto-resolution targets this many DP cells (about 100 MB of choice table).
 _DP_CELL_BUDGET = 50_000_000
 PLAN_HEADER = ("customer_id", "chosen_arm")
@@ -206,10 +223,28 @@ def _repair_plan(problem: AllocationProblem, arms: np.ndarray) -> np.ndarray:
 
 
 def _lagrangian_argmax(problem: AllocationProblem, lam: float):
-    """Per-customer argmax of value - lam * cost (lowest arm index on ties)."""
+    """Per-customer argmax of value - lam * cost (lowest arm index on ties).
+
+    ``solve_lagrangian`` rescores in arm-major blocks instead; this is the
+    whole-problem form its tests compare against.
+    """
     scores = problem.value - lam * problem.cost
     arms = np.argmax(scores, axis=1).astype(np.int64)
     return arms
+
+
+def _arms_and_leads(scores: np.ndarray):
+    """Best arm of each customer in an arm-major ``(M, k)`` score block.
+
+    Returns the argmax down each column (lowest arm on ties) and its lead,
+    the top score minus the runner-up score (0 on a tie). The runner-up is
+    found in place, so ``scores`` is overwritten.
+    """
+    customers = np.arange(scores.shape[1])
+    arms = np.argmax(scores, axis=0)
+    top = scores[arms, customers]
+    scores[arms, customers] = -np.inf
+    return arms, top - scores.max(axis=0)
 
 
 def solve_lagrangian(problem: AllocationProblem) -> AllocationPlan:
@@ -223,54 +258,94 @@ def solve_lagrangian(problem: AllocationProblem) -> AllocationPlan:
     unit of cost saved, stopping at the budget, which brings the plan within
     one customer's value spread of the dual bound. The returned
     ``dual_bound`` is a certified upper bound on the optimum.
+
+    Only customers whose arm can still change are rescored at a bisection
+    step. A customer is settled once it has the same arm at both ends of the
+    bracket [lo, hi] and, at both ends, leads the runner-up by more than
+    ``tau = 8 * 2**-53 * (max_j |value_ij| + 2 * hi * max_j cost_ij)`` (plus
+    the smallest normal float, for products that underflow). ``tau`` is four
+    times the rounding bound on the difference of two computed scores at any
+    lam <= hi, and the exact difference is linear in lam, so inside the
+    bracket the computed argmax is that same arm, strictly ahead and never
+    decided by a tie. A NaN lead never settles. Each step writes the active
+    rows into the plan's chosen-value and chosen-cost vectors and sums the
+    full vectors, so every arm, total and dual value is the same float as
+    rescoring every customer at every step gives.
     """
     rows = np.arange(problem.n)
+    limit = problem.budget + BUDGET_TOLERANCE
+    # arm-major copies: reducing over the arms of many customers is one pass per arm
+    value_t = np.ascontiguousarray(problem.value.T)
+    cost_t = np.ascontiguousarray(problem.cost.T)
+    scores = np.empty_like(value_t)
 
-    def evaluate(lam: float):
-        arms = _lagrangian_argmax(problem, lam)
-        value = float(problem.value[rows, arms].sum())
-        cost = float(problem.cost[rows, arms].sum())
-        dual = value - lam * cost + lam * problem.budget
-        return arms, value, cost, dual
+    def score_all(lam: float):
+        # the bytes of problem.value - lam * problem.cost, in one reused buffer
+        np.multiply(cost_t, lam, out=scores)
+        np.subtract(value_t, scores, out=scores)
+        arms, lead = _arms_and_leads(scores)
+        return arms, lead, value_t[arms, rows], cost_t[arms, rows]
+
+    def totals(lam: float):
+        value = float(chosen_value.sum())
+        cost = float(chosen_cost.sum())
+        return value, cost, value - lam * cost + lam * problem.budget
 
     # lam = 0: unconstrained spend. If already affordable we are done.
-    arms0, value0, cost0, dual0 = evaluate(0.0)
-    if cost0 <= problem.budget + BUDGET_TOLERANCE:
-        return AllocationPlan(arms=arms0, total_value=value0, total_cost=cost0, dual_bound=value0)
+    arms_lo, lead_lo, chosen_value, chosen_cost = score_all(0.0)
+    value0, cost0, best_dual = totals(0.0)
+    if cost0 <= limit:
+        return AllocationPlan(arms=arms_lo, total_value=value0, total_cost=cost0, dual_bound=value0)
 
     lo = 0.0
     hi = _LAMBDA_START
-    best_dual = dual0
     for _ in range(60):
-        arms_hi, value_hi, cost_hi, dual_hi = evaluate(hi)
+        arms_hi, lead_hi, chosen_value, chosen_cost = score_all(hi)
+        value_hi, cost_hi, dual_hi = totals(hi)
         best_dual = min(best_dual, dual_hi)
-        if cost_hi <= problem.budget + BUDGET_TOLERANCE:
+        if cost_hi <= limit:
             break
-        lo = hi
+        lo, arms_lo, lead_lo = hi, arms_hi, lead_hi
         hi *= 2.0
     else:
         # costs are still above budget at a huge multiplier; with a zero-cost
         # arm available this cannot happen
         raise InfeasiblePlanError("bisection failed to find a feasible multiplier")
 
-    best_feasible = (arms_hi, value_hi, cost_hi)
+    # The active customers and, aligned with them, what each step reads; a
+    # customer's tau is floor_a + hi * slope_a.
+    active = rows
+    value_a, cost_a = value_t, cost_t
+    floor_a = _LEAD_MARGIN * np.abs(value_t).max(axis=0) + _UNDERFLOW
+    slope_a = 2.0 * _LEAD_MARGIN * cost_t.max(axis=0)
+    lo_a, hi_a = arms_lo, arms_hi
+    best_feasible = (arms_hi.copy(), value_hi, cost_hi)
     for _ in range(_LAGRANGIAN_ITERATIONS):
+        settled = (lo_a == hi_a) & (np.minimum(lead_lo, lead_hi) > floor_a + hi * slope_a)
+        if settled.any():
+            keep = ~settled
+            active, value_a, cost_a = active[keep], value_a[:, keep], cost_a[:, keep]
+            floor_a, slope_a = floor_a[keep], slope_a[keep]
+            lo_a, hi_a, lead_lo, lead_hi = lo_a[keep], hi_a[keep], lead_lo[keep], lead_hi[keep]
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             # lo and hi are adjacent floats: every further step re-evaluates one of them
             break
-        arms_m, value_m, cost_m, dual_m = evaluate(mid)
+        arms_m, lead_m = _arms_and_leads(value_a - mid * cost_a)
+        picked = arms_m, np.arange(len(active))
+        chosen_value[active] = value_a[picked]
+        chosen_cost[active] = cost_a[picked]
+        value_m, cost_m, dual_m = totals(mid)
         best_dual = min(best_dual, dual_m)
-        if cost_m <= problem.budget + BUDGET_TOLERANCE:
-            hi = mid
+        if cost_m <= limit:
+            hi, hi_a, lead_hi = mid, arms_m, lead_m
+            arms_hi[active] = arms_m
             if value_m > best_feasible[1]:
-                best_feasible = (arms_m, value_m, cost_m)
+                best_feasible = (arms_hi.copy(), value_m, cost_m)
         else:
-            lo = mid
-
-    arms_lo = _lagrangian_argmax(problem, lo)
-    arms_hi = _lagrangian_argmax(problem, hi)
-    arms, value, cost = (best_feasible[0].copy(), best_feasible[1], best_feasible[2])
+            lo, lo_a, lead_lo = mid, arms_m, lead_m
+            arms_lo[active] = arms_m
+    arms, value, cost = best_feasible
 
     # Greedy completion: starting from the feasible (hi) side, adopt the
     # spendier lo-side choices in decreasing value gained per cost added.

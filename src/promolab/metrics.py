@@ -98,15 +98,13 @@ def _tie_averaged_actuals(predictions: np.ndarray, actuals: np.ndarray) -> np.nd
     """
     order = np.argsort(-predictions, kind="stable")
     pred_sorted = predictions[order]
-    act_sorted = actuals[order].copy()
-    i = 0
-    while i < len(act_sorted):
-        j = i
-        while j + 1 < len(act_sorted) and pred_sorted[j + 1] == pred_sorted[i]:
-            j += 1
-        if j > i:
-            act_sorted[i : j + 1] = act_sorted[i : j + 1].mean()
-        i = j + 1
+    act_sorted = actuals[order]
+    cuts = np.flatnonzero(pred_sorted[1:] != pred_sorted[:-1]) + 1
+    starts = np.concatenate(([0], cuts))
+    ends = np.concatenate((cuts, [len(pred_sorted)]))
+    tied = ends - starts > 1
+    for i, j in zip(starts[tied].tolist(), ends[tied].tolist()):
+        act_sorted[i:j] = act_sorted[i:j].mean()
     return act_sorted
 
 

@@ -187,6 +187,12 @@ class ModelConfig:
             raise ValidationError(
                 f"the {self.variant} trunk cuts must strictly increase, got {cuts}"
             )
+        deepest = list(cuts)[-1]  # the cuts increase, so only the last can lie past the trunk
+        if cuts[deepest] > len(self.hidden_dims):
+            raise ValidationError(
+                f"model.{deepest} must be at most len(hidden_dims) = {len(self.hidden_dims)}, "
+                f"got {cuts[deepest]}"
+            )
         if isinstance(self.weights, dict):
             self.weights = LossWeights(**self.weights)
 

@@ -1,8 +1,13 @@
 """Reference implementations that tests compare the package against.
 
-``brute_force`` is the exact knapsack optimum by enumeration. The gradient
-checks compare ``backward_pass`` and the model's backward walk with central
-finite differences of the loss, evaluated in extended precision.
+``brute_force`` is the exact knapsack optimum by enumeration.
+``full_bisection_lagrangian`` is the Lagrangian solver that runs every
+bisection step and rescores every customer at each one, through
+``allocator._lagrangian_argmax``; ``solve_lagrangian`` must match its plans
+byte for byte. ``tie_averaged_actuals_loop`` is the Gini's tie averaging
+walked one element at a time. The gradient checks compare ``backward_pass`` and the model's
+backward walk with central finite differences of the loss, evaluated in
+extended precision.
 ``reference_forward`` and ``reference_backward`` are the engine's passes in
 their four-array form (pre-activation, activation, output and float dropout
 mask kept for every layer, the mask None where no unit drops), which the
@@ -15,6 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from promolab import allocator
 from promolab.allocator import BUDGET_TOLERANCE, AllocationPlan, AllocationProblem, plan_totals
 from promolab.errors import InfeasiblePlanError, InstanceTooLargeError, ShapeError, ValidationError
 from promolab.model import ResponseModel, _loss_terms, _model_backward, _model_forward
@@ -63,6 +69,76 @@ def brute_force(problem: AllocationProblem) -> AllocationPlan:
         raise InfeasiblePlanError("no assignment fits the budget")
     value, cost = plan_totals(problem, best_arms)
     return AllocationPlan(arms=best_arms, total_value=value, total_cost=cost)
+
+
+def full_bisection_lagrangian(problem, iterations=100, lambda_hi=1.0):
+    """Reference solver: ``solve_lagrangian`` with every bisection step run."""
+    rows = np.arange(problem.n)
+    tol = allocator.BUDGET_TOLERANCE
+
+    def evaluate(lam):
+        arms = allocator._lagrangian_argmax(problem, lam)
+        value = float(problem.value[rows, arms].sum())
+        cost = float(problem.cost[rows, arms].sum())
+        return arms, value, cost, value - lam * cost + lam * problem.budget
+
+    arms0, value0, cost0, dual0 = evaluate(0.0)
+    if cost0 <= problem.budget + tol:
+        return AllocationPlan(arms=arms0, total_value=value0, total_cost=cost0, dual_bound=value0)
+    lo, hi, best_dual = 0.0, lambda_hi, dual0
+    while True:
+        arms_hi, value_hi, cost_hi, dual_hi = evaluate(hi)
+        best_dual = min(best_dual, dual_hi)
+        if cost_hi <= problem.budget + tol:
+            break
+        lo, hi = hi, 2.0 * hi
+    best = (arms_hi, value_hi, cost_hi)
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        arms_m, value_m, cost_m, dual_m = evaluate(mid)
+        best_dual = min(best_dual, dual_m)
+        if cost_m <= problem.budget + tol:
+            hi = mid
+            if value_m > best[1]:
+                best = (arms_m, value_m, cost_m)
+        else:
+            lo = mid
+    arms_lo = allocator._lagrangian_argmax(problem, lo)
+    arms_hi = allocator._lagrangian_argmax(problem, hi)
+    arms, value = best[0].copy(), best[1]
+    diff = np.flatnonzero(arms_lo != arms_hi)
+    dv = problem.value[diff, arms_lo[diff]] - problem.value[diff, arms_hi[diff]]
+    dc = problem.cost[diff, arms_lo[diff]] - problem.cost[diff, arms_hi[diff]]
+    useful = (dv > 0) & (dc > 0)
+    diff, dv, dc = diff[useful], dv[useful], dc[useful]
+    cand = arms_hi.copy()
+    cand_value = float(problem.value[rows, cand].sum())
+    cand_cost = float(problem.cost[rows, cand].sum())
+    for idx in np.argsort(-dv / dc, kind="stable"):
+        if cand_cost + dc[idx] <= problem.budget + tol:
+            cand[diff[idx]] = arms_lo[diff[idx]]
+            cand_cost += dc[idx]
+            cand_value += dv[idx]
+    if cand_value > value:
+        arms = cand
+    value, cost = plan_totals(problem, arms)
+    return AllocationPlan(arms=arms, total_value=value, total_cost=cost, dual_bound=best_dual)
+
+
+def tie_averaged_actuals_loop(predictions: np.ndarray, actuals: np.ndarray) -> np.ndarray:
+    """``metrics._tie_averaged_actuals`` as one walk over the sorted predictions."""
+    order = np.argsort(-predictions, kind="stable")
+    pred_sorted = predictions[order]
+    act_sorted = actuals[order].copy()
+    i = 0
+    while i < len(act_sorted):
+        j = i
+        while j + 1 < len(act_sorted) and pred_sorted[j + 1] == pred_sorted[i]:
+            j += 1
+        if j > i:
+            act_sorted[i : j + 1] = act_sorted[i : j + 1].mean()
+        i = j + 1
+    return act_sorted
 
 
 def reference_forward(net: DenseNet, batch, rng=None):

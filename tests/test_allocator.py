@@ -4,10 +4,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from promolab import allocator
 from promolab.allocator import (
-    AllocationPlan,
     AllocationProblem,
     build_problem,
     check_feasible,
@@ -20,7 +22,7 @@ from promolab.datagen import GenConfig, generate_rct
 from promolab.errors import InfeasiblePlanError, InstanceTooLargeError, ValidationError
 from promolab.nncore import make_rng
 
-from oracles import brute_force
+from oracles import brute_force, full_bisection_lagrangian
 
 
 def random_problem(rng, n_max=8, m_max=4):
@@ -113,60 +115,6 @@ class TestDpAgainstBruteForce:
         assert plan.total_value >= 2.0
 
 
-def full_bisection_lagrangian(problem, iterations=100, lambda_hi=1.0):
-    """Reference solver: ``solve_lagrangian`` with every bisection step run."""
-    rows = np.arange(problem.n)
-    tol = allocator.BUDGET_TOLERANCE
-
-    def evaluate(lam):
-        arms = allocator._lagrangian_argmax(problem, lam)
-        value = float(problem.value[rows, arms].sum())
-        cost = float(problem.cost[rows, arms].sum())
-        return arms, value, cost, value - lam * cost + lam * problem.budget
-
-    arms0, value0, cost0, dual0 = evaluate(0.0)
-    if cost0 <= problem.budget + tol:
-        return AllocationPlan(arms=arms0, total_value=value0, total_cost=cost0, dual_bound=value0)
-    lo, hi, best_dual = 0.0, lambda_hi, dual0
-    while True:
-        arms_hi, value_hi, cost_hi, dual_hi = evaluate(hi)
-        best_dual = min(best_dual, dual_hi)
-        if cost_hi <= problem.budget + tol:
-            break
-        lo, hi = hi, 2.0 * hi
-    best = (arms_hi, value_hi, cost_hi)
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        arms_m, value_m, cost_m, dual_m = evaluate(mid)
-        best_dual = min(best_dual, dual_m)
-        if cost_m <= problem.budget + tol:
-            hi = mid
-            if value_m > best[1]:
-                best = (arms_m, value_m, cost_m)
-        else:
-            lo = mid
-    arms_lo = allocator._lagrangian_argmax(problem, lo)
-    arms_hi = allocator._lagrangian_argmax(problem, hi)
-    arms, value = best[0].copy(), best[1]
-    diff = np.flatnonzero(arms_lo != arms_hi)
-    dv = problem.value[diff, arms_lo[diff]] - problem.value[diff, arms_hi[diff]]
-    dc = problem.cost[diff, arms_lo[diff]] - problem.cost[diff, arms_hi[diff]]
-    useful = (dv > 0) & (dc > 0)
-    diff, dv, dc = diff[useful], dv[useful], dc[useful]
-    cand = arms_hi.copy()
-    cand_value = float(problem.value[rows, cand].sum())
-    cand_cost = float(problem.cost[rows, cand].sum())
-    for idx in np.argsort(-dv / dc, kind="stable"):
-        if cand_cost + dc[idx] <= problem.budget + tol:
-            cand[diff[idx]] = arms_lo[diff[idx]]
-            cand_cost += dc[idx]
-            cand_value += dv[idx]
-    if cand_value > value:
-        arms = cand
-    value, cost = plan_totals(problem, arms)
-    return AllocationPlan(arms=arms, total_value=value, total_cost=cost, dual_bound=best_dual)
-
-
 def seven_arm_problems():
     coupons = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
     _, truth = generate_rct(GenConfig(n_customers=1500, coupon_values=coupons, seed=71))
@@ -252,6 +200,147 @@ class TestLagrangian:
             plan = solve_lagrangian(AllocationProblem(value=value, cost=cost, budget=budget))
             values.append(plan.total_value)
         assert np.all(np.diff(values) >= -1e-9)
+
+
+def assert_matches_full_bisection(problem):
+    plan = solve_lagrangian(problem)
+    reference = full_bisection_lagrangian(problem)
+    np.testing.assert_array_equal(plan.arms, reference.arms)
+    assert plan.total_value == reference.total_value
+    assert plan.total_cost == reference.total_cost
+    assert plan.dual_bound == reference.dual_bound
+
+
+@st.composite
+def small_problems(draw):
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 6))
+    value = draw(hnp.arrays(np.float64, (n, m), elements=st.floats(-100.0, 100.0)))
+    cost = draw(hnp.arrays(np.float64, (n, m), elements=st.floats(0.0, 10.0)))
+    zero_arm = draw(st.integers(0, m - 1))
+    cost[:, zero_arm] = 0.0
+    share = draw(st.floats(0.0, 1.0))
+    budget = share * float(cost.max(axis=1).sum())
+    return AllocationProblem(value=value, cost=cost, budget=budget, zero_arm=zero_arm)
+
+
+class TestActiveSetExactness:
+    """Rescoring only unsettled customers gives the full bisection's plan, bytes and all."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=small_problems())
+    def test_small_random_problems(self, problem):
+        assert_matches_full_bisection(problem)
+
+    def test_collinear_ties_and_duplicated_arms(self):
+        # v_j = v_0 + k * c_j on exact grids: at lam = k every arm of a
+        # customer scores the same, and bisection midpoints reach integers
+        rng = make_rng(501)
+        for _ in range(40):
+            n, m = int(rng.integers(1, 40)), int(rng.integers(2, 7))
+            cost = rng.integers(0, 5, size=(n, m)) * 0.5
+            cost[:, 0] = 0.0
+            value = rng.integers(0, 4, size=(n, 1)) + rng.integers(0, 4, size=(n, 1)) * cost
+            dup = int(rng.integers(1, m))
+            value[:, dup], cost[:, dup] = value[:, dup - 1], cost[:, dup - 1]
+            budget = float(rng.uniform(0.0, 0.7)) * float(cost.max(axis=1).sum())
+            assert_matches_full_bisection(AllocationProblem(value=value, cost=cost, budget=budget))
+
+    def test_arms_a_few_ulps_apart(self):
+        # arms 1 and 2 differ by a few ulps in value and cost, so which one
+        # scores higher is decided by rounding at every multiplier; a lead
+        # of a few ulps at both ends of the bracket must not settle them
+        rng = make_rng(506)
+        for _ in range(40):
+            n = int(rng.integers(5, 200))
+            value = rng.uniform(1.0, 5.0, size=n)
+            cost = rng.uniform(0.05, 2.0, size=n)
+            near_value = value + rng.integers(-3, 4, size=n) * np.spacing(value)
+            near_cost = cost + rng.integers(-3, 4, size=n) * np.spacing(cost)
+            problem = AllocationProblem(
+                value=np.column_stack([np.zeros(n), value, near_value]),
+                cost=np.column_stack([np.zeros(n), cost, near_cost]),
+                budget=float(rng.uniform(0.05, 0.9)) * float(cost.sum()),
+            )
+            assert_matches_full_bisection(problem)
+
+    def test_values_and_costs_on_a_tenth_grid(self):
+        rng = make_rng(502)
+        for _ in range(40):
+            n, m = int(rng.integers(1, 60)), int(rng.integers(2, 8))
+            value = np.round(rng.uniform(0.0, 3.0, size=(n, m)), 1)
+            cost = np.round(rng.uniform(0.0, 2.0, size=(n, m)), 1)
+            cost[:, 0] = 0.0
+            budget = round(float(rng.uniform(0.0, 0.6)) * float(cost.sum()), 1)
+            assert_matches_full_bisection(AllocationProblem(value=value, cost=cost, budget=budget))
+
+    def test_magnitudes_from_micro_to_mega(self):
+        rng = make_rng(503)
+        for _ in range(40):
+            n, m = int(rng.integers(1, 60)), int(rng.integers(2, 8))
+            value = rng.uniform(0.0, 5.0, size=(n, m)) * 10.0 ** rng.uniform(-6, 6, size=(n, 1))
+            cost = rng.uniform(0.0, 2.0, size=(n, m)) * 10.0 ** rng.uniform(-6, 6, size=(n, 1))
+            cost[:, 0] = 0.0
+            budget = float(rng.uniform(0.0, 0.6)) * float(cost.sum())
+            assert_matches_full_bisection(AllocationProblem(value=value, cost=cost, budget=budget))
+
+    def test_customer_with_only_zero_costs(self):
+        rng = make_rng(504)
+        value = rng.uniform(0.0, 5.0, size=(30, 5))
+        cost = rng.uniform(0.05, 2.0, size=(30, 5))
+        cost[:, 0] = 0.0
+        cost[7] = 0.0
+        value[8] = 1.0  # and one that ties on every arm
+        cost[8] = 0.0
+        for share in (0.05, 0.2, 0.5):
+            budget = share * float(cost.sum())
+            assert_matches_full_bisection(AllocationProblem(value=value, cost=cost, budget=budget))
+
+    def test_budget_binding_at_the_first_doubling(self):
+        # cost at lam = 1 fits and cost at lam = 0 does not, so every step
+        # bisects [0, 1] and the low end keeps the lam = 0 scores
+        rng = make_rng(505)
+        value = rng.uniform(0.0, 5.0, size=(200, 7))
+        cost = rng.uniform(0.05, 2.0, size=(200, 7))
+        cost[:, 0] = 0.0
+        problem = AllocationProblem(value=value, cost=cost, budget=0.0)
+        _, cost_at_0 = plan_totals(problem, allocator._lagrangian_argmax(problem, 0.0))
+        _, cost_at_1 = plan_totals(problem, allocator._lagrangian_argmax(problem, 1.0))
+        assert cost_at_1 < cost_at_0
+        for fraction in (0.0, 0.3, 0.9):
+            budget = cost_at_1 + fraction * (cost_at_0 - cost_at_1)
+            assert_matches_full_bisection(AllocationProblem(value=value, cost=cost, budget=budget))
+
+    def test_oracle_curve_budgets(self):
+        # the benchmark's oracle curve: true means of a 6 000-customer world
+        # at eight budget shares
+        coupons = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+        _, truth = generate_rct(GenConfig(n_customers=6000, coupon_values=coupons, seed=73))
+        for share in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4):
+            problem = build_problem(truth.mean_enduring, truth.p_direct, coupons, share * truth.n)
+            assert_matches_full_bisection(problem)
+
+    def test_bisection_rescores_at_most_n_rows(self, monkeypatch):
+        # full scorings at lam = 0 and each doubling, then the bisection
+        # steps together rescore no more customers than there are (rescoring
+        # everyone at every step is about 52 n)
+        blocks = []
+        arms_and_leads = allocator._arms_and_leads
+
+        def counting(scores):
+            blocks.append(scores.shape[1])
+            return arms_and_leads(scores)
+
+        monkeypatch.setattr(allocator, "_arms_and_leads", counting)
+        for problem in seven_arm_problems():
+            limit = problem.budget + allocator.BUDGET_TOLERANCE
+            full, lam = 2, allocator._LAMBDA_START
+            while plan_totals(problem, allocator._lagrangian_argmax(problem, lam))[1] > limit:
+                full, lam = full + 1, 2.0 * lam
+            blocks.clear()
+            solve_lagrangian(problem)
+            assert blocks[:full] == [problem.n] * full
+            assert sum(blocks[full:]) <= problem.n
 
 
 class TestValidationAndLimits:

@@ -354,6 +354,13 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {section}")
         assert not (tmp_path / "dataset.csv").exists()
 
+    def test_trunk_cut_past_hidden_dims_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "deep.yaml"
+        cfg.write_text("model:\n  variant: direct_only\n  hidden_dims: [8, 8]\n  direct_head_depth: 5\n")
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: model.direct_head_depth")
+        assert not (tmp_path / "dataset.csv").exists()
+
     @pytest.mark.parametrize(
         "content", ["not json\n", '{"variant": "full"}\n'], ids=["not_json", "missing_key"]
     )

@@ -10,12 +10,15 @@ from scipy import stats
 from promolab.errors import MetricUndefinedError, ValidationError
 from promolab.metrics import (
     MetricReport,
+    _tie_averaged_actuals,
     auc,
     error_metrics,
     metric_report,
     normalized_gini,
     spearman,
 )
+
+from oracles import tie_averaged_actuals_loop
 
 
 class TestAuc:
@@ -139,6 +142,23 @@ class TestNormalizedGini:
                 continue
             expected = _gini_by_tie_enumeration(predictions, actuals)
             assert abs(normalized_gini(predictions, actuals) - expected) < 1e-10
+
+    def test_tie_groups_match_the_loop_bytes(self):
+        rng = np.random.default_rng(11)
+        cases = [
+            (np.array([0.5]), np.array([2.0])),
+            (np.full(9, 0.5), rng.uniform(0.0, 5.0, 9)),  # one group
+            (np.arange(9.0), rng.uniform(0.0, 5.0, 9)),  # no group
+            (np.array([0.0, -0.0, 1.0, -0.0, 1.0]), np.array([0.1, 0.2, 0.3, 0.7, 1.1])),
+        ]
+        for _ in range(40):
+            n = int(rng.integers(2, 400))
+            levels = int(rng.integers(1, 12))
+            predictions = np.round(rng.integers(0, levels, size=n) * 0.1, 1)
+            cases.append((predictions, rng.uniform(0.0, 10.0, n) * (rng.random(n) < 0.7)))
+        for predictions, actuals in cases:
+            expected = tie_averaged_actuals_loop(predictions, actuals)
+            assert _tie_averaged_actuals(predictions, actuals).tobytes() == expected.tobytes()
 
     def test_all_tied_predictions_score_zero(self):
         actuals = np.array([1.0, 2.0, 3.0])

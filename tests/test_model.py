@@ -71,6 +71,13 @@ class TestConfig:
         with pytest.raises(ValidationError):
             ModelConfig(hidden_dims=(8, 8), direct_head_depth=2, enduring_head_depth=3)
 
+    def test_direct_only_cut_within_trunk(self):
+        # direct_only's one cut once passed the trunk's end, and trunk_a was
+        # silently built with every layer there is
+        with pytest.raises(ValidationError, match="model.direct_head_depth must be at most"):
+            ModelConfig(variant="direct_only", hidden_dims=(8, 8), direct_head_depth=5)
+        ModelConfig(variant="direct_only", hidden_dims=(8, 8), direct_head_depth=2)
+
     @pytest.mark.parametrize(
         "variant,accepted", [("full", False), ("direct_only", True), ("two_model", True)]
     )
