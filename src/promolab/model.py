@@ -35,8 +35,10 @@ on each part. Training and the gradient checks keep every part's trace for
 the backward walker; scoring (``predict`` and the validation loss) drops each
 part's trace as soon as the part returns. The traces, scores and gradients
 live in an ``nncore`` workspace that ``train_model`` and ``predict_matrix``
-each make per call, so they are valid only until the next step or chunk;
-scoring's layers take turns in three buffers (``_ScoringWorkspace``).
+each make per call, so they are valid only until the next step or chunk. A
+training step's backward runs in its forward's workspace and so spends the
+traces as it walks them; scoring's layers take turns in three buffers
+(``_ScoringWorkspace``).
 """
 
 from __future__ import annotations
@@ -424,9 +426,14 @@ def _model_backward(
 ) -> list[np.ndarray]:
     """Gradients aligned with ``model.parameters()``.
 
-    Walks the parts in reverse, adding each part's input gradient in place
-    into the gradient of the part it reads. The gradients live in
+    Walks the parts in reverse, so every part is walked before the part it
+    reads. The first reader of a part leaves its input gradient in a buffer
+    of its own, and each later reader adds its input gradient into that
+    buffer in place, through shared scratch. The gradients live in
     ``workspace`` (a throwaway one when none is given) until its next pass.
+    Given the forward's own workspace, each part's backward spends its trace
+    (see ``nncore.backward_pass``); by the walk order, no trace is read after
+    it is spent.
     """
     ws = _Workspace() if workspace is None else workspace
     upstream: dict = {}
@@ -443,12 +450,12 @@ def _model_backward(
             np.add.at(grad, mtrace.arms, g[:, model.n_features :])
             grads[part.name] = [grad]
             continue
-        back = backward_pass(model.nets[part.name], mtrace.traces[part.name], g, workspace=ws)
+        back = backward_pass(
+            model.nets[part.name], mtrace.traces[part.name], g,
+            workspace=ws, add_to=upstream.get(part.source),
+        )
         grads[part.name] = flatten_gradients(back)
-        if part.source in upstream:
-            upstream[part.source] += back.input_gradient
-        else:
-            upstream[part.source] = back.input_gradient
+        upstream[part.source] = back.input_gradient
     return [grad for name in (*model.tables, *model.nets) for grad in grads[name]]
 
 

@@ -26,8 +26,11 @@ owns the workspace and frees it by dropping it; nothing is cached at module
 level. A trace and the gradients written into a workspace are valid only
 until the next pass through it overwrites them. A pass given no workspace
 makes a throwaway one, so its results are its own; the gradient checks run
-that way. ``adam_update`` works in place, block by block, with scratch of
-its own.
+that way. A backward through the trace's own workspace also spends the
+trace: each relu layer's output is dead once backward has read its mask, so
+the layer's pre-activation gradient is written over it. A backward given no
+workspace, or another one, leaves the trace as it was. ``adam_update`` works
+in place, block by block, with scratch of its own.
 
 Randomness is always drawn from a :class:`numpy.random.Generator` backed by
 PCG64; ``make_rng`` builds one from a seed plus an optional stream key so
@@ -198,11 +201,15 @@ class LayerTrace:
 class ForwardTrace:
     """Per-layer activations of one forward pass, inputs included.
 
-    The layer arrays are views of the pass's workspace buffers.
+    The layer arrays are views of the buffers of ``workspace``, the one the
+    caller gave ``forward_pass`` (None when the pass made its own). A
+    ``backward_pass`` through that same workspace spends the trace: it writes
+    each relu layer's pre-activation gradient over the layer's output.
     """
 
     inputs: np.ndarray
     layers: list[LayerTrace] = field(default_factory=list)
+    workspace: _Workspace | None = None
 
     @property
     def output(self) -> np.ndarray:
@@ -254,7 +261,8 @@ def forward_pass(
     The pass runs in ``np.result_type(batch, np.float64)``: an int or float32
     batch runs in float64, a longdouble batch in longdouble, against the
     stored float64 parameters. The trace's arrays live in ``workspace`` (a
-    throwaway one when none is given) and stay valid until its next pass.
+    throwaway one when none is given) and stay valid until its next pass, or
+    until a backward through it spends them (see ``ForwardTrace``).
     """
     batch = np.asarray(batch)
     batch = batch.astype(np.result_type(batch, np.float64), copy=False)
@@ -268,7 +276,7 @@ def forward_pass(
     rate = net.dropout_rate
     use_dropout = rng is not None and rate > 0.0
 
-    trace = ForwardTrace(inputs=batch)
+    trace = ForwardTrace(inputs=batch, workspace=workspace)
     x = batch
     for layer in net.layers:
         shape = (x.shape[0], layer.fan_out)
@@ -308,6 +316,7 @@ def backward_pass(
     output_gradient: np.ndarray,
     *,
     workspace: _Workspace | None = None,
+    add_to: np.ndarray | None = None,
 ) -> BackwardResult:
     """Backpropagate d(loss)/d(output) through a recorded forward pass.
 
@@ -321,6 +330,17 @@ def backward_pass(
     input gradient in one per net, and the gradient at each layer's
     pre-activation in scratch that all passes share. ``output_gradient`` is
     only read.
+
+    When ``workspace`` is the trace's own (``trace.workspace``), backward
+    spends the trace: a relu layer's pre-activation gradient is written over
+    its output, which nothing reads once the mask is read from it, so the
+    trace is good for one backward only. Otherwise the trace is left as it
+    was and can be backpropagated again.
+
+    Given ``add_to``, the input gradient is formed in the shared scratch and
+    added into ``add_to`` in place, as ``add_to += input_gradient`` would, and
+    ``add_to`` is returned as the input gradient; the net then holds no input
+    gradient buffer of its own.
     """
     if len(trace.layers) != len(net.layers):
         raise ShapeError(
@@ -332,6 +352,7 @@ def backward_pass(
             f"output_gradient shape {output_gradient.shape} does not match "
             f"net output shape {trace.output.shape}"
         )
+    spend = workspace is not None and workspace is trace.workspace
     ws = _Workspace() if workspace is None else workspace
 
     weight_grads: list[np.ndarray] = [None] * len(net.layers)  # type: ignore[list-item]
@@ -346,9 +367,13 @@ def backward_pass(
             derivative = np.greater(ltrace.output, 0.0, out=ws.take("alive", g.shape, bool))
         else:
             derivative = _link_derivative(layer.activation, ltrace.pre, ltrace.output)
-        dpre = np.multiply(
-            g, derivative, out=ws.take("dpre", g.shape, np.result_type(g, derivative))
-        )
+        dtype = np.result_type(g, derivative)
+        # only a buffer of the gradient's own dtype rounds ``*= scale`` the same
+        if spend and layer.activation == "relu" and ltrace.output.dtype == dtype:
+            target = ltrace.output  # dead now that its mask is read
+        else:
+            target = ws.take("dpre", g.shape, dtype)
+        dpre = np.multiply(g, derivative, out=target)
         dpre *= ltrace.scale
         below = trace.layers[i - 1].output if i > 0 else trace.inputs
         weight_grads[i] = np.matmul(
@@ -358,9 +383,12 @@ def backward_pass(
         bias_grads[i] = np.sum(
             dpre, axis=0, out=ws.take(("db", id(layer)), layer.bias.shape, dpre.dtype)
         )
-        key = ("din", id(net)) if i == 0 else "dout"
+        key = ("din", id(net)) if i == 0 and add_to is None else "dout"
         out = ws.take(key, (dpre.shape[0], layer.fan_in), np.result_type(dpre, layer.weight))
         g = np.matmul(dpre, layer.weight.T, out=out)
+    if add_to is not None:
+        add_to += g
+        g = add_to
     return BackwardResult(weight_grads=weight_grads, bias_grads=bias_grads, input_gradient=g)
 
 

@@ -236,6 +236,26 @@ class TestSharedBuffers:
         step(ws, 64, 1)
         assert step(ws, 23, 2) == step(_Workspace(), 23, 2)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_backward_spending_its_traces_gives_fresh_bytes(self, variant):
+        # a backward in the forward's own workspace spends each part's trace
+        # as it walks it; no part may read a trace a later part's backward
+        # has already spent
+        model, _ = narrow_model(variant, dropout_rate=0.3)
+        features, arms, s, y = tiny_batch(n=64)
+
+        def grads(spend):
+            ws = _Workspace()
+            mt = model_module._model_forward(model, features, arms, make_rng(3), workspace=ws)
+            trunk = mt.traces["trunk_a"].layers[0].output
+            kept = trunk.copy()
+            _, slot_grads = model_module._loss_terms(model, s, y, mt.slots)
+            grads = model_module._model_backward(model, mt, slot_grads, ws if spend else _Workspace())
+            assert np.array_equal(trunk, kept) != spend
+            return b"".join(g.tobytes() for g in grads)
+
+        assert grads(spend=True) == grads(spend=False)
+
 
 class TestEvalWalk:
     """Scoring and training walk the parts through the same forward pass; scoring keeps no trace."""
@@ -512,6 +532,25 @@ class TestTrainingMemory:
         finally:
             tracemalloc.stop()
         assert peak <= self.FRESH_ARRAYS_PEAK[n_customers]
+
+    # tracemalloc peaks of the same calls once a step's backward writes each
+    # relu layer's pre-activation gradient over its spent output and the
+    # direct and enduring heads add their input gradients into their trunk's
+    # through shared scratch (numpy 2.4), rounded up to the next 0.1 MB, as
+    # they move by a few KB from run to run: about 20 MB below the peaks above
+    SPENT_TRACE_PEAK = {1100: 106_800_000, 20_000: 109_900_000}
+
+    @pytest.mark.parametrize("n_customers", sorted(SPENT_TRACE_PEAK))
+    def test_peak_with_spent_traces(self, n_customers):
+        dataset, _ = generate_rct(GenConfig(n_customers=n_customers, seed=2))
+        config = ModelConfig(max_epochs=1)
+        tracemalloc.start()
+        try:
+            train_model(dataset.features, dataset.arm, dataset.s, dataset.y, 7, config=config, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.SPENT_TRACE_PEAK[n_customers]
 
 
 class TestCheckpoint:

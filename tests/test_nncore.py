@@ -441,9 +441,10 @@ class TestWorkspace:
             batch = make_rng(seed + 1).normal(size=(rows, 5))
             g = make_rng(seed + 2).normal(size=(rows, 2))
             trace = forward_pass(net, batch, rng, workspace=ws)
+            outputs = b"".join(lt.output.tobytes() for lt in trace.layers)  # before backward spends them
             back = backward_pass(net, trace, g, workspace=ws)
             arrays = [lt.output for lt in trace.layers] + [back.input_gradient]
-            return b"".join(a.tobytes() for a in arrays + flatten_gradients(back))
+            return outputs + b"".join(a.tobytes() for a in arrays + flatten_gradients(back))
 
         ws = nncore._Workspace()
         passes(64, ws, 60)
@@ -460,6 +461,66 @@ class TestWorkspace:
         assert not np.array_equal(first, kept)
         # a pass given no workspace keeps its arrays to itself
         assert not np.shares_memory(forward_pass(net, np.ones((4, 3))).output, second)
+
+    @staticmethod
+    def _stack(top, rate):
+        # relu layers with exactly-zero pre-activations, under a relu or a link top
+        rng = make_rng(61)
+        net = init_dense_net([4, 12, 9, 3], ["relu", "relu", top], rng, dropout_rate=rate)
+        net.layers[0].weight[:, 3] = 0.0
+        net.layers[1].weight[:, 5] = 0.0
+        batch = rng.normal(size=(16, 4))
+        batch[0] = -0.0
+        g = rng.normal(size=(16, 3))
+        g[2], g[3] = 0.0, -0.0
+        return net, batch, g
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("rate", [0.0, 0.35])
+    @pytest.mark.parametrize("top", ["relu", "sigmoid"])
+    def test_backward_in_own_workspace_spends_the_trace(self, top, rate, dtype):
+        net, batch, g = self._stack(top, rate)
+        batch = batch.astype(dtype)
+
+        def rng():
+            return make_rng(62)
+
+        ws = nncore._Workspace()
+        trace = forward_pass(net, batch, rng(), workspace=ws)
+        assert trace.workspace is ws
+        kept = [lt.output.copy() for lt in trace.layers]
+        own = backward_pass(net, trace, g, workspace=ws)
+        elsewhere_trace = forward_pass(net, batch, rng(), workspace=nncore._Workspace())
+        elsewhere = backward_pass(net, elsewhere_trace, g, workspace=nncore._Workspace())
+        inputs, ref = reference_forward(net, batch, rng())
+        weight_grads, bias_grads, input_gradient = reference_backward(net, inputs, ref, g)
+        for back in (own, elsewhere):
+            for i in range(len(net.layers)):
+                assert _bits(back.weight_grads[i]) == _bits(weight_grads[i]), f"weight {i}"
+                assert _bits(back.bias_grads[i]) == _bits(bias_grads[i]), f"bias {i}"
+            assert _bits(back.input_gradient) == _bits(input_gradient)
+        # the relu layers now hold their pre-activation gradients. The float64
+        # output gradient reaches a longdouble relu top unchanged in float64,
+        # which its longdouble output cannot hold with the same bytes, so there
+        # the relu layers are left as they were
+        spent = dtype == np.float64 or top != "relu"
+        for i, layer in enumerate(net.layers):
+            changed = _bits(trace.layers[i].output) != _bits(kept[i])
+            assert changed == (spent and layer.activation == "relu"), f"layer {i}"
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("rate", [0.0, 0.35])
+    @pytest.mark.parametrize("top", ["relu", "sigmoid"])
+    def test_backward_elsewhere_leaves_the_trace(self, top, rate, dtype):
+        net, batch, g = self._stack(top, rate)
+        trace = forward_pass(net, batch.astype(dtype), make_rng(63), workspace=nncore._Workspace())
+        arrays = [trace.inputs] + [a for lt in trace.layers for a in (lt.output, lt.pre)
+                                   if a is not None]
+        kept = [_bits(a) for a in arrays]
+        backward_pass(net, trace, g)
+        assert [_bits(a) for a in arrays] == kept
+        backward_pass(net, trace, g, workspace=nncore._Workspace())
+        assert [_bits(a) for a in arrays] == kept
 
 
 class TestInit:
