@@ -23,8 +23,13 @@ still change arm inside the bracket. A customer leaves the active set once
 its arm is the same at both ends of the bracket and leads the runner-up there
 by more than four times the rounding bound of a score difference; the exact
 difference is linear in lam, so the computed argmax cannot move or tie
-anywhere in between. The plans, totals and dual bounds are byte for byte
-those of rescoring every customer at every step.
+anywhere in between. The plan at lo is over budget and the plan at hi fits,
+so some customer's arm differs between them and the active set never empties.
+Once it holds one customer, that customer's lo and hi arms differ, so it
+never settles and the remaining steps score only its arms, in Python floats
+(the same two IEEE operations per score, first maximum on ties). The plans,
+totals and dual bounds are byte for byte those of rescoring every customer at
+every step.
 """
 
 from __future__ import annotations
@@ -271,6 +276,11 @@ def solve_lagrangian(problem: AllocationProblem) -> AllocationPlan:
     rows into the plan's chosen-value and chosen-cost vectors and sums the
     full vectors, so every arm, total and dual value is the same float as
     rescoring every customer at every step gives.
+
+    Once one customer is active, the lo and hi plans differ only in its arm,
+    so the steps left, under the same cap and adjacent-float stop, score its
+    arms alone as Python floats ``v - mid * k`` (lowest arm on ties, as
+    ``np.argmax``) and sum the full vectors once per arm it takes.
     """
     rows = np.arange(problem.n)
     limit = problem.budget + BUDGET_TOLERANCE
@@ -286,10 +296,13 @@ def solve_lagrangian(problem: AllocationProblem) -> AllocationPlan:
         arms, lead = _arms_and_leads(scores)
         return arms, lead, value_t[arms, rows], cost_t[arms, rows]
 
+    def dual(lam: float, value: float, cost: float):
+        return value - lam * cost + lam * problem.budget
+
     def totals(lam: float):
         value = float(chosen_value.sum())
         cost = float(chosen_cost.sum())
-        return value, cost, value - lam * cost + lam * problem.budget
+        return value, cost, dual(lam, value, cost)
 
     # lam = 0: unconstrained spend. If already affordable we are done.
     arms_lo, lead_lo, chosen_value, chosen_cost = score_all(0.0)
@@ -320,13 +333,36 @@ def solve_lagrangian(problem: AllocationProblem) -> AllocationPlan:
     slope_a = 2.0 * _LEAD_MARGIN * cost_t.max(axis=0)
     lo_a, hi_a = arms_lo, arms_hi
     best_feasible = (arms_hi.copy(), value_hi, cost_hi)
-    for _ in range(_LAGRANGIAN_ITERATIONS):
+    for step in range(_LAGRANGIAN_ITERATIONS):
         settled = (lo_a == hi_a) & (np.minimum(lead_lo, lead_hi) > floor_a + hi * slope_a)
         if settled.any():
             keep = ~settled
             active, value_a, cost_a = active[keep], value_a[:, keep], cost_a[:, keep]
             floor_a, slope_a = floor_a[keep], slope_a[keep]
             lo_a, hi_a, lead_lo, lead_hi = lo_a[keep], hi_a[keep], lead_lo[keep], lead_hi[keep]
+        if len(active) == 1:
+            # lo and hi differ only at this customer, which so never settles
+            c = int(active[0])
+            values, costs = problem.value[c].tolist(), problem.cost[c].tolist()
+            arm_totals = {}  # the plan's value and cost with c on each arm it took
+            for _ in range(_LAGRANGIAN_ITERATIONS - step):
+                mid = 0.5 * (lo + hi)
+                if mid <= lo or mid >= hi:
+                    break
+                scores_c = [v - mid * k for v, k in zip(values, costs)]
+                arm = scores_c.index(max(scores_c))  # lowest arm on ties, as np.argmax
+                if arm not in arm_totals:
+                    chosen_value[c], chosen_cost[c] = values[arm], costs[arm]
+                    arm_totals[arm] = float(chosen_value.sum()), float(chosen_cost.sum())
+                value_m, cost_m = arm_totals[arm]
+                best_dual = min(best_dual, dual(mid, value_m, cost_m))
+                if cost_m <= limit:
+                    hi, arms_hi[c] = mid, arm
+                    if value_m > best_feasible[1]:
+                        best_feasible = (arms_hi.copy(), value_m, cost_m)
+                else:
+                    lo, arms_lo[c] = mid, arm
+            break
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             # lo and hi are adjacent floats: every further step re-evaluates one of them

@@ -329,7 +329,8 @@ def backward_pass(
     none is given): each layer's weight and bias gradients in its own, the
     input gradient in one per net, and the gradient at each layer's
     pre-activation in scratch that all passes share. ``output_gradient`` is
-    only read.
+    only read, cast to the trace's dtype, so backward runs in the arithmetic
+    of its forward pass.
 
     When ``workspace`` is the trace's own (``trace.workspace``), backward
     spends the trace: a relu layer's pre-activation gradient is written over
@@ -346,7 +347,7 @@ def backward_pass(
         raise ShapeError(
             f"trace has {len(trace.layers)} layers but the net has {len(net.layers)}"
         )
-    output_gradient = np.asarray(output_gradient, dtype=np.float64)
+    output_gradient = np.asarray(output_gradient, dtype=trace.output.dtype)
     if output_gradient.shape != trace.output.shape:
         raise ShapeError(
             f"output_gradient shape {output_gradient.shape} does not match "
@@ -367,12 +368,10 @@ def backward_pass(
             derivative = np.greater(ltrace.output, 0.0, out=ws.take("alive", g.shape, bool))
         else:
             derivative = _link_derivative(layer.activation, ltrace.pre, ltrace.output)
-        dtype = np.result_type(g, derivative)
-        # only a buffer of the gradient's own dtype rounds ``*= scale`` the same
-        if spend and layer.activation == "relu" and ltrace.output.dtype == dtype:
+        if spend and layer.activation == "relu":
             target = ltrace.output  # dead now that its mask is read
         else:
-            target = ws.take("dpre", g.shape, dtype)
+            target = ws.take("dpre", g.shape, np.result_type(g, derivative))
         dpre = np.multiply(g, derivative, out=target)
         dpre *= ltrace.scale
         below = trace.layers[i - 1].output if i > 0 else trace.inputs

@@ -176,7 +176,7 @@ def reference_backward(net: DenseNet, inputs, layers, output_gradient):
     """``(weight_grads, bias_grads, input_gradient)`` through a ``reference_forward`` record."""
     weight_grads = [None] * len(net.layers)
     bias_grads = [None] * len(net.layers)
-    g = np.asarray(output_gradient, dtype=np.float64)
+    g = np.asarray(output_gradient, dtype=layers[-1][2].dtype)
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         pre, activated, _, mask = layers[i]

@@ -323,7 +323,8 @@ class TestActiveSetExactness:
     def test_bisection_rescores_at_most_n_rows(self, monkeypatch):
         # full scorings at lam = 0 and each doubling, then the bisection
         # steps together rescore no more customers than there are (rescoring
-        # everyone at every step is about 52 n)
+        # everyone at every step is about 52 n), and a lone active customer is
+        # scored outside the blocks
         blocks = []
         arms_and_leads = allocator._arms_and_leads
 
@@ -341,6 +342,99 @@ class TestActiveSetExactness:
             solve_lagrangian(problem)
             assert blocks[:full] == [problem.n] * full
             assert sum(blocks[full:]) <= problem.n
+            assert 1 not in blocks[full:]
+
+
+def critical_among_settled(value_c, cost_c, n_settled=4):
+    """Customer 0 as given, then customers whose arm 1 leads by about 100 at
+    every multiplier the bisection visits, so they settle at its first step.
+
+    Each settled customer adds 1 to the cost of every plan.
+    """
+    m = len(value_c)
+    value = np.full((n_settled + 1, m), -1.0)
+    cost = np.zeros((n_settled + 1, m))
+    value[1:, :2] = 0.0, 100.0
+    cost[1:, 1] = 1.0
+    value[0], cost[0] = value_c, cost_c
+    return value, cost
+
+
+def visited_scores(monkeypatch, problem, customer):
+    """``{lam: scores}`` of one customer at every multiplier the full bisection visits."""
+    seen = []
+    argmax = allocator._lagrangian_argmax
+
+    def recording(p, lam):
+        seen.append(lam)
+        return argmax(p, lam)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(allocator, "_lagrangian_argmax", recording)
+        full_bisection_lagrangian(problem)
+    return {lam: problem.value[customer] - lam * problem.cost[customer] for lam in seen}
+
+
+class TestSingleCustomerFinish:
+    """Once one customer is active, the steps left score it alone, with the same bytes."""
+
+    def test_step_cap_ends_the_bisection_far_above_the_critical_multiplier(self):
+        # customer 0's hull breaks from arm 0 to 3 at 1.5 * 2**-100, from 3 to 2 at
+        # 1.5 * 2**-101 and from 2 to the over-budget arm 1 at 2**-150. From the
+        # bracket [0, 1] every step is feasible, so the 100-step cap ends it at
+        # hi = 2**-100 on arm 3, about 1000 halvings before lo = 0 and hi are
+        # adjacent; one step fewer keeps arm 0 and one more takes arm 2.
+        tiny = 2.0**-200
+        value = np.zeros((5, 4))
+        cost = np.zeros((5, 4))
+        value[0] = 0.0, 9 * 2.0**-105 + 3 * 2.0**-152, 9 * 2.0**-105, 3 * 2.0**-104
+        cost[0] = 0.0, 1.0, 0.25, 0.125
+        # four customers near 2**-200, so their totals do not drown customer 0's
+        # values; they switch arm at 3/8, 5/16, 7/32 and 9/64 and leave the
+        # active set three steps in, so customer 0 alone takes the 97 steps left
+        value[1:, 1] = np.array([3.0, 5.0, 7.0, 9.0]) * tiny
+        value[1:, 2:] = -tiny
+        cost[1:, 1] = np.array([8.0, 16.0, 32.0, 64.0]) * tiny
+        problem = AllocationProblem(value=value, cost=cost, budget=0.5)
+        assert_matches_full_bisection(problem)
+        assert solve_lagrangian(problem).arms[0] == 3
+
+    def test_tied_arms_go_to_the_lowest(self, monkeypatch):
+        # arms 1 and 2 are the same arm, and at lam = 1/4 arms 1, 2 and 3 all score 1;
+        # the plan fits on arm 1 and not on arm 3, so the bisection visits 1/2, where
+        # arms 1 and 2 lead tied, and 1/4, then closes in on 1/4 from below
+        value, cost = critical_among_settled([0.0, 1.5, 1.5, 2.0], [0.0, 2.0, 2.0, 4.0])
+        problem = AllocationProblem(value=value, cost=cost, budget=4 + 2.0)
+        scores = visited_scores(monkeypatch, problem, 0)
+        assert np.sum(scores[0.25] == scores[0.25].max()) == 3
+        assert scores[0.5][1] == scores[0.5][2] == scores[0.5].max() > scores[0.5][3]
+        assert_matches_full_bisection(problem)
+
+    def test_three_arms_crossed_inside_the_last_doubling(self, monkeypatch):
+        # customer 0's hull breaks at 7.875, 7.75, 7.625 and 4.5, so inside the
+        # last doubling bracket [4, 8] the visited multipliers take arms 3, 2 and 1
+        value, cost = critical_among_settled(
+            [0.0, 7.875, 15.625, 23.25, 27.75], [0.0, 1.0, 2.0, 3.0, 4.0]
+        )
+        problem = AllocationProblem(value=value, cost=cost, budget=4 + 1.5)
+        scores = visited_scores(monkeypatch, problem, 0)
+        inside = {int(np.argmax(s)) for lam, s in scores.items() if 4.0 < lam < 8.0}
+        assert inside == {1, 2, 3}
+        assert_matches_full_bisection(problem)
+
+    def test_one_active_customer_is_not_rescored_in_blocks(self, monkeypatch):
+        blocks = []
+        arms_and_leads = allocator._arms_and_leads
+
+        def counting(scores):
+            blocks.append(scores.shape[1])
+            return arms_and_leads(scores)
+
+        monkeypatch.setattr(allocator, "_arms_and_leads", counting)
+        value, cost = critical_among_settled([0.0, 1.5, 1.5, 2.0], [0.0, 2.0, 2.0, 4.0])
+        solve_lagrangian(AllocationProblem(value=value, cost=cost, budget=4 + 2.0))
+        # lam = 0 and lam = 1 score everyone, then customer 0 is alone for every step
+        assert blocks == [5, 5]
 
 
 class TestValidationAndLimits:

@@ -639,6 +639,32 @@ class TestParseConfig:
             else:
                 assert value == default, name
 
+    def test_readme_config_block_marks_its_non_defaults(self, tmp_path):
+        # every value in the block is the default unless its line says it is an example
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = [b for b in re.findall(r"```yaml\n(.*?)```", readme, re.S) if "\nmodel:" in b]
+        path = tmp_path / "cfg.yaml"
+        path.write_text(block)
+        documented, defaults = parse_config(path), parse_config()
+        sections = [
+            (documented, defaults),
+            (documented.generation, defaults.generation),
+            (documented.generation.features, defaults.generation.features),
+            (documented.model, defaults.model),
+        ]
+        differ = {
+            f.name
+            for got, want in sections
+            for f in dataclasses.fields(got)
+            if f.name not in ("generation", "features", "model")
+            and not np.array_equal(
+                np.asarray(getattr(got, f.name), dtype=object),
+                np.asarray(getattr(want, f.name), dtype=object),
+            )
+        }
+        assert differ == set(re.findall(r"^\s*(\w+):.*# example;", block, re.M))
+        assert differ == {"n_customers", "budget", "budget_grid"}
+
     def test_non_mapping_root_rejected(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text("- a\n- b\n")

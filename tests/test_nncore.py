@@ -74,19 +74,21 @@ class TestForward:
          (np.longdouble, np.longdouble)],
     )
     def test_batch_dtype_sets_the_arithmetic(self, dtype, runs_in):
-        # int and float32 batches are promoted to float64, a longdouble batch stays wide
-        net = init_dense_net([3, 6, 1], ["relu", "sigmoid"], make_rng(12))
+        # int and float32 batches are promoted to float64, a longdouble batch stays
+        # wide, backward too: under a relu top the output gradient is the first factor
         batch = make_rng(13).integers(-3, 4, size=(5, 3)).astype(dtype)
-        trace = forward_pass(net, batch)
-        assert trace.inputs.dtype == runs_in
-        assert all(lt.output.dtype == runs_in for lt in trace.layers)
-        back = backward_pass(net, trace, np.ones((5, 1)))
-        assert all(g.dtype == runs_in for g in flatten_gradients(back) + [back.input_gradient])
-        wide = forward_pass(net, batch.astype(np.float64)).output
-        if runs_in == np.float64:
-            assert trace.output.tobytes() == wide.tobytes()
-        else:
-            np.testing.assert_allclose(trace.output.astype(np.float64), wide, rtol=1e-14)
+        for widths, activations in (([3, 6, 1], ["relu", "sigmoid"]), ([3, 6, 2], ["relu", "relu"])):
+            net = init_dense_net(widths, activations, make_rng(12))
+            trace = forward_pass(net, batch)
+            assert trace.inputs.dtype == runs_in
+            assert all(lt.output.dtype == runs_in for lt in trace.layers)
+            back = backward_pass(net, trace, np.ones((5, widths[-1])))
+            assert all(g.dtype == runs_in for g in flatten_gradients(back) + [back.input_gradient])
+            wide = forward_pass(net, batch.astype(np.float64)).output
+            if runs_in == np.float64:
+                assert trace.output.tobytes() == wide.tobytes()
+            else:
+                np.testing.assert_allclose(trace.output.astype(np.float64), wide, rtol=1e-14)
 
     def test_chained_dims_validated(self):
         a = DenseLayer(weight=np.zeros((2, 3)), bias=np.zeros(3))
@@ -499,14 +501,11 @@ class TestWorkspace:
                 assert _bits(back.weight_grads[i]) == _bits(weight_grads[i]), f"weight {i}"
                 assert _bits(back.bias_grads[i]) == _bits(bias_grads[i]), f"bias {i}"
             assert _bits(back.input_gradient) == _bits(input_gradient)
-        # the relu layers now hold their pre-activation gradients. The float64
-        # output gradient reaches a longdouble relu top unchanged in float64,
-        # which its longdouble output cannot hold with the same bytes, so there
-        # the relu layers are left as they were
-        spent = dtype == np.float64 or top != "relu"
+        # the relu layers now hold their pre-activation gradients; the output
+        # gradient is cast to the trace's dtype, so a longdouble relu top is spent too
         for i, layer in enumerate(net.layers):
             changed = _bits(trace.layers[i].output) != _bits(kept[i])
-            assert changed == (spent and layer.activation == "relu"), f"layer {i}"
+            assert changed == (layer.activation == "relu"), f"layer {i}"
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @pytest.mark.parametrize("rate", [0.0, 0.35])
