@@ -127,6 +127,11 @@ def plan_totals(problem: AllocationProblem, arms: np.ndarray):
 def check_feasible(problem: AllocationProblem, arms: np.ndarray) -> float:
     """Total cost of the plan; raises if it exceeds the budget beyond tolerance."""
     _, total_cost = plan_totals(problem, arms)
+    return _check_cost(problem, total_cost)
+
+
+def _check_cost(problem: AllocationProblem, total_cost: float) -> float:
+    """``total_cost``; raises if it exceeds the budget beyond tolerance."""
     if total_cost > problem.budget + BUDGET_TOLERANCE:
         raise InfeasiblePlanError(
             f"plan cost {total_cost:.6g} exceeds budget {problem.budget:.6g}"
@@ -224,17 +229,6 @@ def _repair_plan(problem: AllocationProblem, arms: np.ndarray) -> np.ndarray:
         i, j = np.unravel_index(np.argmin(ratio), ratio.shape)
         arms[i] = j
         _, cost = plan_totals(problem, arms)
-    return arms
-
-
-def _lagrangian_argmax(problem: AllocationProblem, lam: float):
-    """Per-customer argmax of value - lam * cost (lowest arm index on ties).
-
-    ``solve_lagrangian`` rescores in arm-major blocks instead; this is the
-    whole-problem form its tests compare against.
-    """
-    scores = problem.value - lam * problem.cost
-    arms = np.argmax(scores, axis=1).astype(np.int64)
     return arms
 
 
@@ -405,7 +399,7 @@ def solve_lagrangian(problem: AllocationProblem) -> AllocationPlan:
             arms, value, cost = cand, cand_value, cand_cost
 
     value, cost = plan_totals(problem, arms)  # recompute exactly
-    check_feasible(problem, arms)
+    _check_cost(problem, cost)
     return AllocationPlan(arms=arms, total_value=value, total_cost=cost, dual_bound=best_dual)
 
 

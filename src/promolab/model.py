@@ -34,11 +34,12 @@ forward walker checks the model input once and runs ``nncore.forward_pass``
 on each part. Training and the gradient checks keep every part's trace for
 the backward walker; scoring (``predict`` and the validation loss) drops each
 part's trace as soon as the part returns. The traces, scores and gradients
-live in an ``nncore`` workspace that ``train_model`` and ``predict_matrix``
-each make per call, so they are valid only until the next step or chunk. A
-training step's backward runs in its forward's workspace and so spends the
-traces as it walks them; scoring's layers take turns in three buffers
-(``_ScoringWorkspace``).
+of training live in an ``nncore`` workspace that ``train_model`` makes per
+call, so they are valid only until the next step. A training step's backward
+runs in its forward's workspace and so spends the traces as it walks them:
+each trunk's input gradient goes over the output of the trunk it reads, and
+that trunk's head adds its own into it (see ``_model_backward``). Scoring
+(``predict`` and ``predict_matrix``) runs on fresh arrays.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .nncore import (
     DenseNet,
     _Workspace,
     adam_update,
+    add_input_gradient,
     backward_pass,
     flatten_gradients,
     forward_pass,
@@ -399,25 +401,6 @@ def _eval_slots(
     return _walk_parts(model, features, arms, run)[1]
 
 
-class _ScoringWorkspace(_Workspace):
-    """A workspace for passes that keep no trace, whose layers share three buffers.
-
-    The n-th key a walk takes (one per layer) gets buffer n mod 3, the same
-    one in every walk. A layer's output then lasts through the two layers
-    after it, and in every variant a part's readers run within those two (a
-    head, then the next trunk), so scoring holds three layer outputs at a
-    time, not every one.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self._slots: dict = {}
-
-    def take(self, key, shape, dtype=np.float64) -> np.ndarray:
-        slot = self._slots.setdefault(key, len(self._slots) % 3)
-        return super().take(slot, shape, dtype)
-
-
 def _model_backward(
     model: ResponseModel,
     mtrace: _ModelTrace,
@@ -426,23 +409,47 @@ def _model_backward(
 ) -> list[np.ndarray]:
     """Gradients aligned with ``model.parameters()``.
 
-    Walks the parts in reverse, so every part is walked before the part it
-    reads. The first reader of a part leaves its input gradient in a buffer
-    of its own, and each later reader adds its input gradient into that
-    buffer in place, through shared scratch. The gradients live in
-    ``workspace`` (a throwaway one when none is given) until its next pass.
+    Every head's weight and bias gradients come first, while the trunk
+    outputs they read are intact. Then the trunks and embeddings are walked
+    in reverse, so each is walked before the part it reads. A trunk's input
+    gradient is the pending gradient of the part it reads, and when that
+    part is a trunk, its head adds its deferred input gradient into it a
+    block of rows at a time: the trunk's term, then the head's. A head whose
+    trunk no trunk reads forms its input gradient in a buffer of its own, as
+    that trunk's pending gradient. The gradients live in ``workspace`` (a
+    throwaway one when none is given) until its next pass.
+
     Given the forward's own workspace, each part's backward spends its trace
-    (see ``nncore.backward_pass``); by the walk order, no trace is read after
-    it is spent.
+    (see ``nncore.backward_pass``): a trunk's input gradient goes over the
+    output of the trunk it reads, so no gradient wider than the model input
+    has a buffer of its own. By the walk order, no trace is read after it is
+    spent.
     """
     ws = _Workspace() if workspace is None else workspace
-    upstream: dict = {}
+    parts = _VARIANTS[model.config.variant].parts
+    read_by_trunk = {part.source for part in parts if part.kind == "trunk"}
+    pending: dict = {}
+    deferred: dict = {}  # trunk name -> (its head, the head's deferred backward)
     grads: dict = {}
-    for part in reversed(_VARIANTS[model.config.variant].parts):
+    for part in parts:
         if part.kind == "head":
-            g = slot_grads[part.slot].reshape(-1, 1)
-        else:
-            g = upstream[part.name]
+            net = model.nets[part.name]
+            defer = part.source in read_by_trunk
+            back = backward_pass(
+                net, mtrace.traces[part.name], slot_grads[part.slot].reshape(-1, 1),
+                workspace=ws, defer_input=defer,
+            )
+            grads[part.name] = flatten_gradients(back)
+            if defer:
+                deferred[part.source] = net, back
+            else:
+                pending[part.source] = back.input_gradient
+    for part in reversed(parts):
+        if part.kind == "head":
+            continue
+        g = pending[part.name]
+        if part.name in deferred:
+            add_input_gradient(*deferred[part.name], g, workspace=ws)
         if part.kind == "embedding":
             table = model.tables[part.name]
             grad = ws.take(("table", part.name), table.shape, table.dtype)
@@ -452,10 +459,10 @@ def _model_backward(
             continue
         back = backward_pass(
             model.nets[part.name], mtrace.traces[part.name], g,
-            workspace=ws, add_to=upstream.get(part.source),
+            workspace=ws, onto=mtrace.traces.get(part.source),
         )
         grads[part.name] = flatten_gradients(back)
-        upstream[part.source] = back.input_gradient
+        pending[part.source] = back.input_gradient
     return [grad for name in (*model.tables, *model.nets) for grad in grads[name]]
 
 
@@ -483,14 +490,11 @@ def _loss_terms(model: ResponseModel, s, y, slots: dict):
     return sum(values[1:], values[0]), grads
 
 
-def _predict_into(model: ResponseModel, features, arms, out: list, workspace: _Workspace):
-    """Write each slot's head outputs into ``out``'s (N,) views in ``_SLOTS`` order, chunk by chunk.
-
-    Each chunk's outputs are copied out before the next chunk reuses ``workspace``.
-    """
+def _predict_into(model: ResponseModel, features, arms, out: list):
+    """Write each slot's head outputs into ``out``'s (N,) views in ``_SLOTS`` order, chunk by chunk."""
     for lo in range(0, len(features), _PREDICT_CHUNK):
         hi = lo + _PREDICT_CHUNK
-        slots = _eval_slots(model, features[lo:hi], arms[lo:hi], workspace)
+        slots = _eval_slots(model, features[lo:hi], arms[lo:hi])
         for column, slot in zip(out, _SLOTS):
             column[lo:hi] = slots[slot]
     amount_loss = _SLOT_LOSSES[model.config.variant].get("amount")
@@ -504,19 +508,18 @@ def predict(model: ResponseModel, features: np.ndarray, arms: np.ndarray) -> Pre
     arms = np.asarray(arms, dtype=np.int64)
     out = PredictionMatrix(*(np.empty(len(features)) for _ in _SLOTS))
     columns = [getattr(out, f.name) for f in fields(out)]
-    _predict_into(model, features, arms, columns, _ScoringWorkspace())
+    _predict_into(model, features, arms, columns)
     return out
 
 
 def predict_matrix(model: ResponseModel, features: np.ndarray) -> PredictionMatrix:
-    """Head outputs for every arm, one forward sweep per arm through one workspace."""
+    """Head outputs for every arm, one forward sweep per arm."""
     features = np.asarray(features, dtype=np.float64)
     n = len(features)
     out = PredictionMatrix(*(np.empty((n, model.n_arms)) for _ in _SLOTS))
-    workspace = _ScoringWorkspace()
     for j in range(model.n_arms):
         columns = [getattr(out, f.name)[:, j] for f in fields(out)]
-        _predict_into(model, features, np.full(n, j, dtype=np.int64), columns, workspace)
+        _predict_into(model, features, np.full(n, j, dtype=np.int64), columns)
     return out
 
 

@@ -27,10 +27,16 @@ level. A trace and the gradients written into a workspace are valid only
 until the next pass through it overwrites them. A pass given no workspace
 makes a throwaway one, so its results are its own; the gradient checks run
 that way. A backward through the trace's own workspace also spends the
-trace: each relu layer's output is dead once backward has read its mask, so
-the layer's pre-activation gradient is written over it. A backward given no
-workspace, or another one, leaves the trace as it was. ``adam_update`` works
-in place, block by block, with scratch of its own.
+trace (Chen et al. 2016, *Training Deep Nets with Sublinear Memory Cost*,
+arXiv:1604.06174, in-place backpropagation): a relu layer's output is dead
+once the layer above has read it for its weight gradient and its mask is
+saved, so the gradient at that output is written over it, and then the
+layer's pre-activation gradient over that. The input gradient of a net
+whose input is another trace's relu output (``backward_pass``'s ``onto``)
+goes over that output the same way. A backward given no workspace, or
+another one, writes its gradients into buffers of its own and leaves the
+trace as it was. ``adam_update`` works in place, block by block, with
+scratch of its own.
 
 Randomness is always drawn from a :class:`numpy.random.Generator` backed by
 PCG64; ``make_rng`` builds one from a seed plus an optional stream key so
@@ -204,12 +210,21 @@ class ForwardTrace:
     The layer arrays are views of the buffers of ``workspace``, the one the
     caller gave ``forward_pass`` (None when the pass made its own). A
     ``backward_pass`` through that same workspace spends the trace: it writes
-    each relu layer's pre-activation gradient over the layer's output.
+    the gradient at each relu layer's output over that output, then the
+    layer's pre-activation gradient over it.
+
+    ``top_mask`` is set when the backward of a net reading this trace's relu
+    output spent it (see ``backward_pass``'s ``onto``): ``output`` then holds
+    that net's input gradient, and ``top_mask`` the top layer's relu mask,
+    saved before the write in the workspace's shared ``"alive"`` scratch. It
+    lasts until the next relu layer's backward through the workspace, so
+    this trace's own backward runs next.
     """
 
     inputs: np.ndarray
     layers: list[LayerTrace] = field(default_factory=list)
     workspace: _Workspace | None = None
+    top_mask: np.ndarray | None = None
 
     @property
     def output(self) -> np.ndarray:
@@ -303,11 +318,17 @@ def forward_pass(
 
 @dataclass
 class BackwardResult:
-    """Gradients from one backward pass, aligned with ``net.layers``."""
+    """Gradients from one backward pass, aligned with ``net.layers``.
+
+    ``input_gradient`` is None when the pass deferred it; ``pre_gradient``,
+    the gradient at the first layer's pre-activation, then forms it (see
+    ``add_input_gradient``).
+    """
 
     weight_grads: list[np.ndarray]
     bias_grads: list[np.ndarray]
-    input_gradient: np.ndarray
+    input_gradient: np.ndarray | None
+    pre_gradient: np.ndarray | None = None
 
 
 def backward_pass(
@@ -316,7 +337,8 @@ def backward_pass(
     output_gradient: np.ndarray,
     *,
     workspace: _Workspace | None = None,
-    add_to: np.ndarray | None = None,
+    onto: ForwardTrace | None = None,
+    defer_input: bool = False,
 ) -> BackwardResult:
     """Backpropagate d(loss)/d(output) through a recorded forward pass.
 
@@ -327,21 +349,28 @@ def backward_pass(
 
     Every gradient lands in a buffer of ``workspace`` (a throwaway one when
     none is given): each layer's weight and bias gradients in its own, the
-    input gradient in one per net, and the gradient at each layer's
-    pre-activation in scratch that all passes share. ``output_gradient`` is
-    only read, cast to the trace's dtype, so backward runs in the arithmetic
-    of its forward pass.
+    input gradient in one per net, and the gradients at each layer's
+    pre-activation and at the outputs below the top in scratch that all
+    passes share. ``output_gradient`` is only read, cast to the trace's
+    dtype, so backward runs in the arithmetic of its forward pass.
 
     When ``workspace`` is the trace's own (``trace.workspace``), backward
-    spends the trace: a relu layer's pre-activation gradient is written over
-    its output, which nothing reads once the mask is read from it, so the
-    trace is good for one backward only. Otherwise the trace is left as it
-    was and can be backpropagated again.
+    spends the trace, so it is good for one backward only. Once the layer
+    above a relu layer has read that layer's output for its weight gradient,
+    the output's mask is saved in the shared ``"alive"`` scratch and the
+    layer above's input gradient is written over the output; the relu
+    layer's pre-activation gradient then goes over that in place. A relu top
+    layer's mask is ``trace.top_mask`` if a reader has spent its output, and
+    is read from the output otherwise. Given ``onto``, the trace whose output
+    the net read (``trace.inputs``), in the same workspace and with a relu
+    top, the net's input gradient goes over ``onto.output`` the same way,
+    with the mask kept in ``onto.top_mask``. Otherwise the trace is left as
+    it was and can be backpropagated again, and ``onto`` is only checked.
 
-    Given ``add_to``, the input gradient is formed in the shared scratch and
-    added into ``add_to`` in place, as ``add_to += input_gradient`` would, and
-    ``add_to`` is returned as the input gradient; the net then holds no input
-    gradient buffer of its own.
+    Given ``defer_input``, the input gradient is not formed: the result's
+    ``input_gradient`` is None and its ``pre_gradient`` holds the first
+    layer's pre-activation gradient in a buffer of the net's own, for
+    ``add_input_gradient``.
     """
     if len(trace.layers) != len(net.layers):
         raise ShapeError(
@@ -353,42 +382,76 @@ def backward_pass(
             f"output_gradient shape {output_gradient.shape} does not match "
             f"net output shape {trace.output.shape}"
         )
+    if onto is not None and onto.output is not trace.inputs:
+        raise ShapeError("onto must be the trace whose output the net read")
     spend = workspace is not None and workspace is trace.workspace
     ws = _Workspace() if workspace is None else workspace
 
     weight_grads: list[np.ndarray] = [None] * len(net.layers)  # type: ignore[list-item]
     bias_grads: list[np.ndarray] = [None] * len(net.layers)  # type: ignore[list-item]
     g = output_gradient
+    mask = trace.top_mask if spend else None  # saved mask of the relu layer whose output g is at
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         ltrace = trace.layers[i]
         if ltrace.output.shape != (g.shape[0], layer.fan_out):
             raise ShapeError(f"trace layer {i} does not match the net (stale trace?)")
         if layer.activation == "relu":
-            derivative = np.greater(ltrace.output, 0.0, out=ws.take("alive", g.shape, bool))
+            if mask is None:
+                mask = np.greater(ltrace.output, 0.0, out=ws.take("alive", g.shape, bool))
+            derivative = mask
         else:
             derivative = _link_derivative(layer.activation, ltrace.pre, ltrace.output)
         if spend and layer.activation == "relu":
-            target = ltrace.output  # dead now that its mask is read
+            target = ltrace.output  # its mask is saved; g may already be here
         else:
-            target = ws.take("dpre", g.shape, np.result_type(g, derivative))
+            key = ("dpre", id(net)) if defer_input and i == 0 else "dpre"
+            target = ws.take(key, g.shape, np.result_type(g, derivative))
         dpre = np.multiply(g, derivative, out=target)
         dpre *= ltrace.scale
-        below = trace.layers[i - 1].output if i > 0 else trace.inputs
+        below = trace.layers[i - 1] if i > 0 else onto.layers[-1] if onto is not None else None
+        below_output = trace.inputs if i == 0 else below.output
         weight_grads[i] = np.matmul(
-            below.T, dpre,
-            out=ws.take(("dw", id(layer)), layer.weight.shape, np.result_type(below, dpre)),
+            below_output.T, dpre,
+            out=ws.take(("dw", id(layer)), layer.weight.shape, np.result_type(below_output, dpre)),
         )
         bias_grads[i] = np.sum(
             dpre, axis=0, out=ws.take(("db", id(layer)), layer.bias.shape, dpre.dtype)
         )
-        key = ("din", id(net)) if i == 0 and add_to is None else "dout"
-        out = ws.take(key, (dpre.shape[0], layer.fan_in), np.result_type(dpre, layer.weight))
+        if defer_input and i == 0:
+            return BackwardResult(weight_grads, bias_grads, None, pre_gradient=dpre)
+        # a relu output below, in this workspace, is dead once its mask is saved
+        mask = None
+        if spend and below is not None and below.pre is None and (i > 0 or onto.workspace is ws):
+            mask = np.greater(below.output, 0.0, out=ws.take("alive", below.output.shape, bool))
+            if i == 0:
+                onto.top_mask = mask
+            out = below.output
+        else:
+            key = ("din", id(net)) if i == 0 else "dout"
+            out = ws.take(key, below_output.shape, np.result_type(dpre, layer.weight))
         g = np.matmul(dpre, layer.weight.T, out=out)
-    if add_to is not None:
-        add_to += g
-        g = add_to
     return BackwardResult(weight_grads=weight_grads, bias_grads=bias_grads, input_gradient=g)
+
+
+def add_input_gradient(
+    net: DenseNet, back: BackwardResult, into: np.ndarray, *, workspace: _Workspace | None = None
+) -> np.ndarray:
+    """Add the input gradient a deferred ``backward_pass`` left unformed into ``into``, in place.
+
+    Forms ``back.pre_gradient @ W.T`` for the net's first weight W a block of
+    rows at a time in scratch of ``workspace``, so the product is never held
+    whole, and adds each block into ``into``'s rows. For a one-unit net each
+    entry is one product, so this gives the bytes of ``into += input_gradient``.
+    """
+    weight_t = net.layers[0].weight.T
+    blocks = _blocks(into, back.pre_gradient)
+    ws = _Workspace() if workspace is None else workspace
+    scratch = ws.take("block", blocks[0][0].shape, np.result_type(back.pre_gradient, weight_t))
+    for block, pre in blocks:
+        rows = len(block)
+        block += np.matmul(pre, weight_t, out=scratch[:rows])
+    return into
 
 
 def net_parameters(net: DenseNet) -> list[np.ndarray]:

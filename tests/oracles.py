@@ -3,8 +3,8 @@
 ``brute_force`` is the exact knapsack optimum by enumeration.
 ``full_bisection_lagrangian`` is the Lagrangian solver that runs every
 bisection step and rescores every customer at each one, through
-``allocator._lagrangian_argmax``; ``solve_lagrangian`` must match its plans
-byte for byte. ``tie_averaged_actuals_loop`` is the Gini's tie averaging
+``lagrangian_argmax``; ``solve_lagrangian`` must match its plans byte for
+byte. ``tie_averaged_actuals_loop`` is the Gini's tie averaging
 walked one element at a time. The gradient checks compare ``backward_pass`` and the model's
 backward walk with central finite differences of the loss, evaluated in
 extended precision.
@@ -71,13 +71,23 @@ def brute_force(problem: AllocationProblem) -> AllocationPlan:
     return AllocationPlan(arms=best_arms, total_value=value, total_cost=cost)
 
 
+def lagrangian_argmax(problem: AllocationProblem, lam: float) -> np.ndarray:
+    """Per-customer argmax of value - lam * cost (lowest arm index on ties).
+
+    ``solve_lagrangian`` rescores in arm-major blocks instead; this is the
+    whole-problem form.
+    """
+    scores = problem.value - lam * problem.cost
+    return np.argmax(scores, axis=1).astype(np.int64)
+
+
 def full_bisection_lagrangian(problem, iterations=100, lambda_hi=1.0):
     """Reference solver: ``solve_lagrangian`` with every bisection step run."""
     rows = np.arange(problem.n)
     tol = allocator.BUDGET_TOLERANCE
 
     def evaluate(lam):
-        arms = allocator._lagrangian_argmax(problem, lam)
+        arms = lagrangian_argmax(problem, lam)
         value = float(problem.value[rows, arms].sum())
         cost = float(problem.cost[rows, arms].sum())
         return arms, value, cost, value - lam * cost + lam * problem.budget
@@ -103,8 +113,8 @@ def full_bisection_lagrangian(problem, iterations=100, lambda_hi=1.0):
                 best = (arms_m, value_m, cost_m)
         else:
             lo = mid
-    arms_lo = allocator._lagrangian_argmax(problem, lo)
-    arms_hi = allocator._lagrangian_argmax(problem, hi)
+    arms_lo = lagrangian_argmax(problem, lo)
+    arms_hi = lagrangian_argmax(problem, hi)
     arms, value = best[0].copy(), best[1]
     diff = np.flatnonzero(arms_lo != arms_hi)
     dv = problem.value[diff, arms_lo[diff]] - problem.value[diff, arms_hi[diff]]

@@ -22,6 +22,7 @@ from promolab.datagen import GenConfig, generate_rct
 from promolab.errors import InfeasiblePlanError, InstanceTooLargeError, ValidationError
 from promolab.nncore import make_rng
 
+import oracles
 from oracles import brute_force, full_bisection_lagrangian
 
 
@@ -144,19 +145,29 @@ class TestLagrangian:
 
     def test_bisection_stops_once_converged(self, monkeypatch):
         # once lo and hi are adjacent floats the remaining steps change
-        # nothing, so stopping early must give the full loop's plan exactly
-        argmax_calls = []
-        argmax = allocator._lagrangian_argmax
+        # nothing, so stopping early must give the full loop's plan exactly.
+        # The solver scores through _arms_and_leads, the reference through
+        # lagrangian_argmax. Two identical customers that switch arm at
+        # lam = 3 both stay active to the end, so the solver's block steps,
+        # not its single-customer finish, have to stop at adjacent floats.
+        twins = AllocationProblem(value=[[0.0, 3.0]] * 2, cost=[[0.0, 1.0]] * 2, budget=1.0)
+        blocks, argmax_calls = [], []
+        arms_and_leads, argmax = allocator._arms_and_leads, oracles.lagrangian_argmax
 
-        def counting(problem, lam):
+        def counting_blocks(scores):
+            blocks.append(scores.shape[1])
+            return arms_and_leads(scores)
+
+        def counting_argmax(problem, lam):
             argmax_calls.append(lam)
             return argmax(problem, lam)
 
-        monkeypatch.setattr(allocator, "_lagrangian_argmax", counting)
-        for problem in seven_arm_problems():
-            argmax_calls.clear()
+        monkeypatch.setattr(allocator, "_arms_and_leads", counting_blocks)
+        monkeypatch.setattr(oracles, "lagrangian_argmax", counting_argmax)
+        for problem in [*seven_arm_problems(), twins]:
+            blocks.clear()
             plan = solve_lagrangian(problem)
-            calls = len(argmax_calls)
+            calls = len(blocks)
             argmax_calls.clear()
             reference = full_bisection_lagrangian(problem)
             np.testing.assert_array_equal(plan.arms, reference.arms)
@@ -304,8 +315,8 @@ class TestActiveSetExactness:
         cost = rng.uniform(0.05, 2.0, size=(200, 7))
         cost[:, 0] = 0.0
         problem = AllocationProblem(value=value, cost=cost, budget=0.0)
-        _, cost_at_0 = plan_totals(problem, allocator._lagrangian_argmax(problem, 0.0))
-        _, cost_at_1 = plan_totals(problem, allocator._lagrangian_argmax(problem, 1.0))
+        _, cost_at_0 = plan_totals(problem, oracles.lagrangian_argmax(problem, 0.0))
+        _, cost_at_1 = plan_totals(problem, oracles.lagrangian_argmax(problem, 1.0))
         assert cost_at_1 < cost_at_0
         for fraction in (0.0, 0.3, 0.9):
             budget = cost_at_1 + fraction * (cost_at_0 - cost_at_1)
@@ -336,7 +347,7 @@ class TestActiveSetExactness:
         for problem in seven_arm_problems():
             limit = problem.budget + allocator.BUDGET_TOLERANCE
             full, lam = 2, allocator._LAMBDA_START
-            while plan_totals(problem, allocator._lagrangian_argmax(problem, lam))[1] > limit:
+            while plan_totals(problem, oracles.lagrangian_argmax(problem, lam))[1] > limit:
                 full, lam = full + 1, 2.0 * lam
             blocks.clear()
             solve_lagrangian(problem)
@@ -363,14 +374,14 @@ def critical_among_settled(value_c, cost_c, n_settled=4):
 def visited_scores(monkeypatch, problem, customer):
     """``{lam: scores}`` of one customer at every multiplier the full bisection visits."""
     seen = []
-    argmax = allocator._lagrangian_argmax
+    argmax = oracles.lagrangian_argmax
 
     def recording(p, lam):
         seen.append(lam)
         return argmax(p, lam)
 
     with monkeypatch.context() as patch:
-        patch.setattr(allocator, "_lagrangian_argmax", recording)
+        patch.setattr(oracles, "lagrangian_argmax", recording)
         full_bisection_lagrangian(problem)
     return {lam: problem.value[customer] - lam * problem.cost[customer] for lam in seen}
 

@@ -196,7 +196,7 @@ class TestSharedBuffers:
         # which the next chunk rewrites. Chunks of 16 rows (the last has 2)
         # keep each row at its place modulo the row groups of BLAS's
         # matrix-vector kernel, whose rounding depends on that place (ROADMAP
-        # item 4): 7-row chunks move the head bytes even with fresh arrays.
+        # item 5): 7-row chunks move the head bytes even with fresh arrays.
         model, _ = narrow_model(variant)
         features, arms, _, _ = tiny_batch(n=50)
         whole = (predict(model, features, arms), predict_matrix(model, features))
@@ -208,13 +208,12 @@ class TestSharedBuffers:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_scoring_buffers_give_traced_bytes(self, variant):
-        # scoring's three rotating buffers must never hand a layer the
-        # buffer of an output a later part still reads; the second walk
-        # reuses the buffers the first one sized
+        # validation scores in the training workspace, one buffer per layer;
+        # the second walk reuses the buffers the first one sized
         model, _ = narrow_model(variant)
         features, arms, _, _ = tiny_batch(n=60)
         traced = model_module._model_forward(model, features, arms).slots
-        ws = model_module._ScoringWorkspace()
+        ws = _Workspace()
         for n in (60, 45):
             slots = model_module._eval_slots(model, features[:n], arms[:n], ws)
             for name in traced:
@@ -551,6 +550,41 @@ class TestTrainingMemory:
         finally:
             tracemalloc.stop()
         assert peak <= self.SPENT_TRACE_PEAK[n_customers]
+
+    # tracemalloc peaks of the same calls once every input gradient is also
+    # written over the activation it differentiates, inside a trunk and from
+    # a trunk onto the trunk it reads (numpy 2.4), rounded up to the next
+    # 0.1 MB: about 20 MB below the peaks above
+    IN_PLACE_GRADIENT_PEAK = {1100: 87_300_000, 20_000: 89_800_000}
+
+    @pytest.mark.parametrize("n_customers", sorted(IN_PLACE_GRADIENT_PEAK))
+    def test_peak_with_in_place_input_gradients(self, n_customers):
+        dataset, _ = generate_rct(GenConfig(n_customers=n_customers, seed=2))
+        config = ModelConfig(max_epochs=1)
+        tracemalloc.start()
+        try:
+            train_model(dataset.features, dataset.arm, dataset.s, dataset.y, 7, config=config, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.IN_PLACE_GRADIENT_PEAK[n_customers]
+
+    def test_step_keeps_no_input_gradient_wider_than_the_model_input(self):
+        # after one default-width step of 1 024 rows, the gradients at the
+        # trunk outputs sit over those outputs, not in buffers of their own
+        dataset, _ = generate_rct(GenConfig(n_customers=1100, seed=2))
+        features, arms, s, y = (a[:1024] for a in (dataset.features, dataset.arm, dataset.s, dataset.y))
+        model = build_model(ModelConfig(), 7, features.mean(axis=0), features.std(axis=0), make_rng(2))
+        ws = _Workspace()
+        mt = model_module._model_forward(model, features, arms, make_rng(3), workspace=ws)
+        _, slot_grads = model_module._loss_terms(model, s, y, mt.slots)
+        model_module._model_backward(model, mt, slot_grads, ws)
+        input_width = model.n_features + model.embedding_dim
+        assert "dout" not in ws._buffers
+        trunks = {id(model.nets[name]): name for name in ("trunk_a", "trunk_b", "trunk_c")}
+        din = {trunks[key[1]]: buf.size for key, buf in ws._buffers.items()
+               if isinstance(key, tuple) and key[0] == "din" and key[1] in trunks}
+        assert din == {"trunk_a": 1024 * input_width}
 
 
 class TestCheckpoint:

@@ -12,6 +12,7 @@ from promolab.nncore import (
     DenseLayer,
     DenseNet,
     adam_update,
+    add_input_gradient,
     backward_pass,
     flatten_gradients,
     forward_pass,
@@ -520,6 +521,72 @@ class TestWorkspace:
         assert [_bits(a) for a in arrays] == kept
         backward_pass(net, trace, g, workspace=nncore._Workspace())
         assert [_bits(a) for a in arrays] == kept
+
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("rate", [0.0, 0.35])
+    def test_input_gradient_onto_the_trace_it_read(self, rate, dtype, monkeypatch):
+        # net b and a one-unit head both read net a's relu output. In their
+        # own workspace b's input gradient goes over a's output, the head's
+        # is added into it a few rows at a time, and a's backward reads the
+        # mask b saved: the bytes of a backward through fresh buffers, with
+        # the head's input gradient formed whole and added
+        monkeypatch.setattr(nncore, "_BLOCK", 50)  # 5 rows of 9 per block
+        rng = make_rng(64)
+        a = init_dense_net([4, 12, 9], ["relu", "relu"], rng, dropout_rate=rate)
+        b = init_dense_net([9, 7, 3], ["relu", "sigmoid"], rng, dropout_rate=rate)
+        head = init_dense_net([9, 1], ["sigmoid"], rng)
+        a.layers[1].weight[:, 4] = 0.0  # a unit of a's output that never fires
+        batch = rng.normal(size=(40, 4)).astype(dtype)
+        g_b, g_head = rng.normal(size=(40, 3)), rng.normal(size=(40, 1))
+
+        def run(own):
+            ws = nncore._Workspace()
+            dropout = make_rng(65)
+            ta = forward_pass(a, batch, dropout, workspace=ws)
+            tb = forward_pass(b, ta.output, dropout, workspace=ws)
+            th = forward_pass(head, ta.output, workspace=ws)
+            kept = ta.output.copy()
+            bws = ws if own else nncore._Workspace()
+            back_head = backward_pass(head, th, g_head, workspace=bws, defer_input=True)
+            assert back_head.input_gradient is None
+            back_b = backward_pass(b, tb, g_b, workspace=bws, onto=ta)
+            assert (back_b.input_gradient is ta.output) == own
+            if own:
+                g_a = add_input_gradient(head, back_head, back_b.input_gradient, workspace=bws)
+            else:
+                assert _bits(ta.output) == _bits(kept)
+                g_a = back_b.input_gradient + backward_pass(head, th, g_head).input_gradient
+            back_a = backward_pass(a, ta, g_a, workspace=bws)
+            backs = (back_head, back_b, back_a)
+            return [_bits(x) for back in backs for x in flatten_gradients(back)] + [
+                _bits(back_a.input_gradient)
+            ]
+
+        assert run(own=True) == run(own=False)
+
+    def test_onto_in_another_workspace_is_left_as_it_was(self):
+        # b spends its own trace, but a's output belongs to another workspace
+        rng = make_rng(67)
+        a = init_dense_net([3, 5], ["relu"], rng)
+        b = init_dense_net([5, 2], ["relu"], rng)
+        ta = forward_pass(a, rng.normal(size=(6, 3)), workspace=nncore._Workspace())
+        ws = nncore._Workspace()
+        tb = forward_pass(b, ta.output, workspace=ws)
+        kept = _bits(ta.output)
+        back = backward_pass(b, tb, rng.normal(size=(6, 2)), workspace=ws, onto=ta)
+        assert _bits(ta.output) == kept and ta.top_mask is None
+        assert not np.shares_memory(back.input_gradient, ta.output)
+
+    def test_onto_must_be_the_trace_the_net_read(self):
+        rng = make_rng(66)
+        a = init_dense_net([3, 5], ["relu"], rng)
+        b = init_dense_net([5, 2], ["relu"], rng)
+        ws = nncore._Workspace()
+        ta = forward_pass(a, rng.normal(size=(6, 3)), workspace=ws)
+        tb = forward_pass(b, ta.output.copy(), workspace=ws)
+        with pytest.raises(ShapeError, match="onto"):
+            backward_pass(b, tb, np.ones((6, 2)), workspace=ws, onto=ta)
 
 
 class TestInit:
