@@ -35,11 +35,12 @@ on each part. Training and the gradient checks keep every part's trace for
 the backward walker; scoring (``predict`` and the validation loss) drops each
 part's trace as soon as the part returns. The traces, scores and gradients
 of training live in an ``nncore`` workspace that ``train_model`` makes per
-call, so they are valid only until the next step. A training step's backward
-runs in its forward's workspace and so spends the traces as it walks them:
-each trunk's input gradient goes over the output of the trunk it reads, and
-that trunk's head adds its own into it (see ``_model_backward``). Scoring
-(``predict`` and ``predict_matrix``) runs on fresh arrays.
+call, so they are valid only until the next step; a traced forward given no
+workspace makes one for the whole walk. The backward walker runs in its
+forward's workspace and spends the traces as it walks them: every input
+gradient but the model input's goes over the trunk output it differentiates
+(see ``_model_backward``). Scoring (``predict`` and
+``predict_matrix``) runs on fresh arrays.
 """
 
 from __future__ import annotations
@@ -319,6 +320,7 @@ class _ModelTrace:
     arms: np.ndarray
     traces: dict  # part name -> ForwardTrace
     slots: dict  # slot -> (N,) head output; a missing head reports the direct one
+    workspace: _Workspace  # the one every trace lives in
 
 
 def _require_finite(what: str, x: np.ndarray):
@@ -364,8 +366,11 @@ def _model_forward(
     """The recorded forward pass that training and the gradient checks backpropagate through.
 
     Dropout runs when ``rng`` is given (training); the gradient checks pass none.
-    The traces live in ``workspace`` (see ``nncore.forward_pass``).
+    The traces live in ``workspace``, or in one the walk makes when none is
+    given (see ``nncore.forward_pass``).
     """
+    if workspace is None:
+        workspace = _Workspace()
     traces: dict = {}
 
     def run(part, x):
@@ -374,26 +379,19 @@ def _model_forward(
         return traces[part.name].output
 
     arms, slots = _walk_parts(model, features, arms, run)
-    return _ModelTrace(arms, traces, slots)
+    return _ModelTrace(arms, traces, slots, workspace)
 
 
-def _eval_slots(
-    model: ResponseModel,
-    features: np.ndarray,
-    arms: np.ndarray,
-    workspace: _Workspace | None = None,
-) -> dict:
+def _eval_slots(model: ResponseModel, features: np.ndarray, arms: np.ndarray) -> dict:
     """Head outputs of a pass without dropout that drops each part's trace when the part returns.
 
     Each trunk's output is checked for finiteness too, so a trunk that
-    overflows raises before a sigmoid head can saturate it to 0 or 1. The
-    outputs live in ``workspace``, so a caller that reuses it copies them out
-    first.
+    overflows raises before a sigmoid head can saturate it to 0 or 1.
     """
 
     def run(part, x):
         # looked up at call time, so wrappers patched onto this module see every call
-        out = forward_pass(model.nets[part.name], x, workspace=workspace).output
+        out = forward_pass(model.nets[part.name], x).output
         if part.kind == "trunk":
             _require_finite(f"{part.name} output", out)
         return out
@@ -401,55 +399,48 @@ def _eval_slots(
     return _walk_parts(model, features, arms, run)[1]
 
 
-def _model_backward(
-    model: ResponseModel,
-    mtrace: _ModelTrace,
-    slot_grads: dict,
-    workspace: _Workspace | None = None,
-) -> list[np.ndarray]:
-    """Gradients aligned with ``model.parameters()``.
+def _model_backward(model: ResponseModel, mtrace: _ModelTrace, slot_grads: dict) -> list[np.ndarray]:
+    """Gradients aligned with ``model.parameters()``, spending the forward's traces.
 
-    Every head's weight and bias gradients come first, while the trunk
-    outputs they read are intact. Then the trunks and embeddings are walked
-    in reverse, so each is walked before the part it reads. A trunk's input
-    gradient is the pending gradient of the part it reads, and when that
-    part is a trunk, its head adds its deferred input gradient into it a
-    block of rows at a time: the trunk's term, then the head's. A head whose
-    trunk no trunk reads forms its input gradient in a buffer of its own, as
-    that trunk's pending gradient. The gradients live in ``workspace`` (a
-    throwaway one when none is given) until its next pass.
-
-    Given the forward's own workspace, each part's backward spends its trace
-    (see ``nncore.backward_pass``): a trunk's input gradient goes over the
-    output of the trunk it reads, so no gradient wider than the model input
-    has a buffer of its own. By the walk order, no trace is read after it is
-    spent.
+    Each part's backward runs in the forward's workspace and spends its trace
+    (see ``nncore.backward_pass``). A head whose trunk another trunk reads
+    goes first, while that trunk's output is intact, and defers its input
+    gradient. Then the trunks and embeddings are walked in reverse, so each
+    is walked before the part it reads. A trunk's input gradient goes over
+    the output of the trunk it reads, and that trunk's deferred head adds its
+    own into it a block of rows at a time: the trunk's term, then the head's.
+    The head of a trunk no trunk reads runs just before that trunk and writes
+    its input gradient over the trunk's output the same way. So every input
+    gradient but the model input's lands over the activation it
+    differentiates, and by the walk order no trace is read after it is spent.
+    The gradients live in the workspace until its next pass.
     """
-    ws = _Workspace() if workspace is None else workspace
+    ws = mtrace.workspace
     parts = _VARIANTS[model.config.variant].parts
     read_by_trunk = {part.source for part in parts if part.kind == "trunk"}
-    pending: dict = {}
-    deferred: dict = {}  # trunk name -> (its head, the head's deferred backward)
+    heads = {part.source: part for part in parts if part.kind == "head"}  # trunk -> its head
     grads: dict = {}
-    for part in parts:
-        if part.kind == "head":
-            net = model.nets[part.name]
-            defer = part.source in read_by_trunk
-            back = backward_pass(
-                net, mtrace.traces[part.name], slot_grads[part.slot].reshape(-1, 1),
-                workspace=ws, defer_input=defer,
-            )
-            grads[part.name] = flatten_gradients(back)
-            if defer:
-                deferred[part.source] = net, back
-            else:
-                pending[part.source] = back.input_gradient
+
+    def head_backward(head, **where):
+        back = backward_pass(
+            model.nets[head.name], mtrace.traces[head.name], slot_grads[head.slot].reshape(-1, 1),
+            **where,
+        )
+        grads[head.name] = flatten_gradients(back)
+        return back
+
+    deferred = {trunk: (model.nets[head.name], head_backward(head, defer_input=True))
+                for trunk, head in heads.items() if trunk in read_by_trunk}
+    pending: dict = {}
     for part in reversed(parts):
         if part.kind == "head":
             continue
-        g = pending[part.name]
         if part.name in deferred:
-            add_input_gradient(*deferred[part.name], g, workspace=ws)
+            g = add_input_gradient(*deferred[part.name], pending[part.name], workspace=ws)
+        elif part.name in heads:
+            g = head_backward(heads[part.name], onto=mtrace.traces[part.name]).input_gradient
+        else:
+            g = pending[part.name]
         if part.kind == "embedding":
             table = model.tables[part.name]
             grad = ws.take(("table", part.name), table.shape, table.dtype)
@@ -459,7 +450,7 @@ def _model_backward(
             continue
         back = backward_pass(
             model.nets[part.name], mtrace.traces[part.name], g,
-            workspace=ws, onto=mtrace.traces.get(part.source),
+            onto=mtrace.traces.get(part.source),
         )
         grads[part.name] = flatten_gradients(back)
         pending[part.source] = back.input_gradient
@@ -523,12 +514,12 @@ def predict_matrix(model: ResponseModel, features: np.ndarray) -> PredictionMatr
     return out
 
 
-def _mean_loss(model: ResponseModel, features, arms, s, y, workspace: _Workspace | None) -> float:
+def _mean_loss(model: ResponseModel, features, arms, s, y) -> float:
     total = 0.0
     n = len(features)
     for lo in range(0, n, _PREDICT_CHUNK):
         hi = lo + _PREDICT_CHUNK
-        slots = _eval_slots(model, features[lo:hi], arms[lo:hi], workspace)
+        slots = _eval_slots(model, features[lo:hi], arms[lo:hi])
         value, _ = _loss_terms(model, s[lo:hi], y[lo:hi], slots)
         total += float(np.sum(value))
     return total / n
@@ -594,15 +585,14 @@ def _train_step(
     reuses; the arrays that view it are locals, so they are gone when the
     step returns and never overlap the next step's forward pass.
     """
-    ws = _Workspace() if workspace is None else workspace
-    mt = _model_forward(model, features, arms, rng, workspace=ws)
+    mt = _model_forward(model, features, arms, rng, workspace=workspace)
     with _diverged(epoch):
         value, slot_grads = _loss_terms(model, s, y, mt.slots)
     batch_loss = float(np.sum(value))
     if not np.isfinite(batch_loss):
         raise TrainingError(f"non-finite training loss at epoch {epoch}")
     nb = len(features)
-    grads = _model_backward(model, mt, {k: g / nb for k, g in slot_grads.items()}, ws)
+    grads = _model_backward(model, mt, {k: g / nb for k, g in slot_grads.items()})
     with _diverged(epoch):
         adam_update(params, grads, adam)
     return batch_loss
@@ -625,12 +615,9 @@ def train_model(
     and the best-validation parameters are restored. All randomness (split,
     init, batch order, dropout) runs on streams derived from ``seed``.
 
-    The steps write into one workspace. The validation pass shares it when
-    its rows fit the step buffers. A larger validation set runs on fresh
-    arrays, as scoring without a workspace does, and the workspace is dropped
-    before it and rebuilt by the next epoch's first step, so validation
-    chunks of up to ``_PREDICT_CHUNK`` rows never sit beside the training
-    buffers.
+    An epoch's steps write into one workspace, which is dropped before the
+    validation pass scores on fresh arrays, so validation chunks of up to
+    ``_PREDICT_CHUNK`` rows never sit beside the training buffers.
     """
     if config is None:
         config = ModelConfig()
@@ -683,24 +670,21 @@ def train_model(
     since_improve = 0
     history = []
     epoch = -1
-    workspace = None
 
     for epoch in range(1, config.max_epochs + 1):
         order = batch_rng.permutation(n_train)
         train_total = 0.0
-        if workspace is None:
-            workspace = _Workspace()
+        workspace = _Workspace()
         for lo in range(0, n_train, config.batch_size):
             sel = order[lo : lo + config.batch_size]
             train_total += _train_step(
                 model, params, adam, f_tr[sel], a_tr[sel], s_tr[sel], y_tr[sel], dropout_rng, epoch,
                 workspace,
             )
-        if n_val > min(config.batch_size, n_train):
-            workspace = None
+        del workspace
 
         with _diverged(epoch):
-            val_loss = _mean_loss(model, f_val, a_val, s_val, y_val, workspace)
+            val_loss = _mean_loss(model, f_val, a_val, s_val, y_val)
         if not np.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss at epoch {epoch}")
         history.append(

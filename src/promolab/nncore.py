@@ -24,19 +24,18 @@ holds under fixed keys, so a training loop or a chunked scoring loop that
 passes one workspace to every call allocates its arrays once. The caller
 owns the workspace and frees it by dropping it; nothing is cached at module
 level. A trace and the gradients written into a workspace are valid only
-until the next pass through it overwrites them. A pass given no workspace
-makes a throwaway one, so its results are its own; the gradient checks run
-that way. A backward through the trace's own workspace also spends the
-trace (Chen et al. 2016, *Training Deep Nets with Sublinear Memory Cost*,
-arXiv:1604.06174, in-place backpropagation): a relu layer's output is dead
-once the layer above has read it for its weight gradient and its mask is
-saved, so the gradient at that output is written over it, and then the
-layer's pre-activation gradient over that. The input gradient of a net
-whose input is another trace's relu output (``backward_pass``'s ``onto``)
-goes over that output the same way. A backward given no workspace, or
-another one, writes its gradients into buffers of its own and leaves the
-trace as it was. ``adam_update`` works in place, block by block, with
-scratch of its own.
+until the next pass through it overwrites them. A forward pass given no
+workspace makes a throwaway one, so its results are its own; the trace
+records the workspace either way. The backward runs in the trace's
+workspace and spends the trace (Chen et al. 2016, *Training Deep Nets with
+Sublinear Memory Cost*, arXiv:1604.06174, in-place backpropagation): a relu
+layer's output is dead once the layer above has read it for its weight
+gradient and its mask is saved, so the gradient at that output is written
+over it, and then the layer's pre-activation gradient over that. The input
+gradient of a net whose input is another trace's relu output
+(``backward_pass``'s ``onto``) goes over that output the same way. A trace
+is so good for one backward. ``adam_update`` works in place, block by
+block, with scratch of its own.
 
 Randomness is always drawn from a :class:`numpy.random.Generator` backed by
 PCG64; ``make_rng`` builds one from a seed plus an optional stream key so
@@ -208,10 +207,10 @@ class ForwardTrace:
     """Per-layer activations of one forward pass, inputs included.
 
     The layer arrays are views of the buffers of ``workspace``, the one the
-    caller gave ``forward_pass`` (None when the pass made its own). A
-    ``backward_pass`` through that same workspace spends the trace: it writes
-    the gradient at each relu layer's output over that output, then the
-    layer's pre-activation gradient over it.
+    pass wrote into: the caller's, or a throwaway one the pass made. The
+    ``backward_pass`` through the trace runs in that workspace and spends the
+    trace: it writes the gradient at each relu layer's output over that
+    output, then the layer's pre-activation gradient over it.
 
     ``top_mask`` is set when the backward of a net reading this trace's relu
     output spent it (see ``backward_pass``'s ``onto``): ``output`` then holds
@@ -222,8 +221,8 @@ class ForwardTrace:
     """
 
     inputs: np.ndarray
+    workspace: _Workspace
     layers: list[LayerTrace] = field(default_factory=list)
-    workspace: _Workspace | None = None
     top_mask: np.ndarray | None = None
 
     @property
@@ -277,7 +276,7 @@ def forward_pass(
     batch runs in float64, a longdouble batch in longdouble, against the
     stored float64 parameters. The trace's arrays live in ``workspace`` (a
     throwaway one when none is given) and stay valid until its next pass, or
-    until a backward through it spends them (see ``ForwardTrace``).
+    until the backward spends them (see ``ForwardTrace``).
     """
     batch = np.asarray(batch)
     batch = batch.astype(np.result_type(batch, np.float64), copy=False)
@@ -291,7 +290,7 @@ def forward_pass(
     rate = net.dropout_rate
     use_dropout = rng is not None and rate > 0.0
 
-    trace = ForwardTrace(inputs=batch, workspace=workspace)
+    trace = ForwardTrace(inputs=batch, workspace=ws)
     x = batch
     for layer in net.layers:
         shape = (x.shape[0], layer.fan_out)
@@ -336,36 +335,33 @@ def backward_pass(
     trace: ForwardTrace,
     output_gradient: np.ndarray,
     *,
-    workspace: _Workspace | None = None,
     onto: ForwardTrace | None = None,
     defer_input: bool = False,
 ) -> BackwardResult:
-    """Backpropagate d(loss)/d(output) through a recorded forward pass.
+    """Backpropagate d(loss)/d(output) through a recorded forward pass, spending it.
 
     Returns the gradient of the scalar loss with respect to every weight and
     bias, plus the gradient with respect to the input batch (needed when nets
     are chained). Deterministic given the trace: a relu layer's dropout mask is
     read back from its output, not redrawn.
 
-    Every gradient lands in a buffer of ``workspace`` (a throwaway one when
-    none is given): each layer's weight and bias gradients in its own, the
-    input gradient in one per net, and the gradients at each layer's
-    pre-activation and at the outputs below the top in scratch that all
-    passes share. ``output_gradient`` is only read, cast to the trace's
-    dtype, so backward runs in the arithmetic of its forward pass.
+    Every gradient lands in a buffer of the trace's workspace: each layer's
+    weight and bias gradients in its own, and the gradients at each link
+    layer's pre-activation and at any link output below the top in scratch
+    that all passes share. ``output_gradient`` is only read, cast to the
+    trace's dtype, so backward runs in the arithmetic of its forward pass.
 
-    When ``workspace`` is the trace's own (``trace.workspace``), backward
-    spends the trace, so it is good for one backward only. Once the layer
-    above a relu layer has read that layer's output for its weight gradient,
-    the output's mask is saved in the shared ``"alive"`` scratch and the
-    layer above's input gradient is written over the output; the relu
-    layer's pre-activation gradient then goes over that in place. A relu top
-    layer's mask is ``trace.top_mask`` if a reader has spent its output, and
-    is read from the output otherwise. Given ``onto``, the trace whose output
-    the net read (``trace.inputs``), in the same workspace and with a relu
-    top, the net's input gradient goes over ``onto.output`` the same way,
-    with the mask kept in ``onto.top_mask``. Otherwise the trace is left as
-    it was and can be backpropagated again, and ``onto`` is only checked.
+    The trace is good for one backward only. Once the layer above a relu
+    layer has read that layer's output for its weight gradient, the output's
+    mask is saved in the shared ``"alive"`` scratch and the layer above's
+    input gradient is written over the output; the relu layer's
+    pre-activation gradient then goes over that in place. A relu top layer's
+    mask is ``trace.top_mask`` if a reader has spent its output, and is read
+    from the output otherwise. Given ``onto``, the trace whose output the net
+    read (``trace.inputs``), in the same workspace and with a relu top, the
+    net's input gradient goes over ``onto.output`` the same way, with the mask
+    kept in ``onto.top_mask``. Otherwise the input gradient goes into a
+    buffer of the net's own.
 
     Given ``defer_input``, the input gradient is not formed: the result's
     ``input_gradient`` is None and its ``pre_gradient`` holds the first
@@ -382,15 +378,16 @@ def backward_pass(
             f"output_gradient shape {output_gradient.shape} does not match "
             f"net output shape {trace.output.shape}"
         )
+    ws = trace.workspace
     if onto is not None and onto.output is not trace.inputs:
         raise ShapeError("onto must be the trace whose output the net read")
-    spend = workspace is not None and workspace is trace.workspace
-    ws = _Workspace() if workspace is None else workspace
+    if onto is not None and onto.workspace is not ws:
+        raise ValidationError("onto must live in the workspace of the trace")
 
     weight_grads: list[np.ndarray] = [None] * len(net.layers)  # type: ignore[list-item]
     bias_grads: list[np.ndarray] = [None] * len(net.layers)  # type: ignore[list-item]
     g = output_gradient
-    mask = trace.top_mask if spend else None  # saved mask of the relu layer whose output g is at
+    mask = trace.top_mask  # saved mask of the relu layer whose output g is at
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         ltrace = trace.layers[i]
@@ -400,11 +397,9 @@ def backward_pass(
             if mask is None:
                 mask = np.greater(ltrace.output, 0.0, out=ws.take("alive", g.shape, bool))
             derivative = mask
-        else:
-            derivative = _link_derivative(layer.activation, ltrace.pre, ltrace.output)
-        if spend and layer.activation == "relu":
             target = ltrace.output  # its mask is saved; g may already be here
         else:
+            derivative = _link_derivative(layer.activation, ltrace.pre, ltrace.output)
             key = ("dpre", id(net)) if defer_input and i == 0 else "dpre"
             target = ws.take(key, g.shape, np.result_type(g, derivative))
         dpre = np.multiply(g, derivative, out=target)
@@ -420,9 +415,9 @@ def backward_pass(
         )
         if defer_input and i == 0:
             return BackwardResult(weight_grads, bias_grads, None, pre_gradient=dpre)
-        # a relu output below, in this workspace, is dead once its mask is saved
+        # a relu output below is dead once its mask is saved
         mask = None
-        if spend and below is not None and below.pre is None and (i > 0 or onto.workspace is ws):
+        if below is not None and below.pre is None:
             mask = np.greater(below.output, 0.0, out=ws.take("alive", below.output.shape, bool))
             if i == 0:
                 onto.top_mask = mask
@@ -435,19 +430,19 @@ def backward_pass(
 
 
 def add_input_gradient(
-    net: DenseNet, back: BackwardResult, into: np.ndarray, *, workspace: _Workspace | None = None
+    net: DenseNet, back: BackwardResult, into: np.ndarray, *, workspace: _Workspace
 ) -> np.ndarray:
     """Add the input gradient a deferred ``backward_pass`` left unformed into ``into``, in place.
 
     Forms ``back.pre_gradient @ W.T`` for the net's first weight W a block of
-    rows at a time in scratch of ``workspace``, so the product is never held
-    whole, and adds each block into ``into``'s rows. For a one-unit net each
-    entry is one product, so this gives the bytes of ``into += input_gradient``.
+    rows at a time in scratch of ``workspace``, the one the backward ran in,
+    so the product is never held whole, and adds each block into ``into``'s
+    rows. For a one-unit net each entry is one product, so this gives the
+    bytes of ``into += input_gradient``.
     """
     weight_t = net.layers[0].weight.T
     blocks = _blocks(into, back.pre_gradient)
-    ws = _Workspace() if workspace is None else workspace
-    scratch = ws.take("block", blocks[0][0].shape, np.result_type(back.pre_gradient, weight_t))
+    scratch = workspace.take("block", blocks[0][0].shape, np.result_type(back.pre_gradient, weight_t))
     for block, pre in blocks:
         rows = len(block)
         block += np.matmul(pre, weight_t, out=scratch[:rows])

@@ -11,7 +11,9 @@ extended precision.
 ``reference_forward`` and ``reference_backward`` are the engine's passes in
 their four-array form (pre-activation, activation, output and float dropout
 mask kept for every layer, the mask None where no unit drops), which the
-compact trace must match byte for byte.
+compact trace must match byte for byte. ``reference_model_gradients`` walks
+a variant's parts through them on fresh arrays: the backprop that the
+model's trace-spending backward walk must match byte for byte.
 ``reference_adam_update`` is Adam in its whole-array form, which the blocked
 in-place update must match byte for byte.
 """
@@ -23,7 +25,7 @@ import numpy as np
 from promolab import allocator
 from promolab.allocator import BUDGET_TOLERANCE, AllocationPlan, AllocationProblem, plan_totals
 from promolab.errors import InfeasiblePlanError, InstanceTooLargeError, ShapeError, ValidationError
-from promolab.model import ResponseModel, _loss_terms, _model_backward, _model_forward
+from promolab.model import _VARIANTS, ResponseModel, _loss_terms, _model_backward, _model_forward
 from promolab.nncore import (
     _ADAM_BETA1,
     _ADAM_BETA2,
@@ -202,6 +204,46 @@ def reference_backward(net: DenseNet, inputs, layers, output_gradient):
         bias_grads[i] = dpre.sum(axis=0)
         g = dpre @ layer.weight.T
     return weight_grads, bias_grads, g
+
+
+def reference_model_gradients(model: ResponseModel, features, arms, s, y, rng=None) -> list:
+    """Gradients of the variant's summed loss, aligned with ``model.parameters()``.
+
+    Each part runs ``reference_forward`` in part order, drawing dropout from
+    ``rng`` as the model's forward walk does, and ``reference_backward`` in
+    reverse order. A part's input gradient is the sum of its readers' input
+    gradients, the trunk's term first, then the head's.
+    """
+    arms = np.asarray(arms, dtype=np.int64)
+    z = model.standardize(features)
+    parts = _VARIANTS[model.config.variant].parts
+    records, outputs, slots = {}, {}, {}
+    for part in parts:
+        if part.kind == "embedding":
+            outputs[part.name] = np.hstack([z, model.tables[part.name][arms]])
+            continue
+        records[part.name] = reference_forward(model.nets[part.name], outputs[part.source], rng)
+        outputs[part.name] = records[part.name][1][-1][2]
+        if part.slot is not None:
+            slots[part.slot] = outputs[part.name][:, 0]
+    _, slot_grads = _loss_terms(model, s, y, slots)
+    terms: dict = {}  # part name -> the input gradients of the parts reading it
+    grads = {}
+    for part in reversed(parts):
+        if part.kind == "head":
+            g = slot_grads[part.slot].reshape(-1, 1)
+        else:
+            g = sum(terms[part.name][1:], terms[part.name][0])
+        if part.kind == "embedding":
+            grads[part.name] = [np.zeros_like(model.tables[part.name])]
+            np.add.at(grads[part.name][0], arms, g[:, model.n_features :])
+            continue
+        weight_grads, bias_grads, input_gradient = reference_backward(
+            model.nets[part.name], *records[part.name], g
+        )
+        grads[part.name] = [x for pair in zip(weight_grads, bias_grads) for x in pair]
+        terms.setdefault(part.source, []).append(input_gradient)
+    return [grad for name in (*model.tables, *model.nets) for grad in grads[name]]
 
 
 def reference_adam_update(params, grads, state: AdamState):

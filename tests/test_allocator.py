@@ -1,6 +1,7 @@
 """Knapsack allocator oracles: hand instances, exact-vs-brute sweeps, duality."""
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -432,6 +433,29 @@ class TestSingleCustomerFinish:
         inside = {int(np.argmax(s)) for lam, s in scores.items() if 4.0 < lam < 8.0}
         assert inside == {1, 2, 3}
         assert_matches_full_bisection(problem)
+
+    def test_finish_stops_once_lo_and_hi_are_adjacent(self, monkeypatch):
+        # the finish picks its customer's arm through the module's max, so a
+        # max seen from solve_lagrangian records each step's bracket. The
+        # bisection closes in on 1/4 from below (see the test above): hi stays
+        # at 1/4 and every step raises lo, until lo and hi are adjacent floats
+        # and the next midpoint would be one of them
+        brackets = []
+
+        def watched_max(*args, **kwargs):
+            frame = sys._getframe(1)
+            if frame.f_code is solve_lagrangian.__code__:
+                brackets.append(tuple(frame.f_locals[k] for k in ("lo", "mid", "hi")))
+            return max(*args, **kwargs)
+
+        monkeypatch.setattr(allocator, "max", watched_max, raising=False)
+        value, cost = critical_among_settled([0.0, 1.5, 1.5, 2.0], [0.0, 2.0, 2.0, 4.0])
+        solve_lagrangian(AllocationProblem(value=value, cost=cost, budget=4 + 2.0))
+        assert 40 < len(brackets) < allocator._LAGRANGIAN_ITERATIONS - 2
+        assert all(lo < mid < hi for lo, mid, hi in brackets)
+        assert [hi for _, _, hi in brackets[2:]] == [0.25] * (len(brackets) - 2)
+        _, mid, hi = brackets[-1]
+        assert np.nextafter(mid, np.inf) == hi
 
     def test_one_active_customer_is_not_rescored_in_blocks(self, monkeypatch):
         blocks = []

@@ -30,7 +30,7 @@ from promolab.model import (
 )
 from promolab.nncore import _Workspace, init_adam, make_rng
 
-from oracles import model_gradient_check
+from oracles import model_gradient_check, reference_model_gradients
 
 NARROW = dict(hidden_dims=(16, 16, 8, 4), dropout_rate=0.1)
 
@@ -207,19 +207,6 @@ class TestSharedBuffers:
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_scoring_buffers_give_traced_bytes(self, variant):
-        # validation scores in the training workspace, one buffer per layer;
-        # the second walk reuses the buffers the first one sized
-        model, _ = narrow_model(variant)
-        features, arms, _, _ = tiny_batch(n=60)
-        traced = model_module._model_forward(model, features, arms).slots
-        ws = _Workspace()
-        for n in (60, 45):
-            slots = model_module._eval_slots(model, features[:n], arms[:n], ws)
-            for name in traced:
-                assert slots[name].tobytes() == traced[name][:n].tobytes(), name
-
-    @pytest.mark.parametrize("variant", VARIANTS)
     def test_reused_workspace_gives_fresh_bytes(self, variant):
         # a smaller batch after a larger one, as the last step of an epoch
         model, _ = narrow_model(variant, dropout_rate=0.3)
@@ -228,7 +215,7 @@ class TestSharedBuffers:
             features, arms, s, y = tiny_batch(n=n, seed=seed)
             mt = model_module._model_forward(model, features, arms, make_rng(seed), workspace=ws)
             _, slot_grads = model_module._loss_terms(model, s, y, mt.slots)
-            grads = model_module._model_backward(model, mt, slot_grads, ws)
+            grads = model_module._model_backward(model, mt, slot_grads)
             return b"".join(a.tobytes() for a in [*mt.slots.values(), *grads])
 
         ws = _Workspace()
@@ -237,23 +224,19 @@ class TestSharedBuffers:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_backward_spending_its_traces_gives_fresh_bytes(self, variant):
-        # a backward in the forward's own workspace spends each part's trace
-        # as it walks it; no part may read a trace a later part's backward
-        # has already spent
+        # the backward spends each part's trace as it walks it; no part may
+        # read a trace a later part's backward has already spent, so the
+        # bytes are those of the reference backprop through fresh arrays
         model, _ = narrow_model(variant, dropout_rate=0.3)
         features, arms, s, y = tiny_batch(n=64)
-
-        def grads(spend):
-            ws = _Workspace()
-            mt = model_module._model_forward(model, features, arms, make_rng(3), workspace=ws)
-            trunk = mt.traces["trunk_a"].layers[0].output
-            kept = trunk.copy()
-            _, slot_grads = model_module._loss_terms(model, s, y, mt.slots)
-            grads = model_module._model_backward(model, mt, slot_grads, ws if spend else _Workspace())
-            assert np.array_equal(trunk, kept) != spend
-            return b"".join(g.tobytes() for g in grads)
-
-        assert grads(spend=True) == grads(spend=False)
+        mt = model_module._model_forward(model, features, arms, make_rng(3), workspace=_Workspace())
+        trunk = mt.traces["trunk_a"].layers[0].output
+        kept = trunk.copy()
+        _, slot_grads = model_module._loss_terms(model, s, y, mt.slots)
+        grads = model_module._model_backward(model, mt, slot_grads)
+        assert not np.array_equal(trunk, kept)
+        reference = reference_model_gradients(model, features, arms, s, y, make_rng(3))
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in reference]
 
 
 class TestEvalWalk:
@@ -516,7 +499,8 @@ class TestTrainingMemory:
     # allocated its layer outputs, dropout draws, gradients and Adam
     # temporaries afresh and validation scored on fresh arrays (numpy 2.4).
     # At 1 100 customers the validation set fits the step buffers; at 20 000
-    # its 2 000 rows do not, and it runs after the step buffers are dropped.
+    # its 2 000 rows do not. Validation now runs after each epoch's step
+    # buffers are dropped at both sizes.
     FRESH_ARRAYS_PEAK = {1100: 130_191_816, 20_000: 134_121_781}
 
     @pytest.mark.parametrize("n_customers", sorted(FRESH_ARRAYS_PEAK))
@@ -569,22 +553,46 @@ class TestTrainingMemory:
             tracemalloc.stop()
         assert peak <= self.IN_PLACE_GRADIENT_PEAK[n_customers]
 
-    def test_step_keeps_no_input_gradient_wider_than_the_model_input(self):
-        # after one default-width step of 1 024 rows, the gradients at the
-        # trunk outputs sit over those outputs, not in buffers of their own
+    @staticmethod
+    def _default_width_step(variant):
+        """The model and the workspace after one default-width backward over 1 024 rows."""
         dataset, _ = generate_rct(GenConfig(n_customers=1100, seed=2))
         features, arms, s, y = (a[:1024] for a in (dataset.features, dataset.arm, dataset.s, dataset.y))
-        model = build_model(ModelConfig(), 7, features.mean(axis=0), features.std(axis=0), make_rng(2))
+        config = ModelConfig(variant=variant)
+        model = build_model(config, 7, features.mean(axis=0), features.std(axis=0), make_rng(2))
         ws = _Workspace()
         mt = model_module._model_forward(model, features, arms, make_rng(3), workspace=ws)
         _, slot_grads = model_module._loss_terms(model, s, y, mt.slots)
-        model_module._model_backward(model, mt, slot_grads, ws)
+        model_module._model_backward(model, mt, slot_grads)
+        return model, ws
+
+    def test_step_keeps_no_input_gradient_wider_than_the_model_input(self):
+        # after one default-width step of 1 024 rows, the gradients at the
+        # trunk outputs sit over those outputs, not in buffers of their own
+        model, ws = self._default_width_step("full")
         input_width = model.n_features + model.embedding_dim
         assert "dout" not in ws._buffers
         trunks = {id(model.nets[name]): name for name in ("trunk_a", "trunk_b", "trunk_c")}
         din = {trunks[key[1]]: buf.size for key, buf in ws._buffers.items()
                if isinstance(key, tuple) and key[0] == "din" and key[1] in trunks}
         assert din == {"trunk_a": 1024 * input_width}
+
+    # direct_only's step workspace once its head writes its input gradient
+    # over trunk_a's output: 33.4 MiB when that gradient had an 8 MiB buffer
+    DIRECT_ONLY_STEP_WORKSPACE = 25.5 * 2**20
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_step_keeps_no_head_input_gradient(self, variant):
+        # every head's input gradient lands over, or is added into, the
+        # gradient at its trunk's output; only the model input's has a buffer
+        model, ws = self._default_width_step(variant)
+        heads = {id(model.nets[part.name]) for part in model_module._VARIANTS[variant].parts
+                 if part.kind == "head"}
+        din = [key for key in ws._buffers if isinstance(key, tuple) and key[0] == "din"]
+        assert din and not [key for key in din if key[1] in heads]
+        assert "dout" not in ws._buffers
+        if variant == "direct_only":
+            assert sum(buf.nbytes for buf in ws._buffers.values()) <= self.DIRECT_ONLY_STEP_WORKSPACE
 
 
 class TestCheckpoint:

@@ -83,13 +83,14 @@ class TestForward:
             trace = forward_pass(net, batch)
             assert trace.inputs.dtype == runs_in
             assert all(lt.output.dtype == runs_in for lt in trace.layers)
+            out = trace.output.copy()  # before backward spends a relu top
             back = backward_pass(net, trace, np.ones((5, widths[-1])))
             assert all(g.dtype == runs_in for g in flatten_gradients(back) + [back.input_gradient])
             wide = forward_pass(net, batch.astype(np.float64)).output
             if runs_in == np.float64:
-                assert trace.output.tobytes() == wide.tobytes()
+                assert out.tobytes() == wide.tobytes()
             else:
-                np.testing.assert_allclose(trace.output.astype(np.float64), wide, rtol=1e-14)
+                np.testing.assert_allclose(out.astype(np.float64), wide, rtol=1e-14)
 
     def test_chained_dims_validated(self):
         a = DenseLayer(weight=np.zeros((2, 3)), bias=np.zeros(3))
@@ -274,16 +275,18 @@ class TestDropout:
         net = init_dense_net([3, 8, 1], ["relu", "identity"], make_rng(6), dropout_rate=0.5)
         batch = make_rng(7).normal(size=(4, 3))
         trace = forward_pass(net, batch, make_rng(8))
+        output = trace.layers[0].output.copy()  # before backward spends it
         g = np.ones((4, 1))
         first = backward_pass(net, trace, g)
-        second = backward_pass(net, trace, g)
+        # a trace is good for one backward; the same rng records the same masks
+        second = backward_pass(net, forward_pass(net, batch, make_rng(8)), g)
         for a, b in zip(first.weight_grads, second.weight_grads):
             np.testing.assert_array_equal(a, b)
         # units dropped in the forward pass get no weight gradient; a relu
         # keeps no mask, so read it from the four-array reference on the same rng
         _, ref = reference_forward(net, batch, make_rng(8))
         mask = ref[0][3]
-        assert np.all(trace.layers[0].output[mask == 0.0] == 0.0)
+        assert np.all(output[mask == 0.0] == 0.0)
         dropped_cols = np.all(mask == 0.0, axis=0)
         assert dropped_cols.any()
         assert np.all(first.weight_grads[0][:, dropped_cols] == 0.0)
@@ -431,7 +434,7 @@ class TestWorkspace:
         g[0] = [0.0, -0.0, np.nan]
         kept = g.copy()
         with np.errstate(invalid="ignore"):
-            backward_pass(net, trace, g, workspace=ws)
+            backward_pass(net, trace, g)
         assert g.tobytes() == kept.tobytes()
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
@@ -445,7 +448,7 @@ class TestWorkspace:
             g = make_rng(seed + 2).normal(size=(rows, 2))
             trace = forward_pass(net, batch, rng, workspace=ws)
             outputs = b"".join(lt.output.tobytes() for lt in trace.layers)  # before backward spends them
-            back = backward_pass(net, trace, g, workspace=ws)
+            back = backward_pass(net, trace, g)
             arrays = [lt.output for lt in trace.layers] + [back.input_gradient]
             return outputs + b"".join(a.tobytes() for a in arrays + flatten_gradients(back))
 
@@ -492,16 +495,14 @@ class TestWorkspace:
         trace = forward_pass(net, batch, rng(), workspace=ws)
         assert trace.workspace is ws
         kept = [lt.output.copy() for lt in trace.layers]
-        own = backward_pass(net, trace, g, workspace=ws)
-        elsewhere_trace = forward_pass(net, batch, rng(), workspace=nncore._Workspace())
-        elsewhere = backward_pass(net, elsewhere_trace, g, workspace=nncore._Workspace())
+        back = backward_pass(net, trace, g)
+        # the bytes of the reference backprop through fresh arrays
         inputs, ref = reference_forward(net, batch, rng())
         weight_grads, bias_grads, input_gradient = reference_backward(net, inputs, ref, g)
-        for back in (own, elsewhere):
-            for i in range(len(net.layers)):
-                assert _bits(back.weight_grads[i]) == _bits(weight_grads[i]), f"weight {i}"
-                assert _bits(back.bias_grads[i]) == _bits(bias_grads[i]), f"bias {i}"
-            assert _bits(back.input_gradient) == _bits(input_gradient)
+        for i in range(len(net.layers)):
+            assert _bits(back.weight_grads[i]) == _bits(weight_grads[i]), f"weight {i}"
+            assert _bits(back.bias_grads[i]) == _bits(bias_grads[i]), f"bias {i}"
+        assert _bits(back.input_gradient) == _bits(input_gradient)
         # the relu layers now hold their pre-activation gradients; the output
         # gradient is cast to the trace's dtype, so a longdouble relu top is spent too
         for i, layer in enumerate(net.layers):
@@ -510,27 +511,12 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @pytest.mark.parametrize("rate", [0.0, 0.35])
-    @pytest.mark.parametrize("top", ["relu", "sigmoid"])
-    def test_backward_elsewhere_leaves_the_trace(self, top, rate, dtype):
-        net, batch, g = self._stack(top, rate)
-        trace = forward_pass(net, batch.astype(dtype), make_rng(63), workspace=nncore._Workspace())
-        arrays = [trace.inputs] + [a for lt in trace.layers for a in (lt.output, lt.pre)
-                                   if a is not None]
-        kept = [_bits(a) for a in arrays]
-        backward_pass(net, trace, g)
-        assert [_bits(a) for a in arrays] == kept
-        backward_pass(net, trace, g, workspace=nncore._Workspace())
-        assert [_bits(a) for a in arrays] == kept
-
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-    @pytest.mark.parametrize("rate", [0.0, 0.35])
     def test_input_gradient_onto_the_trace_it_read(self, rate, dtype, monkeypatch):
-        # net b and a one-unit head both read net a's relu output. In their
-        # own workspace b's input gradient goes over a's output, the head's
-        # is added into it a few rows at a time, and a's backward reads the
-        # mask b saved: the bytes of a backward through fresh buffers, with
-        # the head's input gradient formed whole and added
+        # net b and a one-unit head both read net a's relu output. b's input
+        # gradient goes over a's output, the head's is added into it a few
+        # rows at a time, and a's backward reads the mask b saved: the bytes
+        # of the reference backprop through fresh arrays, with the head's
+        # input gradient formed whole and added
         monkeypatch.setattr(nncore, "_BLOCK", 50)  # 5 rows of 9 per block
         rng = make_rng(64)
         a = init_dense_net([4, 12, 9], ["relu", "relu"], rng, dropout_rate=rate)
@@ -540,43 +526,42 @@ class TestWorkspace:
         batch = rng.normal(size=(40, 4)).astype(dtype)
         g_b, g_head = rng.normal(size=(40, 3)), rng.normal(size=(40, 1))
 
-        def run(own):
-            ws = nncore._Workspace()
-            dropout = make_rng(65)
-            ta = forward_pass(a, batch, dropout, workspace=ws)
-            tb = forward_pass(b, ta.output, dropout, workspace=ws)
-            th = forward_pass(head, ta.output, workspace=ws)
-            kept = ta.output.copy()
-            bws = ws if own else nncore._Workspace()
-            back_head = backward_pass(head, th, g_head, workspace=bws, defer_input=True)
-            assert back_head.input_gradient is None
-            back_b = backward_pass(b, tb, g_b, workspace=bws, onto=ta)
-            assert (back_b.input_gradient is ta.output) == own
-            if own:
-                g_a = add_input_gradient(head, back_head, back_b.input_gradient, workspace=bws)
-            else:
-                assert _bits(ta.output) == _bits(kept)
-                g_a = back_b.input_gradient + backward_pass(head, th, g_head).input_gradient
-            back_a = backward_pass(a, ta, g_a, workspace=bws)
-            backs = (back_head, back_b, back_a)
-            return [_bits(x) for back in backs for x in flatten_gradients(back)] + [
-                _bits(back_a.input_gradient)
-            ]
+        ws = nncore._Workspace()
+        dropout = make_rng(65)
+        ta = forward_pass(a, batch, dropout, workspace=ws)
+        tb = forward_pass(b, ta.output, dropout, workspace=ws)
+        th = forward_pass(head, ta.output, workspace=ws)
+        back_head = backward_pass(head, th, g_head, defer_input=True)
+        assert back_head.input_gradient is None
+        back_b = backward_pass(b, tb, g_b, onto=ta)
+        assert back_b.input_gradient is ta.output
+        g_a = add_input_gradient(head, back_head, back_b.input_gradient, workspace=ws)
+        back_a = backward_pass(a, ta, g_a)
+        spent = [_bits(x) for back in (back_head, back_b, back_a) for x in flatten_gradients(back)]
 
-        assert run(own=True) == run(own=False)
+        dropout = make_rng(65)
+        inputs, ra = reference_forward(a, batch, dropout)
+        _, rb = reference_forward(b, ra[-1][2], dropout)
+        _, rh = reference_forward(head, ra[-1][2])
+        wh, bh, din_head = reference_backward(head, ra[-1][2], rh, g_head)
+        wb, bb, din_b = reference_backward(b, ra[-1][2], rb, g_b)
+        wa, ba, din_a = reference_backward(a, inputs, ra, din_b + din_head)
+        reference = [_bits(x) for w, bias in ((wh, bh), (wb, bb), (wa, ba))
+                     for pair in zip(w, bias) for x in pair]
+        assert spent == reference
+        assert _bits(back_a.input_gradient) == _bits(din_a)
 
-    def test_onto_in_another_workspace_is_left_as_it_was(self):
-        # b spends its own trace, but a's output belongs to another workspace
+    def test_onto_in_another_workspace_raises(self):
+        # b's trace lives in one workspace, a's output in another
         rng = make_rng(67)
         a = init_dense_net([3, 5], ["relu"], rng)
         b = init_dense_net([5, 2], ["relu"], rng)
         ta = forward_pass(a, rng.normal(size=(6, 3)), workspace=nncore._Workspace())
-        ws = nncore._Workspace()
-        tb = forward_pass(b, ta.output, workspace=ws)
+        tb = forward_pass(b, ta.output, workspace=nncore._Workspace())
         kept = _bits(ta.output)
-        back = backward_pass(b, tb, rng.normal(size=(6, 2)), workspace=ws, onto=ta)
+        with pytest.raises(ValidationError, match="onto"):
+            backward_pass(b, tb, rng.normal(size=(6, 2)), onto=ta)
         assert _bits(ta.output) == kept and ta.top_mask is None
-        assert not np.shares_memory(back.input_gradient, ta.output)
 
     def test_onto_must_be_the_trace_the_net_read(self):
         rng = make_rng(66)
@@ -586,7 +571,7 @@ class TestWorkspace:
         ta = forward_pass(a, rng.normal(size=(6, 3)), workspace=ws)
         tb = forward_pass(b, ta.output.copy(), workspace=ws)
         with pytest.raises(ShapeError, match="onto"):
-            backward_pass(b, tb, np.ones((6, 2)), workspace=ws, onto=ta)
+            backward_pass(b, tb, np.ones((6, 2)), onto=ta)
 
 
 class TestInit:
