@@ -486,14 +486,26 @@ class TestWorkspace:
     @pytest.mark.parametrize("top", ["relu", "sigmoid"])
     def test_backward_in_own_workspace_spends_the_trace(self, top, rate, dtype):
         net, batch, g = self._stack(top, rate)
-        batch = batch.astype(dtype)
+        ws = nncore._Workspace()
+        trace = self._spend_like_the_reference(net, batch.astype(dtype), g, ws)
+        assert trace.workspace is ws
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("rate", [0.0, 0.35])
+    @pytest.mark.parametrize("top", ["relu", "sigmoid"])
+    def test_pass_without_workspace_spends_its_own(self, top, rate, dtype):
+        # a pass given no workspace records the throwaway one it made, and the
+        # backward spends that one as it would a caller's
+        net, batch, g = self._stack(top, rate)
+        trace = self._spend_like_the_reference(net, batch.astype(dtype), g, None)
+        assert isinstance(trace.workspace, nncore._Workspace)
+
+    @staticmethod
+    def _spend_like_the_reference(net, batch, g, ws):
         def rng():
             return make_rng(62)
 
-        ws = nncore._Workspace()
         trace = forward_pass(net, batch, rng(), workspace=ws)
-        assert trace.workspace is ws
         kept = [lt.output.copy() for lt in trace.layers]
         back = backward_pass(net, trace, g)
         # the bytes of the reference backprop through fresh arrays
@@ -508,6 +520,29 @@ class TestWorkspace:
         for i, layer in enumerate(net.layers):
             changed = _bits(trace.layers[i].output) != _bits(kept[i])
             assert changed == (layer.activation == "relu"), f"layer {i}"
+        return trace
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("link", ["identity", "sigmoid", "exp"])
+    def test_link_layer_below_the_top(self, link, dtype):
+        # the gradient at a link layer's output below the top goes into the
+        # shared "dout" scratch, not over the output its derivative still reads
+        rng = make_rng(68)
+        net = init_dense_net([4, 12, 6, 3], ["relu", link, "relu"], rng, dropout_rate=0.35)
+        batch = rng.normal(size=(16, 4)).astype(dtype)
+        g = rng.normal(size=(16, 3))
+        ws = nncore._Workspace()
+        trace = forward_pass(net, batch, make_rng(69), workspace=ws)
+        link_output = _bits(trace.layers[1].output)
+        back = backward_pass(net, trace, g)
+        assert "dout" in ws._buffers
+        assert _bits(trace.layers[1].output) == link_output
+        inputs, ref = reference_forward(net, batch, make_rng(69))
+        weight_grads, bias_grads, input_gradient = reference_backward(net, inputs, ref, g)
+        for i in range(len(net.layers)):
+            assert _bits(back.weight_grads[i]) == _bits(weight_grads[i]), f"weight {i}"
+            assert _bits(back.bias_grads[i]) == _bits(bias_grads[i]), f"bias {i}"
+        assert _bits(back.input_gradient) == _bits(input_gradient)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @pytest.mark.parametrize("rate", [0.0, 0.35])
