@@ -52,7 +52,7 @@ _LAMBDA_START = 1.0
 _LEAD_MARGIN = 8 * 2.0**-53
 # Absolute error of a product that underflows, bounded by the smallest normal float.
 _UNDERFLOW = float(np.finfo(np.float64).tiny)
-# Auto-resolution targets this many DP cells (about 100 MB of choice table).
+# Auto-resolution targets this many DP cells (about 50 MB of one-byte choice table).
 _DP_CELL_BUDGET = 50_000_000
 PLAN_HEADER = ("customer_id", "chosen_arm")
 
@@ -150,9 +150,10 @@ def solve_exact_dp(problem: AllocationProblem, cost_resolution: float | None = 1
     and within the rounding slack of optimal. Passing ``None`` picks the
     finest resolution (at least 1e-4) whose table stays within a fixed cell
     budget. The recurrence tracks, for each integer budget b, the best value
-    using cost at most b. Memory is O(N * budget units) for backtracking, so
-    this is meant for modest instances; use the Lagrangian solver for large
-    ones.
+    using cost at most b. Backtracking keeps one arm index per (customer,
+    budget unit) cell, in the narrowest unsigned type that holds every arm:
+    one byte up to 256 arms. So memory is O(N * budget units), and this is
+    meant for modest instances; use the Lagrangian solver for large ones.
     """
     max_spend = float(problem.cost.max(axis=1).sum())
     if problem.budget >= max_spend - BUDGET_TOLERANCE:
@@ -183,7 +184,7 @@ def solve_exact_dp(problem: AllocationProblem, cost_resolution: float | None = 1
     cand = np.empty(width)
     take = np.empty(width, dtype=bool)
     # choice[i, b]: arm taken for customer i when best[b] was achieved
-    choice = np.zeros((n, width), dtype=np.int16)
+    choice = np.zeros((n, width), dtype=np.min_scalar_type(m - 1))
 
     for i in range(n):
         new_best.fill(-np.inf)
@@ -195,7 +196,7 @@ def solve_exact_dp(problem: AllocationProblem, cost_resolution: float | None = 1
             np.add(best[: width - c], problem.value[i, j], out=cand[c:])
             np.greater(cand[c:], new_best[c:], out=take[c:])
             np.copyto(new_best[c:], cand[c:], where=take[c:])
-            np.copyto(choice[i, c:], np.int16(j), where=take[c:])
+            np.copyto(choice[i, c:], j, where=take[c:])
         best, new_best = new_best, best
     # lower arm indices win ties because later arms only replace on strict improvement
 

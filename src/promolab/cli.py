@@ -54,7 +54,7 @@ from .model import (
     train_model,
 )
 from .report import write_report
-from .tables import pair_columns, write_table
+from .tables import atomic_write, pair_columns, write_table
 
 ENV_LOG_LEVEL = "PROMOLAB_LOG_LEVEL"
 
@@ -145,21 +145,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _atomic_write(path: Path, writer):
-    """Run ``writer(tmp_path)`` then rename over ``path``.
-
-    The temp name keeps the target's suffix, since some writers (``np.savez``)
-    append their own suffix to a name that lacks it.
-    """
-    tmp = path.with_suffix(".tmp" + path.suffix)
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
-
-
 def _load_dataset(path, n_arms: int) -> RctDataset:
     dataset = RctDataset.from_csv(path)
     if dataset.n == 0:
@@ -184,8 +169,8 @@ def _cmd_generate(args) -> int:
     cfg = parse_config(args.config, seed=args.seed)
     out = _out_dir(args)
     dataset, truth = generate_rct(cfg.generation)
-    _atomic_write(out / "dataset.csv", dataset.to_csv)
-    _atomic_write(out / "ground_truth.csv", lambda p: truth.to_csv(p, dataset.customer_id))
+    atomic_write(out / "dataset.csv", dataset.to_csv)
+    atomic_write(out / "ground_truth.csv", lambda p: truth.to_csv(p, dataset.customer_id))
     logger.info(
         "generated %d customers x %d arms into %s", dataset.n, truth.n_arms, out
     )
@@ -201,7 +186,7 @@ def _cmd_train(args) -> int:
         dataset.features, dataset.arm, dataset.s, dataset.y, n_arms,
         config=cfg.model, seed=args.seed,
     )
-    _atomic_write(out / "model.npz", lambda p: save_model(result.model, p))
+    atomic_write(out / "model.npz", lambda p: save_model(result.model, p))
     history = {
         "variant": cfg.model.variant,
         "best_epoch": result.best_epoch,
@@ -209,7 +194,7 @@ def _cmd_train(args) -> int:
         "stopped_epoch": result.stopped_epoch,
         "epochs": [h.to_dict() for h in result.history],
     }
-    _atomic_write(
+    atomic_write(
         out / "history.json",
         lambda p: Path(p).write_text(json.dumps(history, sort_keys=True, indent=2) + "\n"),
     )
@@ -231,7 +216,7 @@ def _cmd_predict(args) -> int:
     model = load_model(args.model)
     dataset = _load_dataset(args.data, model.n_arms)
     pm = predict_matrix(model, dataset.features)
-    _atomic_write(out / "predictions.csv", lambda p: _write_predictions_csv(p, dataset.customer_id, pm))
+    atomic_write(out / "predictions.csv", lambda p: _write_predictions_csv(p, dataset.customer_id, pm))
     logger.info("wrote %d x %d predictions to %s", pm.direct.shape[0], pm.direct.shape[1], out)
     return 0
 
@@ -247,7 +232,7 @@ def _cmd_allocate(args) -> int:
         plan = solve_exact_dp(problem, cost_resolution=None)
     else:
         plan = solve_lagrangian(problem)
-    _atomic_write(out / "plan.csv", lambda p: plan.to_csv(p, dataset.customer_id))
+    atomic_write(out / "plan.csv", lambda p: plan.to_csv(p, dataset.customer_id))
     line = "allocated at budget %.6g: value %.6g, cost %.6g"
     values = [args.budget, plan.total_value, plan.total_cost]
     if plan.dual_bound is not None:  # the Lagrangian certifies its gap; the DP is exact
@@ -268,7 +253,7 @@ def _cmd_evaluate(args) -> int:
         seed=args.seed, budget=cfg.budget, n_folds=cfg.n_folds,
     )
     path = out / f"eval_{cfg.model.variant}.json"
-    _atomic_write(path, lambda p: report.save(p))
+    atomic_write(path, lambda p: report.save(p))
     logger.info("evaluation for %s written to %s", cfg.model.variant, path)
     return 0
 
@@ -297,7 +282,7 @@ def _cmd_sweep(args) -> int:
         pm.amount, pm.direct, gen.coupon_values, cfg.budget_grid,
         dataset.arm, dataset.s, dataset.y, gen.control_arm,
     )
-    _atomic_write(out / "curve.csv", lambda p: curve_to_csv(points, p))
+    atomic_write(out / "curve.csv", lambda p: curve_to_csv(points, p))
     logger.info("swept %d budgets into %s", len(points), out / "curve.csv")
     return 0
 

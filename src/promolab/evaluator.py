@@ -196,7 +196,11 @@ def curve_to_csv(points, path):
 
 
 def load_curve_csv(path):
+    """The points of a ``curve_to_csv`` file; a NaN or infinite cell raises ``ValidationError``."""
     columns = read_table(path, CURVE_HEADER)
+    for name, column in zip(CURVE_HEADER, columns):
+        if not np.all(np.isfinite(column)):
+            raise ValidationError(f"{path}: column {name} holds a non-finite value")
     return [CurvePoint(*row) for row in zip(*(c.tolist() for c in columns))]
 
 

@@ -757,8 +757,10 @@ def load_model(path) -> ResponseModel:
     missing a header key or an array, an unknown config key, or an array
     whose shape is not the layout's.
     """
+    # np.load leaves a handle it opened unclosed when the zip will not open,
+    # so the file is opened and closed here
     try:
-        with np.load(path, allow_pickle=False) as data:
+        with open(path, "rb") as f, np.load(f, allow_pickle=False) as data:
             if "__header__" not in data.files:
                 raise ValidationError("no __header__ array")
             meta = json.loads(bytes(data["__header__"]).decode("utf-8"))

@@ -6,10 +6,12 @@ produce the same numbers produce byte-identical files.
 
 from __future__ import annotations
 
+from html import escape
 from pathlib import Path
 
 from .errors import ValidationError
 from .evaluator import CurvePoint, EvalReport
+from .tables import atomic_write
 
 # metric key -> (column header, higher is better)
 _METRIC_COLUMNS = (
@@ -153,7 +155,7 @@ def curve_chart_svg(
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(f'<text x="{lx + 28}" y="{ly}" font-size="12">{label}</text>')
+        parts.append(f'<text x="{lx + 28}" y="{ly}" font-size="12">{escape(label, quote=False)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -177,15 +179,19 @@ def render_report(reports: list[EvalReport], has_chart: bool = False) -> str:
 
 
 def write_report(out_dir, reports: list[EvalReport], curves: dict | None = None):
-    """Write report.md (and lpa_curve.svg when curves are given); returns the paths."""
+    """Write report.md (and lpa_curve.svg when curves are given); returns the paths.
+
+    Both go through ``atomic_write``, so a render or write that fails leaves
+    any earlier file of that name as it was.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     if curves:
         svg_path = out / "lpa_curve.svg"
-        svg_path.write_text(curve_chart_svg(curves))
+        atomic_write(svg_path, lambda p: p.write_text(curve_chart_svg(curves)))
         written.append(svg_path)
     md_path = out / "report.md"
-    md_path.write_text(render_report(reports, has_chart=bool(curves)))
+    atomic_write(md_path, lambda p: p.write_text(render_report(reports, has_chart=bool(curves))))
     written.insert(0, md_path)
     return written

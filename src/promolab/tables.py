@@ -5,11 +5,17 @@ as ``csv.writer`` writes it: integer columns hold ``str(int)``, the others
 ``repr(float)``, which reads back bit-identical. Readers also take ``\\n``
 endings. Working in blocks of ``BLOCK_ROWS`` rows keeps any whole-file list of
 strings from forming.
+
+The command line and the report write every artifact, CSV or not, through
+``atomic_write``: to a temp file, then renamed over the target, so an
+interrupted write never leaves a truncated file behind.
 """
 
 from __future__ import annotations
 
+import os
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +28,21 @@ def pair_columns(customer_id, n_arms: int):
     """(customer_id, arm) columns of a per-pair table: customer-major, arms ascending."""
     ids = np.asarray(customer_id, dtype=np.int64)
     return np.repeat(ids, n_arms), np.tile(np.arange(n_arms, dtype=np.int64), len(ids))
+
+
+def atomic_write(path: Path, writer):
+    """Run ``writer(tmp_path)`` then rename over ``path``.
+
+    The temp name keeps the target's suffix, since some writers (``np.savez``)
+    append their own suffix to a name that lacks it.
+    """
+    tmp = path.with_suffix(".tmp" + path.suffix)
+    try:
+        writer(tmp)
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():
+            tmp.unlink()
 
 
 def write_table(path, header, columns):

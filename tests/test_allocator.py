@@ -2,6 +2,7 @@
 
 import hashlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -584,3 +585,33 @@ class TestDpBytes:
             digest.update(plan.arms.astype(np.int64).tobytes())
             digest.update(np.array([plan.total_value, plan.total_cost]).tobytes())
         assert digest.hexdigest() == self.PINNED
+
+
+class TestDpTable:
+    def test_bench_shaped_peak_memory(self):
+        # 100 customers x 50 001 budget units: one byte per cell is 4.8 MiB, two is 9.5 MiB
+        coupons = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+        _, truth = generate_rct(GenConfig(n_customers=100, coupon_values=coupons, seed=1))
+        problem = build_problem(truth.mean_enduring, truth.p_direct, coupons, 5.0)
+        assert problem.cost.max(axis=1).sum() > problem.budget  # the budget binds
+        tracemalloc.start()
+        try:
+            solve_exact_dp(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 2**20
+
+    def test_arms_past_one_byte_match_brute_force(self):
+        # 300 arms need a two-byte table; the best plans use arms above 255
+        rng = make_rng(300)
+        value = rng.uniform(0.0, 1.0, size=(2, 300))
+        value[:, 256:] += 1.0
+        cost = rng.uniform(0.05, 1.0, size=(2, 300))
+        cost[:, 0] = 0.0
+        problem = AllocationProblem(value=value, cost=cost, budget=1.2)
+        expected = brute_force(problem)
+        got = solve_exact_dp(problem)
+        assert np.any(expected.arms > 255)
+        np.testing.assert_array_equal(got.arms, expected.arms)
+        assert (got.total_value, got.total_cost) == (expected.total_value, expected.total_cost)

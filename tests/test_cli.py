@@ -13,12 +13,14 @@ import yaml
 
 from promolab import evaluator
 from promolab import model as model_module
-from promolab.cli import PipelineConfig, _atomic_write, main, parse_config
+from promolab.cli import PipelineConfig, main, parse_config
 from promolab.datagen import FeatureConfig, GenConfig, RctDataset
 from promolab.errors import ValidationError
 from promolab.evaluator import EvalReport, load_curve_csv
 from promolab.losses import LossWeights
+from promolab.metrics import MetricReport
 from promolab.model import ModelConfig, load_model
+from promolab.tables import atomic_write
 
 CONFIG_YAML = """\
 generation:
@@ -371,6 +373,21 @@ class TestExitCodes:
         assert f"error: {bad}: malformed evaluation report" in capsys.readouterr().err
         assert not (tmp_path / "report.md").exists()
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_curve_rejected(self, tmp_path, capsys, cell):
+        report = EvalReport(
+            variant="full", n_records=10,
+            metrics=MetricReport(auc=0.7, coeff=0.5, corr=0.4, nrmse=1.5, nmae=0.9),
+        )
+        report.save(tmp_path / "eval_full.json")
+        curve = tmp_path / "curve.csv"
+        curve.write_text(f"budget,cost,lpa,value\n0.0,0.0,0.0,1.0\n5.0,4.0,{cell},2.0\n")
+        argv = ["report", "--out", str(tmp_path), "--curve", f"m={curve}", str(tmp_path / "eval_full.json")]
+        assert main(argv) == 1
+        assert f"error: {curve}: column lpa holds a non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "report.md").exists()
+        assert not (tmp_path / "lpa_curve.svg").exists()
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -682,6 +699,6 @@ class TestAtomicWrite:
             raise RuntimeError("interrupted")
 
         with pytest.raises(RuntimeError, match="interrupted"):
-            _atomic_write(target, interrupted)
+            atomic_write(target, interrupted)
         assert target.read_bytes() == b"earlier"
         assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]

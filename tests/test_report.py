@@ -1,9 +1,11 @@
 """Report rendering: table correctness, SVG validity, byte determinism."""
 
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+from promolab import report as report_module
 from promolab.errors import ValidationError
 from promolab.evaluator import CurvePoint, EvalReport
 from promolab.metrics import MetricReport
@@ -113,6 +115,12 @@ class TestSvgChart:
         with pytest.raises(ValidationError):
             curve_chart_svg({"model": []})
 
+    def test_label_escaped(self):
+        label = "a&b<c>d"
+        svg = curve_chart_svg({label: self.curves()["model"]})
+        texts = ET.fromstring(svg).findall(".//{http://www.w3.org/2000/svg}text")
+        assert texts[-1].text == label
+
     def test_single_point_curve_does_not_collapse_scale(self):
         svg = curve_chart_svg({"m": [CurvePoint(budget=5.0, cost=1.0, lpa=2.0, value=3.0)]})
         ET.fromstring(svg)
@@ -140,6 +148,29 @@ class TestWriteReport:
         write_report(a_dir, reports)
         write_report(b_dir, reports)
         assert (a_dir / "report.md").read_bytes() == (b_dir / "report.md").read_bytes()
+
+    @pytest.mark.parametrize("stage", ["render", "write"])
+    def test_failure_keeps_earlier_report(self, tmp_path, monkeypatch, stage):
+        write_report(tmp_path, [make_report("full", auc=0.78)])
+        earlier = (tmp_path / "report.md").read_bytes()
+        if stage == "render":
+
+            def fail(*args, **kwargs):
+                raise OSError("failed")
+
+            monkeypatch.setattr(report_module, "render_report", fail)
+        else:  # the write fails midway, after the temp file has content
+            write_text = Path.write_text
+
+            def fail(path, text):
+                write_text(path, text[:10])
+                raise OSError("failed")
+
+            monkeypatch.setattr(Path, "write_text", fail)
+        with pytest.raises(OSError, match="failed"):
+            write_report(tmp_path, [make_report("full", auc=0.5)])
+        assert (tmp_path / "report.md").read_bytes() == earlier
+        assert not list(tmp_path.glob("*.tmp.*"))
 
     def test_render_mentions_five_metric_columns(self):
         text = render_report([make_report("full", auc=0.7)])
