@@ -297,6 +297,8 @@ def _cmd_report(args) -> int:
         if "=" not in spec:
             raise ValidationError(f"curve spec {spec!r} must look like LABEL=PATH")
         label, path = spec.split("=", 1)
+        if label in curves:
+            raise ValidationError(f"curve label {label!r} is given more than once")
         curves[label] = load_curve_csv(path)
     paths = write_report(out, reports, curves or None)
     logger.info("report written: %s", ", ".join(str(p) for p in paths))

@@ -287,11 +287,7 @@ class GenConfig:
             )
         if self.assignment_probs is None:
             self.assignment_probs = np.full(self.n_arms, 1.0 / self.n_arms)
-        self.assignment_probs = np.asarray(self.assignment_probs, dtype=np.float64)
-        if len(self.assignment_probs) != self.n_arms:
-            raise ValidationError("assignment_probs length must match the arm count")
-        if abs(self.assignment_probs.sum() - 1.0) > 1e-9:
-            raise ValidationError("assignment_probs must sum to 1")
+        self.assignment_probs = _checked_probs(self.assignment_probs, self.n_arms)
 
     @property
     def response(self) -> ResponseSpec:
@@ -404,6 +400,8 @@ class GroundTruth:
         arms = np.asarray(arms, dtype=np.int64)
         if arms.shape != (self.n,):
             raise ValidationError(f"arms must have length {self.n}")
+        if np.any(arms < 0) or np.any(arms >= self.n_arms):
+            raise ValidationError(f"arm index out of range [0, {self.n_arms})")
         return float(self.mean_enduring[np.arange(self.n), arms].sum())
 
     def to_csv(self, path, customer_id: np.ndarray):
@@ -463,14 +461,25 @@ def redraw_outcomes(truth: GroundTruth, assignment_probs: np.ndarray, rng: np.ra
     return _draw_outcomes(truth, assignment_probs, (rng,) * 5)
 
 
+def _checked_probs(assignment_probs, n_arms: int) -> np.ndarray:
+    """``assignment_probs`` as float64 if they are a distribution over ``n_arms``
+    arms: finite, nonnegative and summing to 1 within 1e-9."""
+    probs = np.asarray(assignment_probs, dtype=np.float64)
+    if probs.shape != (n_arms,):
+        raise ValidationError("assignment_probs length must match the arm count")
+    if not (np.all(np.isfinite(probs)) and np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-9):
+        raise ValidationError(
+            f"assignment_probs must be finite, nonnegative and sum to 1, got {probs.tolist()}"
+        )
+    return probs
+
+
 def _draw_outcomes(truth: GroundTruth, assignment_probs: np.ndarray, rngs):
     """(arm, s, y) for every customer from five streams, in this order: assignment
     uniform, direct uniform, promo gamma, CPG count, CPG gamma."""
     arm_rng, direct_rng, promo_rng, count_rng, gamma_rng = rngs
     n = truth.n
-    probs = np.asarray(assignment_probs, dtype=np.float64)
-    if len(probs) != truth.n_arms:
-        raise ValidationError("assignment_probs length must match the arm count")
+    probs = _checked_probs(assignment_probs, truth.n_arms)
     arm = np.searchsorted(np.cumsum(probs), arm_rng.random(n), side="right")
     arm = np.minimum(arm, truth.n_arms - 1).astype(np.int64)
     rows = np.arange(n)

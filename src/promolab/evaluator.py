@@ -77,6 +77,8 @@ def _grouped_estimate(
         raise ValidationError("plan, trial arms and values must have equal length")
     if n == 0:
         raise ValidationError("cannot estimate from an empty log")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("values to estimate from contain non-finite entries")
     for name, arr in (("plan", plan_arms), ("trial", trial_arms)):
         if np.any(arr < 0) or np.any(arr >= n_arms):
             raise ValidationError(f"{name} arm index out of range [0, {n_arms})")

@@ -33,14 +33,10 @@ interpret that list for building, training, prediction and checkpoints. The
 forward walker checks the model input once and runs ``nncore.forward_pass``
 on each part. Training and the gradient checks keep every part's trace for
 the backward walker; scoring (``predict`` and the validation loss) drops each
-part's trace as soon as the part returns. The traces, scores and gradients
-of training live in an ``nncore`` workspace that ``train_model`` makes per
-call, so they are valid only until the next step; a traced forward given no
-workspace makes one for the whole walk. The backward walker runs in its
-forward's workspace and spends the traces as it walks them: every input
+part's trace as soon as the part returns. Every pass allocates its own
+arrays. The backward walker spends the traces as it walks them: every input
 gradient but the model input's goes over the trunk output it differentiates
-(see ``_model_backward``). Scoring (``predict`` and
-``predict_matrix``) runs on fresh arrays.
+(see ``_model_backward``).
 """
 
 from __future__ import annotations
@@ -57,7 +53,6 @@ from .errors import POSITIVE, UNIT, Bound, ShapeError, TrainingError, Validation
 from .losses import TWEEDIE_RHO, LossWeights, cross_entropy_loss, l2_loss, tweedie_loss
 from .nncore import (
     DenseNet,
-    _Workspace,
     adam_update,
     add_input_gradient,
     backward_pass,
@@ -320,7 +315,6 @@ class _ModelTrace:
     arms: np.ndarray
     traces: dict  # part name -> ForwardTrace
     slots: dict  # slot -> (N,) head output; a missing head reports the direct one
-    workspace: _Workspace  # the one every trace lives in
 
 
 def _require_finite(what: str, x: np.ndarray):
@@ -361,25 +355,20 @@ def _model_forward(
     features: np.ndarray,
     arms: np.ndarray,
     rng: np.random.Generator | None = None,
-    workspace: _Workspace | None = None,
 ) -> _ModelTrace:
     """The recorded forward pass that training and the gradient checks backpropagate through.
 
     Dropout runs when ``rng`` is given (training); the gradient checks pass none.
-    The traces live in ``workspace``, or in one the walk makes when none is
-    given (see ``nncore.forward_pass``).
     """
-    if workspace is None:
-        workspace = _Workspace()
     traces: dict = {}
 
     def run(part, x):
         # looked up at call time, so wrappers patched onto this module see every call
-        traces[part.name] = forward_pass(model.nets[part.name], x, rng, workspace=workspace)
+        traces[part.name] = forward_pass(model.nets[part.name], x, rng)
         return traces[part.name].output
 
     arms, slots = _walk_parts(model, features, arms, run)
-    return _ModelTrace(arms, traces, slots, workspace)
+    return _ModelTrace(arms, traces, slots)
 
 
 def _eval_slots(model: ResponseModel, features: np.ndarray, arms: np.ndarray) -> dict:
@@ -402,20 +391,18 @@ def _eval_slots(model: ResponseModel, features: np.ndarray, arms: np.ndarray) ->
 def _model_backward(model: ResponseModel, mtrace: _ModelTrace, slot_grads: dict) -> list[np.ndarray]:
     """Gradients aligned with ``model.parameters()``, spending the forward's traces.
 
-    Each part's backward runs in the forward's workspace and spends its trace
-    (see ``nncore.backward_pass``). A head whose trunk another trunk reads
-    goes first, while that trunk's output is intact, and defers its input
-    gradient. Then the trunks and embeddings are walked in reverse, so each
-    is walked before the part it reads. A trunk's input gradient goes over
-    the output of the trunk it reads, and that trunk's deferred head adds its
-    own into it a block of rows at a time: the trunk's term, then the head's.
-    The head of a trunk no trunk reads runs just before that trunk and writes
-    its input gradient over the trunk's output the same way. So every input
-    gradient but the model input's lands over the activation it
-    differentiates, and by the walk order no trace is read after it is spent.
-    The gradients live in the workspace until its next pass.
+    Each part's backward spends its trace (see ``nncore.backward_pass``). A
+    head whose trunk another trunk reads goes first, while that trunk's
+    output is intact, and defers its input gradient. Then the trunks and
+    embeddings are walked in reverse, so each is walked before the part it
+    reads. A trunk's input gradient goes over the output of the trunk it
+    reads, and that trunk's deferred head adds its own into it a block of
+    rows at a time: the trunk's term, then the head's. The head of a trunk no
+    trunk reads runs just before that trunk and writes its input gradient
+    over the trunk's output the same way. So every input gradient but the
+    model input's lands over the activation it differentiates, and by the
+    walk order no trace is read after it is spent.
     """
-    ws = mtrace.workspace
     parts = _VARIANTS[model.config.variant].parts
     read_by_trunk = {part.source for part in parts if part.kind == "trunk"}
     heads = {part.source: part for part in parts if part.kind == "head"}  # trunk -> its head
@@ -436,15 +423,13 @@ def _model_backward(model: ResponseModel, mtrace: _ModelTrace, slot_grads: dict)
         if part.kind == "head":
             continue
         if part.name in deferred:
-            g = add_input_gradient(*deferred[part.name], pending[part.name], workspace=ws)
+            g = add_input_gradient(*deferred[part.name], pending[part.name])
         elif part.name in heads:
             g = head_backward(heads[part.name], onto=mtrace.traces[part.name]).input_gradient
         else:
             g = pending[part.name]
         if part.kind == "embedding":
-            table = model.tables[part.name]
-            grad = ws.take(("table", part.name), table.shape, table.dtype)
-            grad[...] = 0.0
+            grad = np.zeros_like(model.tables[part.name])
             np.add.at(grad, mtrace.arms, g[:, model.n_features :])
             grads[part.name] = [grad]
             continue
@@ -576,16 +561,13 @@ def _diverged(epoch: int):
         raise TrainingError(f"diverged at epoch {epoch}: {exc}") from exc
 
 
-def _train_step(
-    model, params, adam, features, arms, s, y, rng, epoch: int, workspace: _Workspace | None = None
-) -> float:
+def _train_step(model, params, adam, features, arms, s, y, rng, epoch: int) -> float:
     """One minibatch: forward, loss, backward and an Adam update; returns the summed loss.
 
-    The trace and the gradients live in ``workspace``, which the next step
-    reuses; the arrays that view it are locals, so they are gone when the
-    step returns and never overlap the next step's forward pass.
+    The trace and the gradients are locals, so they are freed when the step
+    returns and never overlap the next step's forward pass.
     """
-    mt = _model_forward(model, features, arms, rng, workspace=workspace)
+    mt = _model_forward(model, features, arms, rng)
     with _diverged(epoch):
         value, slot_grads = _loss_terms(model, s, y, mt.slots)
     batch_loss = float(np.sum(value))
@@ -615,9 +597,8 @@ def train_model(
     and the best-validation parameters are restored. All randomness (split,
     init, batch order, dropout) runs on streams derived from ``seed``.
 
-    An epoch's steps write into one workspace, which is dropped before the
-    validation pass scores on fresh arrays, so validation chunks of up to
-    ``_PREDICT_CHUNK`` rows never sit beside the training buffers.
+    Each step frees its arrays when it returns, so validation chunks of up
+    to ``_PREDICT_CHUNK`` rows never sit beside a step's.
     """
     if config is None:
         config = ModelConfig()
@@ -674,14 +655,11 @@ def train_model(
     for epoch in range(1, config.max_epochs + 1):
         order = batch_rng.permutation(n_train)
         train_total = 0.0
-        workspace = _Workspace()
         for lo in range(0, n_train, config.batch_size):
             sel = order[lo : lo + config.batch_size]
             train_total += _train_step(
-                model, params, adam, f_tr[sel], a_tr[sel], s_tr[sel], y_tr[sel], dropout_rng, epoch,
-                workspace,
+                model, params, adam, f_tr[sel], a_tr[sel], s_tr[sel], y_tr[sel], dropout_rng, epoch
             )
-        del workspace
 
         with _diverged(epoch):
             val_loss = _mean_loss(model, f_val, a_val, s_val, y_val)

@@ -18,24 +18,18 @@ keeps what backward needs and no more: a relu layer its output and dropout
 scale (backward reads relu' times the mask back from the output, see
 ``LayerTrace``), a link layer its output and pre-activation.
 
-Both passes write their arrays into a workspace (``_Workspace``): layer
-outputs, dropout draws, gradients and input gradients land in buffers it
-holds under fixed keys, so a training loop or a chunked scoring loop that
-passes one workspace to every call allocates its arrays once. The caller
-owns the workspace and frees it by dropping it; nothing is cached at module
-level. A trace and the gradients written into a workspace are valid only
-until the next pass through it overwrites them. A forward pass given no
-workspace makes a throwaway one, so its results are its own; the trace
-records the workspace either way. The backward runs in the trace's
-workspace and spends the trace (Chen et al. 2016, *Training Deep Nets with
-Sublinear Memory Cost*, arXiv:1604.06174, in-place backpropagation): a relu
-layer's output is dead once the layer above has read it for its weight
-gradient and its mask is saved, so the gradient at that output is written
-over it, and then the layer's pre-activation gradient over that. The input
-gradient of a net whose input is another trace's relu output
-(``backward_pass``'s ``onto``) goes over that output the same way. A trace
-is so good for one backward. ``adam_update`` works in place, block by
-block, with scratch of its own.
+Every pass allocates its own arrays, so its results share no memory with
+another pass's; nothing is cached at module level. The backward spends the
+trace it reads (Chen et al. 2016, *Training Deep Nets with Sublinear Memory
+Cost*, arXiv:1604.06174, in-place backpropagation): a relu layer's output is
+dead once the layer above has read it for its weight gradient and its mask
+is saved, so the gradient at that output is written over it, and then the
+layer's pre-activation gradient over that. The input gradient of a net whose
+input is another trace's relu output (``backward_pass``'s ``onto``) goes
+over that output the same way. Each relu mask is dropped once it has been
+read, so a backward holds one at a time. A trace is so good for one
+backward. ``adam_update`` works in place, block by block, with scratch of
+its own.
 
 Randomness is always drawn from a :class:`numpy.random.Generator` backed by
 PCG64; ``make_rng`` builds one from a seed plus an optional stream key so
@@ -206,22 +200,17 @@ class LayerTrace:
 class ForwardTrace:
     """Per-layer activations of one forward pass, inputs included.
 
-    The layer arrays are views of the buffers of ``workspace``, the one the
-    pass wrote into: the caller's, or a throwaway one the pass made. The
-    ``backward_pass`` through the trace runs in that workspace and spends the
-    trace: it writes the gradient at each relu layer's output over that
+    The layer arrays belong to the trace. The ``backward_pass`` through it
+    spends them: it writes the gradient at each relu layer's output over that
     output, then the layer's pre-activation gradient over it.
 
     ``top_mask`` is set when the backward of a net reading this trace's relu
     output spent it (see ``backward_pass``'s ``onto``): ``output`` then holds
     that net's input gradient, and ``top_mask`` the top layer's relu mask,
-    saved before the write in the workspace's shared ``"alive"`` scratch. It
-    lasts until the next relu layer's backward through the workspace, so
-    this trace's own backward runs next.
+    saved before the write. This trace's own backward reads it and clears it.
     """
 
     inputs: np.ndarray
-    workspace: _Workspace
     layers: list[LayerTrace] = field(default_factory=list)
     top_mask: np.ndarray | None = None
 
@@ -230,40 +219,18 @@ class ForwardTrace:
         return self.layers[-1].output
 
 
-class _Workspace:
-    """Buffers that the passes of one training or scoring call write into.
-
-    ``take(key, shape, dtype)`` returns a new C-contiguous view of the buffer
-    held under ``key``, replacing the buffer only when it is too small or of
-    another dtype. A view's values last until the next ``take`` of its key;
-    a view never outlives its buffer, since it holds it.
-    """
-
-    def __init__(self):
-        self._buffers: dict = {}
-
-    def take(self, key, shape, dtype=np.float64) -> np.ndarray:
-        size = math.prod(shape)
-        buf = self._buffers.get(key)
-        if buf is None or buf.size < size or buf.dtype != dtype:
-            buf = self._buffers[key] = np.empty(size, dtype=dtype)
-        return buf[:size].reshape(shape)
-
-
 def forward_pass(
     net: DenseNet,
     batch: np.ndarray,
     rng: np.random.Generator | None = None,
-    *,
-    workspace: _Workspace | None = None,
 ) -> ForwardTrace:
     """Run the net over a (batch, features) matrix and record what backward needs.
 
-    Every layer runs one step: the matmul into the layer's workspace buffer,
-    then the bias added in place. A relu layer then applies relu in place and,
-    when dropout runs, its keep mask; a link layer applies its link. Shapes
-    are checked; finiteness is not, so the caller checks its inputs (the
-    model checks its input once per pass).
+    Every layer runs one step: the matmul into a new array, then the bias
+    added in place. A relu layer then applies relu in place and, when dropout
+    runs, its keep mask; a link layer applies its link. Shapes are checked;
+    finiteness is not, so the caller checks its inputs (the model checks its
+    input once per pass).
 
     Dropout runs on the relu layers exactly when ``rng`` is given and the
     net's rate is above 0; a link layer never drops a unit. The masks are
@@ -274,9 +241,8 @@ def forward_pass(
 
     The pass runs in ``np.result_type(batch, np.float64)``: an int or float32
     batch runs in float64, a longdouble batch in longdouble, against the
-    stored float64 parameters. The trace's arrays live in ``workspace`` (a
-    throwaway one when none is given) and stay valid until its next pass, or
-    until the backward spends them (see ``ForwardTrace``).
+    stored float64 parameters. The trace's arrays stay valid until the
+    backward spends them (see ``ForwardTrace``).
     """
     batch = np.asarray(batch)
     batch = batch.astype(np.result_type(batch, np.float64), copy=False)
@@ -286,15 +252,13 @@ def forward_pass(
         raise ShapeError(
             f"batch has {batch.shape[1]} columns but the net expects {net.input_dim}"
         )
-    ws = _Workspace() if workspace is None else workspace
     rate = net.dropout_rate
     use_dropout = rng is not None and rate > 0.0
 
-    trace = ForwardTrace(inputs=batch, workspace=ws)
+    trace = ForwardTrace(inputs=batch)
     x = batch
     for layer in net.layers:
-        shape = (x.shape[0], layer.fan_out)
-        out = np.matmul(x, layer.weight, out=ws.take(("out", id(layer)), shape, batch.dtype))
+        out = np.matmul(x, layer.weight)
         out += layer.bias
         if layer.activation != "relu":
             lt = LayerTrace(output=_link(layer.activation, out), pre=out)
@@ -303,8 +267,8 @@ def forward_pass(
             if use_dropout:
                 lt.scale = 1.0 / (1.0 - rate)
                 blocks = _blocks(out)
-                draw = ws.take("draw", blocks[0][0].shape)
-                keep = ws.take("keep", blocks[0][0].shape, bool)
+                draw = np.empty(blocks[0][0].shape)
+                keep = np.empty(blocks[0][0].shape, bool)
                 for (block,) in blocks:
                     rows = len(block)
                     rng.random(out=draw[:rows])
@@ -345,28 +309,26 @@ def backward_pass(
     are chained). Deterministic given the trace: a relu layer's dropout mask is
     read back from its output, not redrawn.
 
-    Every gradient lands in a buffer of the trace's workspace: each layer's
-    weight and bias gradients in its own, and the gradients at each link
-    layer's pre-activation and at any link output below the top in scratch
-    that all passes share. ``output_gradient`` is only read, cast to the
-    trace's dtype, so backward runs in the arithmetic of its forward pass.
+    Each layer's weight and bias gradients, and the gradients at each link
+    layer's pre-activation and at any link output below the top, are new
+    arrays. ``output_gradient`` is only read, cast to the trace's dtype, so
+    backward runs in the arithmetic of its forward pass.
 
     The trace is good for one backward only. Once the layer above a relu
     layer has read that layer's output for its weight gradient, the output's
-    mask is saved in the shared ``"alive"`` scratch and the layer above's
-    input gradient is written over the output; the relu layer's
-    pre-activation gradient then goes over that in place. A relu top layer's
-    mask is ``trace.top_mask`` if a reader has spent its output, and is read
-    from the output otherwise. Given ``onto``, the trace whose output the net
-    read (``trace.inputs``), in the same workspace and with a relu top, the
-    net's input gradient goes over ``onto.output`` the same way, with the mask
-    kept in ``onto.top_mask``. Otherwise the input gradient goes into a
-    buffer of the net's own.
+    mask is saved and the layer above's input gradient is written over the
+    output; the relu layer's pre-activation gradient then goes over that in
+    place, and the mask is dropped. A relu top layer's mask is
+    ``trace.top_mask`` if a reader has spent its output, and is read from the
+    output otherwise; the pass clears ``trace.top_mask`` as it reads it.
+    Given ``onto``, the trace whose output the net read (``trace.inputs``),
+    with a relu top, the net's input gradient goes over ``onto.output`` the
+    same way, with the mask kept in ``onto.top_mask``. Otherwise the input
+    gradient is a new array.
 
     Given ``defer_input``, the input gradient is not formed: the result's
     ``input_gradient`` is None and its ``pre_gradient`` holds the first
-    layer's pre-activation gradient in a buffer of the net's own, for
-    ``add_input_gradient``.
+    layer's pre-activation gradient, for ``add_input_gradient``.
     """
     if len(trace.layers) != len(net.layers):
         raise ShapeError(
@@ -378,71 +340,56 @@ def backward_pass(
             f"output_gradient shape {output_gradient.shape} does not match "
             f"net output shape {trace.output.shape}"
         )
-    ws = trace.workspace
     if onto is not None and onto.output is not trace.inputs:
         raise ShapeError("onto must be the trace whose output the net read")
-    if onto is not None and onto.workspace is not ws:
-        raise ValidationError("onto must live in the workspace of the trace")
 
     weight_grads: list[np.ndarray] = [None] * len(net.layers)  # type: ignore[list-item]
     bias_grads: list[np.ndarray] = [None] * len(net.layers)  # type: ignore[list-item]
     g = output_gradient
-    mask = trace.top_mask  # saved mask of the relu layer whose output g is at
+    # the saved mask of the relu layer whose output g is at
+    mask, trace.top_mask = trace.top_mask, None
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         ltrace = trace.layers[i]
         if ltrace.output.shape != (g.shape[0], layer.fan_out):
             raise ShapeError(f"trace layer {i} does not match the net (stale trace?)")
         if layer.activation == "relu":
-            if mask is None:
-                mask = np.greater(ltrace.output, 0.0, out=ws.take("alive", g.shape, bool))
-            derivative = mask
+            derivative = ltrace.output > 0.0 if mask is None else mask
             target = ltrace.output  # its mask is saved; g may already be here
         else:
             derivative = _link_derivative(layer.activation, ltrace.pre, ltrace.output)
-            key = ("dpre", id(net)) if defer_input and i == 0 else "dpre"
-            target = ws.take(key, g.shape, np.result_type(g, derivative))
+            target = None
         dpre = np.multiply(g, derivative, out=target)
+        derivative = mask = None  # read: dropped before the next mask is formed
         dpre *= ltrace.scale
         below = trace.layers[i - 1] if i > 0 else onto.layers[-1] if onto is not None else None
         below_output = trace.inputs if i == 0 else below.output
-        weight_grads[i] = np.matmul(
-            below_output.T, dpre,
-            out=ws.take(("dw", id(layer)), layer.weight.shape, np.result_type(below_output, dpre)),
-        )
-        bias_grads[i] = np.sum(
-            dpre, axis=0, out=ws.take(("db", id(layer)), layer.bias.shape, dpre.dtype)
-        )
+        weight_grads[i] = np.matmul(below_output.T, dpre)
+        bias_grads[i] = np.sum(dpre, axis=0)
         if defer_input and i == 0:
             return BackwardResult(weight_grads, bias_grads, None, pre_gradient=dpre)
+        out = None
         # a relu output below is dead once its mask is saved
-        mask = None
         if below is not None and below.pre is None:
-            mask = np.greater(below.output, 0.0, out=ws.take("alive", below.output.shape, bool))
+            mask = below.output > 0.0
             if i == 0:
                 onto.top_mask = mask
             out = below.output
-        else:
-            key = ("din", id(net)) if i == 0 else "dout"
-            out = ws.take(key, below_output.shape, np.result_type(dpre, layer.weight))
         g = np.matmul(dpre, layer.weight.T, out=out)
     return BackwardResult(weight_grads=weight_grads, bias_grads=bias_grads, input_gradient=g)
 
 
-def add_input_gradient(
-    net: DenseNet, back: BackwardResult, into: np.ndarray, *, workspace: _Workspace
-) -> np.ndarray:
+def add_input_gradient(net: DenseNet, back: BackwardResult, into: np.ndarray) -> np.ndarray:
     """Add the input gradient a deferred ``backward_pass`` left unformed into ``into``, in place.
 
     Forms ``back.pre_gradient @ W.T`` for the net's first weight W a block of
-    rows at a time in scratch of ``workspace``, the one the backward ran in,
-    so the product is never held whole, and adds each block into ``into``'s
-    rows. For a one-unit net each entry is one product, so this gives the
-    bytes of ``into += input_gradient``.
+    rows at a time in scratch of its own, so the product is never held whole,
+    and adds each block into ``into``'s rows. For a one-unit net each entry is
+    one product, so this gives the bytes of ``into += input_gradient``.
     """
     weight_t = net.layers[0].weight.T
     blocks = _blocks(into, back.pre_gradient)
-    scratch = workspace.take("block", blocks[0][0].shape, np.result_type(back.pre_gradient, weight_t))
+    scratch = np.empty(blocks[0][0].shape, np.result_type(back.pre_gradient, weight_t))
     for block, pre in blocks:
         rows = len(block)
         block += np.matmul(pre, weight_t, out=scratch[:rows])

@@ -388,6 +388,23 @@ class TestExitCodes:
         assert not (tmp_path / "report.md").exists()
         assert not (tmp_path / "lpa_curve.svg").exists()
 
+    def test_repeated_curve_label_rejected(self, tmp_path, capsys):
+        # the second curve under a label once replaced the first without a word
+        report = EvalReport(
+            variant="full", n_records=10,
+            metrics=MetricReport(auc=0.7, coeff=0.5, corr=0.4, nrmse=1.5, nmae=0.9),
+        )
+        report.save(tmp_path / "eval_full.json")
+        curves = []
+        for name in ("a.csv", "b.csv"):
+            curves += ["--curve", f"m={tmp_path / name}"]
+            (tmp_path / name).write_text("budget,cost,lpa,value\n0.0,0.0,0.0,1.0\n5.0,4.0,3.0,2.0\n")
+        argv = ["report", "--out", str(tmp_path), *curves, str(tmp_path / "eval_full.json")]
+        assert main(argv) == 1
+        assert "error: curve label 'm' is given more than once" in capsys.readouterr().err
+        assert not (tmp_path / "report.md").exists()
+        assert not (tmp_path / "lpa_curve.svg").exists()
+
     @pytest.mark.parametrize(
         "text, message",
         [

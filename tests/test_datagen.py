@@ -282,6 +282,15 @@ class TestGenerateRct:
         expected = truth.mean_enduring[:, 0].sum()
         assert abs(truth.policy_value(arms) - expected) < 1e-9
 
+    @pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "past_the_last"])
+    def test_policy_value_rejects_out_of_range_arms(self, small_world, bad):
+        # arm -1 once scored as the last arm, and arm 3 of 3 raised IndexError
+        _, dataset, truth = small_world
+        arms = np.zeros(dataset.n, dtype=np.int64)
+        arms[5] = bad
+        with pytest.raises(ValidationError, match="arm index out of range"):
+            truth.policy_value(arms)
+
 
 class TestRedrawOutcomes:
     def test_mean_tracks_truth(self, small_world):
@@ -311,6 +320,20 @@ class TestRedrawOutcomes:
         arm, s, y = redraw_outcomes(truth, np.array([0.4, 0.3, 0.2, 0.1]), make_rng(12, 3))
         digest = hashlib.sha256(arm.tobytes() + s.tobytes() + y.tobytes()).hexdigest()
         assert digest == "9a3e45a8df2e2957d7775868383fd351bc97d2cec4ae95dda5621ba346f64b04"
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[0.5, 0.5, 0.5, -0.5], [np.nan] * 4, [0.4, 0.3, 0.2, 0.2], [np.inf, 0.0, 0.0, 0.0]],
+        ids=["negative", "nan", "sum_above_one", "inf"],
+    )
+    def test_probs_must_be_a_distribution(self, probs):
+        # only the length was checked: these ran and skewed the arms
+        truth = GroundTruth(
+            p_direct=np.full((5, 4), 0.5), mu_promo_given_direct=np.ones((5, 4)),
+            mu_post=np.ones((5, 4)), phi=4.0, rho=1.5, promo_gamma_shape=2.0,
+        )
+        with pytest.raises(ValidationError, match="assignment_probs must be finite, nonnegative and sum to 1"):
+            redraw_outcomes(truth, np.array(probs), make_rng(1))
 
     def test_direct_flag_consistent(self, small_world):
         cfg, _, truth = small_world

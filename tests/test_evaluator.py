@@ -102,6 +102,19 @@ class TestHandEstimates:
         with pytest.raises(ValidationError):
             estimate_policy_value(np.array([], dtype=np.int64), np.array([], dtype=np.int64), np.array([]), 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_amount_rejected(self, bad):
+        # a NaN amount once gave a NaN total
+        y = np.array([1.0, bad, 3.0])
+        with pytest.raises(ValidationError, match="non-finite"):
+            estimate_policy_value(np.array([0, 1, 1]), np.array([0, 1, 0]), y, 2)
+
+    def test_non_finite_direct_flag_rejected(self):
+        # a NaN flag once gave a NaN total, even on the free control arm
+        s = np.array([1.0, np.nan, 0.0])
+        with pytest.raises(ValidationError, match="non-finite"):
+            estimate_policy_cost(np.array([0, 0, 1]), np.array([1, 0, 1]), s, np.array([0.0, 2.0]))
+
 
 class TestUnbiasedness:
     def test_estimator_mean_tracks_exact_policy_value(self, small_world):

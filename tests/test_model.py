@@ -28,7 +28,7 @@ from promolab.model import (
     save_model,
     train_model,
 )
-from promolab.nncore import _Workspace, init_adam, make_rng
+from promolab.nncore import init_adam, make_rng
 
 from oracles import model_gradient_check, reference_model_gradients
 
@@ -188,7 +188,7 @@ class TestPredict:
 
 
 class TestSharedBuffers:
-    """Chunks, arms and steps that share one workspace give the bytes of separate calls."""
+    """Chunked scoring, and a backward that writes over its traces, give the bytes of fresh arrays."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_small_chunks_give_one_chunk_bytes(self, variant, monkeypatch):
@@ -207,29 +207,13 @@ class TestSharedBuffers:
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_reused_workspace_gives_fresh_bytes(self, variant):
-        # a smaller batch after a larger one, as the last step of an epoch
-        model, _ = narrow_model(variant, dropout_rate=0.3)
-
-        def step(ws, n, seed):
-            features, arms, s, y = tiny_batch(n=n, seed=seed)
-            mt = model_module._model_forward(model, features, arms, make_rng(seed), workspace=ws)
-            _, slot_grads = model_module._loss_terms(model, s, y, mt.slots)
-            grads = model_module._model_backward(model, mt, slot_grads)
-            return b"".join(a.tobytes() for a in [*mt.slots.values(), *grads])
-
-        ws = _Workspace()
-        step(ws, 64, 1)
-        assert step(ws, 23, 2) == step(_Workspace(), 23, 2)
-
-    @pytest.mark.parametrize("variant", VARIANTS)
     def test_backward_spending_its_traces_gives_fresh_bytes(self, variant):
         # the backward spends each part's trace as it walks it; no part may
         # read a trace a later part's backward has already spent, so the
         # bytes are those of the reference backprop through fresh arrays
         model, _ = narrow_model(variant, dropout_rate=0.3)
         features, arms, s, y = tiny_batch(n=64)
-        mt = model_module._model_forward(model, features, arms, make_rng(3), workspace=_Workspace())
+        mt = model_module._model_forward(model, features, arms, make_rng(3))
         trunk = mt.traces["trunk_a"].layers[0].output
         kept = trunk.copy()
         _, slot_grads = model_module._loss_terms(model, s, y, mt.slots)
@@ -498,14 +482,14 @@ class TestTrainingMemory:
     # tracemalloc peaks of the train_model calls below when every step
     # allocated its layer outputs, dropout draws, gradients and Adam
     # temporaries afresh and validation scored on fresh arrays (numpy 2.4).
-    # At 1 100 customers the validation set fits the step buffers; at 20 000
-    # its 2 000 rows do not. Validation now runs after each epoch's step
-    # buffers are dropped at both sizes.
+    # At 1 100 customers the validation set is smaller than a step's arrays;
+    # at 20 000 its 2 000 rows are not. Validation runs after the epoch's
+    # steps have freed their arrays at both sizes.
     FRESH_ARRAYS_PEAK = {1100: 130_191_816, 20_000: 134_121_781}
 
     @pytest.mark.parametrize("n_customers", sorted(FRESH_ARRAYS_PEAK))
     def test_peak_no_higher_than_with_fresh_arrays(self, n_customers):
-        # the workspace replaces transient arrays; it must not add to the peak
+        # the fit must peak no higher than before its steps spent their traces
         dataset, _ = generate_rct(GenConfig(n_customers=n_customers, seed=2))
         config = ModelConfig(max_epochs=1)
         tracemalloc.start()
@@ -554,45 +538,69 @@ class TestTrainingMemory:
         assert peak <= self.IN_PLACE_GRADIENT_PEAK[n_customers]
 
     @staticmethod
-    def _default_width_step(variant):
-        """The model and the workspace after one default-width backward over 1 024 rows."""
+    def _default_width_step(variant, monkeypatch):
+        """The model, its trace, every part's backward result and the traced
+        peak of one default-width forward and backward over 1 024 rows."""
         dataset, _ = generate_rct(GenConfig(n_customers=1100, seed=2))
         features, arms, s, y = (a[:1024] for a in (dataset.features, dataset.arm, dataset.s, dataset.y))
         config = ModelConfig(variant=variant)
         model = build_model(config, 7, features.mean(axis=0), features.std(axis=0), make_rng(2))
-        ws = _Workspace()
-        mt = model_module._model_forward(model, features, arms, make_rng(3), workspace=ws)
-        _, slot_grads = model_module._loss_terms(model, s, y, mt.slots)
-        model_module._model_backward(model, mt, slot_grads)
-        return model, ws
+        names = {id(net): name for name, net in model.nets.items()}
+        backs = {}
+        backward = model_module.backward_pass
 
-    def test_step_keeps_no_input_gradient_wider_than_the_model_input(self):
-        # after one default-width step of 1 024 rows, the gradients at the
-        # trunk outputs sit over those outputs, not in buffers of their own
-        model, ws = self._default_width_step("full")
-        input_width = model.n_features + model.embedding_dim
-        assert "dout" not in ws._buffers
-        trunks = {id(model.nets[name]): name for name in ("trunk_a", "trunk_b", "trunk_c")}
-        din = {trunks[key[1]]: buf.size for key, buf in ws._buffers.items()
-               if isinstance(key, tuple) and key[0] == "din" and key[1] in trunks}
-        assert din == {"trunk_a": 1024 * input_width}
+        def recorded_backward(net, *args, **kwargs):
+            backs[names[id(net)]] = backward(net, *args, **kwargs)
+            return backs[names[id(net)]]
 
-    # direct_only's step workspace once its head writes its input gradient
-    # over trunk_a's output: 33.4 MiB when that gradient had an 8 MiB buffer
-    DIRECT_ONLY_STEP_WORKSPACE = 25.5 * 2**20
+        monkeypatch.setattr(model_module, "backward_pass", recorded_backward)
+        tracemalloc.start()
+        try:
+            mt = model_module._model_forward(model, features, arms, make_rng(3))
+            _, slot_grads = model_module._loss_terms(model, s, y, mt.slots)
+            model_module._model_backward(model, mt, slot_grads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return model, mt, backs, peak
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_step_keeps_no_head_input_gradient(self, variant):
+    def test_step_keeps_no_input_gradient_wider_than_the_model_input(self, variant, monkeypatch):
+        # after one default-width step of 1 024 rows, the gradient at each
+        # trunk output sits over that output, not in an array of its own;
+        # only the model input's gradient has storage of its own
+        model, mt, backs, _ = self._default_width_step(variant, monkeypatch)
+        input_width = model.n_features + model.embedding_dim
+        for part in model_module._VARIANTS[variant].parts:
+            if part.kind != "trunk":
+                continue
+            din = backs[part.name].input_gradient
+            if part.source in mt.traces:
+                assert np.shares_memory(din, mt.traces[part.source].output), part.name
+            else:
+                assert din.shape == (1024, input_width), part.name
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_step_keeps_no_head_input_gradient(self, variant, monkeypatch):
         # every head's input gradient lands over, or is added into, the
-        # gradient at its trunk's output; only the model input's has a buffer
-        model, ws = self._default_width_step(variant)
-        heads = {id(model.nets[part.name]) for part in model_module._VARIANTS[variant].parts
-                 if part.kind == "head"}
-        din = [key for key in ws._buffers if isinstance(key, tuple) and key[0] == "din"]
-        assert din and not [key for key in din if key[1] in heads]
-        assert "dout" not in ws._buffers
-        if variant == "direct_only":
-            assert sum(buf.nbytes for buf in ws._buffers.values()) <= self.DIRECT_ONLY_STEP_WORKSPACE
+        # gradient at its trunk's output
+        _, mt, backs, _ = self._default_width_step(variant, monkeypatch)
+        for part in model_module._VARIANTS[variant].parts:
+            if part.kind == "head":
+                din = backs[part.name].input_gradient
+                assert din is None or np.shares_memory(din, mt.traces[part.source].output), part.name
+
+    # the sizes of the buffer cache that one such step filled when the passes
+    # wrote into reused buffers instead of arrays of their own: a step that
+    # allocates its own arrays and drops each relu mask once it is read
+    # peaks no higher (numpy 2.4)
+    STEP_PEAK = {"full": 34.0 * 2**20, "no_enduring_ce": 34.0 * 2**20,
+                 "l2_amount": 34.0 * 2**20, "direct_only": 25.5 * 2**20}
+
+    @pytest.mark.parametrize("variant", sorted(STEP_PEAK))
+    def test_step_peak(self, variant, monkeypatch):
+        *_, peak = self._default_width_step(variant, monkeypatch)
+        assert peak <= self.STEP_PEAK[variant]
 
 
 class TestCheckpoint:

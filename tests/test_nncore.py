@@ -422,14 +422,13 @@ class TestCompactTrace:
         assert np.any((out == 0.0) & (kept > 0.0)) and np.any((out == kept) & (kept > 0.0))
 
 
-class TestWorkspace:
-    """What passes through one workspace share: buffers, never values or their arguments."""
+class TestSpentTrace:
+    """What a backward spends in place, and what passes never share: values or their arguments."""
 
     @pytest.mark.parametrize("head", ["identity", "sigmoid", "relu"])
     def test_backward_leaves_output_gradient_unchanged(self, head):
         net = init_dense_net([5, 24, 3], ["relu", head], make_rng(51), dropout_rate=0.3)
-        ws = nncore._Workspace()
-        trace = forward_pass(net, make_rng(52).normal(size=(40, 5)), make_rng(53), workspace=ws)
+        trace = forward_pass(net, make_rng(52).normal(size=(40, 5)), make_rng(53))
         g = make_rng(54).normal(size=(40, 3))
         g[0] = [0.0, -0.0, np.nan]
         kept = g.copy()
@@ -437,36 +436,14 @@ class TestWorkspace:
             backward_pass(net, trace, g)
         assert g.tobytes() == kept.tobytes()
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    @pytest.mark.parametrize("head", ["identity", "sigmoid"])
-    def test_reused_for_a_smaller_batch(self, head, mode):
-        net = init_dense_net([5, 24, 12, 2], ["relu", "relu", head], make_rng(58), dropout_rate=0.3)
-
-        def passes(rows, ws, seed):
-            rng = make_rng(seed) if mode == "train" else None
-            batch = make_rng(seed + 1).normal(size=(rows, 5))
-            g = make_rng(seed + 2).normal(size=(rows, 2))
-            trace = forward_pass(net, batch, rng, workspace=ws)
-            outputs = b"".join(lt.output.tobytes() for lt in trace.layers)  # before backward spends them
-            back = backward_pass(net, trace, g)
-            arrays = [lt.output for lt in trace.layers] + [back.input_gradient]
-            return outputs + b"".join(a.tobytes() for a in arrays + flatten_gradients(back))
-
-        ws = nncore._Workspace()
-        passes(64, ws, 60)
-        assert passes(20, ws, 70) == passes(20, nncore._Workspace(), 70)
-
-    def test_later_pass_overwrites_the_trace(self):
-        # a trace lives in its workspace: the next pass through it rewrites it
-        net = init_dense_net([3, 8], ["relu"], make_rng(59))
-        ws = nncore._Workspace()
-        first = forward_pass(net, np.ones((4, 3)), workspace=ws).output
-        kept = first.copy()
-        second = forward_pass(net, -np.ones((4, 3)), workspace=ws).output
-        assert np.shares_memory(first, second)
-        assert not np.array_equal(first, kept)
-        # a pass given no workspace keeps its arrays to itself
-        assert not np.shares_memory(forward_pass(net, np.ones((4, 3))).output, second)
+    def test_later_pass_never_shares_memory_with_an_earlier_trace(self):
+        net = init_dense_net([3, 8, 2], ["relu", "identity"], make_rng(59), dropout_rate=0.3)
+        first = forward_pass(net, np.ones((4, 3)), make_rng(1))
+        kept = [_bits(lt.output) for lt in first.layers]
+        second = forward_pass(net, -np.ones((4, 3)), make_rng(2))
+        for a, b in zip(first.layers, second.layers):
+            assert not np.shares_memory(a.output, b.output)
+        assert [_bits(lt.output) for lt in first.layers] == kept
 
     @staticmethod
     def _stack(top, rate):
@@ -484,28 +461,14 @@ class TestWorkspace:
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @pytest.mark.parametrize("rate", [0.0, 0.35])
     @pytest.mark.parametrize("top", ["relu", "sigmoid"])
-    def test_backward_in_own_workspace_spends_the_trace(self, top, rate, dtype):
+    def test_backward_spends_the_trace(self, top, rate, dtype):
         net, batch, g = self._stack(top, rate)
-        ws = nncore._Workspace()
-        trace = self._spend_like_the_reference(net, batch.astype(dtype), g, ws)
-        assert trace.workspace is ws
+        batch = batch.astype(dtype)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-    @pytest.mark.parametrize("rate", [0.0, 0.35])
-    @pytest.mark.parametrize("top", ["relu", "sigmoid"])
-    def test_pass_without_workspace_spends_its_own(self, top, rate, dtype):
-        # a pass given no workspace records the throwaway one it made, and the
-        # backward spends that one as it would a caller's
-        net, batch, g = self._stack(top, rate)
-        trace = self._spend_like_the_reference(net, batch.astype(dtype), g, None)
-        assert isinstance(trace.workspace, nncore._Workspace)
-
-    @staticmethod
-    def _spend_like_the_reference(net, batch, g, ws):
         def rng():
             return make_rng(62)
 
-        trace = forward_pass(net, batch, rng(), workspace=ws)
+        trace = forward_pass(net, batch, rng())
         kept = [lt.output.copy() for lt in trace.layers]
         back = backward_pass(net, trace, g)
         # the bytes of the reference backprop through fresh arrays
@@ -520,22 +483,19 @@ class TestWorkspace:
         for i, layer in enumerate(net.layers):
             changed = _bits(trace.layers[i].output) != _bits(kept[i])
             assert changed == (layer.activation == "relu"), f"layer {i}"
-        return trace
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @pytest.mark.parametrize("link", ["identity", "sigmoid", "exp"])
     def test_link_layer_below_the_top(self, link, dtype):
-        # the gradient at a link layer's output below the top goes into the
-        # shared "dout" scratch, not over the output its derivative still reads
+        # the gradient at a link layer's output below the top goes into an
+        # array of its own, not over the output its derivative still reads
         rng = make_rng(68)
         net = init_dense_net([4, 12, 6, 3], ["relu", link, "relu"], rng, dropout_rate=0.35)
         batch = rng.normal(size=(16, 4)).astype(dtype)
         g = rng.normal(size=(16, 3))
-        ws = nncore._Workspace()
-        trace = forward_pass(net, batch, make_rng(69), workspace=ws)
+        trace = forward_pass(net, batch, make_rng(69))
         link_output = _bits(trace.layers[1].output)
         back = backward_pass(net, trace, g)
-        assert "dout" in ws._buffers
         assert _bits(trace.layers[1].output) == link_output
         inputs, ref = reference_forward(net, batch, make_rng(69))
         weight_grads, bias_grads, input_gradient = reference_backward(net, inputs, ref, g)
@@ -561,17 +521,18 @@ class TestWorkspace:
         batch = rng.normal(size=(40, 4)).astype(dtype)
         g_b, g_head = rng.normal(size=(40, 3)), rng.normal(size=(40, 1))
 
-        ws = nncore._Workspace()
         dropout = make_rng(65)
-        ta = forward_pass(a, batch, dropout, workspace=ws)
-        tb = forward_pass(b, ta.output, dropout, workspace=ws)
-        th = forward_pass(head, ta.output, workspace=ws)
+        ta = forward_pass(a, batch, dropout)
+        tb = forward_pass(b, ta.output, dropout)
+        th = forward_pass(head, ta.output)
         back_head = backward_pass(head, th, g_head, defer_input=True)
         assert back_head.input_gradient is None
         back_b = backward_pass(b, tb, g_b, onto=ta)
         assert back_b.input_gradient is ta.output
-        g_a = add_input_gradient(head, back_head, back_b.input_gradient, workspace=ws)
+        assert ta.top_mask is not None
+        g_a = add_input_gradient(head, back_head, back_b.input_gradient)
         back_a = backward_pass(a, ta, g_a)
+        assert ta.top_mask is None  # read, then released
         spent = [_bits(x) for back in (back_head, back_b, back_a) for x in flatten_gradients(back)]
 
         dropout = make_rng(65)
@@ -586,25 +547,12 @@ class TestWorkspace:
         assert spent == reference
         assert _bits(back_a.input_gradient) == _bits(din_a)
 
-    def test_onto_in_another_workspace_raises(self):
-        # b's trace lives in one workspace, a's output in another
-        rng = make_rng(67)
-        a = init_dense_net([3, 5], ["relu"], rng)
-        b = init_dense_net([5, 2], ["relu"], rng)
-        ta = forward_pass(a, rng.normal(size=(6, 3)), workspace=nncore._Workspace())
-        tb = forward_pass(b, ta.output, workspace=nncore._Workspace())
-        kept = _bits(ta.output)
-        with pytest.raises(ValidationError, match="onto"):
-            backward_pass(b, tb, rng.normal(size=(6, 2)), onto=ta)
-        assert _bits(ta.output) == kept and ta.top_mask is None
-
     def test_onto_must_be_the_trace_the_net_read(self):
         rng = make_rng(66)
         a = init_dense_net([3, 5], ["relu"], rng)
         b = init_dense_net([5, 2], ["relu"], rng)
-        ws = nncore._Workspace()
-        ta = forward_pass(a, rng.normal(size=(6, 3)), workspace=ws)
-        tb = forward_pass(b, ta.output.copy(), workspace=ws)
+        ta = forward_pass(a, rng.normal(size=(6, 3)))
+        tb = forward_pass(b, ta.output.copy())
         with pytest.raises(ShapeError, match="onto"):
             backward_pass(b, tb, np.ones((6, 2)), onto=ta)
 
