@@ -10,26 +10,14 @@ Two solvers live here:
 
 * ``solve_exact_dp`` - dynamic program over customers and integer budget
   units; exact when every cost is a multiple of ``cost_resolution``.
-* ``solve_lagrangian`` - dualizes the budget constraint and bisects on the
-  multiplier. Scales linearly in customers x arms and reports a dual upper
-  bound; the final greedy completion step ties the remaining gap to a single
-  customer's value spread.
+* ``solve_lagrangian`` - brackets the budget multiplier by doubling, then
+  walks the upper hulls of the customers whose arm changes inside the
+  bracket. Scales linearly in customers x arms; its dual bound is the LP
+  optimum, within one customer's value spread of its plan.
 
-A customer's best arm under the multiplier changes only at the breakpoints of
-its upper hull (Sinha & Zoltners 1979, The multiple-choice knapsack problem).
-So the bisection scores every customer only at lam = 0 and at each doubling
-of lam, and after that rescores only the active customers: those that could
-still change arm inside the bracket. A customer leaves the active set once
-its arm is the same at both ends of the bracket and leads the runner-up there
-by more than four times the rounding bound of a score difference; the exact
-difference is linear in lam, so the computed argmax cannot move or tie
-anywhere in between. The plan at lo is over budget and the plan at hi fits,
-so some customer's arm differs between them and the active set never empties.
-Once it holds one customer, that customer's lo and hi arms differ, so it
-never settles and the remaining steps score only its arms, in Python floats
-(the same two IEEE operations per score, first maximum on ties). The plans,
-totals and dual bounds are byte for byte those of rescoring every customer at
-every step.
+Ties: both solvers prefer the lowest arm index among arms of equal score.
+On a hull, duplicated arms collapse to the lowest, and collinear arms stay
+separate steps of equal slope, so a plan can stop at any of them.
 """
 
 from __future__ import annotations
@@ -42,16 +30,8 @@ from .errors import InfeasiblePlanError, InstanceTooLargeError, ValidationError
 from .tables import read_table, write_table
 
 BUDGET_TOLERANCE = 1e-9
-# Cap on bisection steps of the budget multiplier; it stops sooner once converged.
-_LAGRANGIAN_ITERATIONS = 100
 # First multiplier tried above 0; doubled until the plan fits the budget.
 _LAMBDA_START = 1.0
-# A customer's arm is settled once its lead over the runner-up, at both ends of
-# the bisection bracket, exceeds this times max_j |value| + 2 * hi * max_j cost:
-# four times the rounding bound of a difference of two scores.
-_LEAD_MARGIN = 8 * 2.0**-53
-# Absolute error of a product that underflows, bounded by the smallest normal float.
-_UNDERFLOW = float(np.finfo(np.float64).tiny)
 # Auto-resolution targets this many DP cells (about 50 MB of one-byte choice table).
 _DP_CELL_BUDGET = 50_000_000
 PLAN_HEADER = ("customer_id", "chosen_arm")
@@ -233,175 +213,132 @@ def _repair_plan(problem: AllocationProblem, arms: np.ndarray) -> np.ndarray:
     return arms
 
 
-def _arms_and_leads(scores: np.ndarray):
-    """Best arm of each customer in an arm-major ``(M, k)`` score block.
+def _hull_steps(value_t: np.ndarray, cost_t: np.ndarray, start: np.ndarray, stop: np.ndarray):
+    """Walk each customer's upper hull in (cost, value) from arm ``start`` up to arm ``stop``.
 
-    Returns the argmax down each column (lowest arm on ties) and its lead,
-    the top score minus the runner-up score (0 on a tie). The runner-up is
-    found in place, so ``scores`` is overwritten.
+    ``value_t`` and ``cost_t`` are arm-major, ``(M, K)``. Each step goes to
+    the arm of steepest value gained per cost added among the arms that add
+    both and cost at most the ``stop`` arm. Returns the ``(M, K)`` chains of
+    arms, each starting at ``start`` and repeating its last arm once it ends,
+    and the ``(M - 1, K)`` value gains, cost gains and slopes of their steps;
+    past a chain's end a step gains nothing and its slope means nothing.
     """
-    customers = np.arange(scores.shape[1])
-    arms = np.argmax(scores, axis=0)
-    top = scores[arms, customers]
-    scores[arms, customers] = -np.inf
-    return arms, top - scores.max(axis=0)
+    n_arms, k = value_t.shape
+    cols = np.arange(k)
+    arm_ids = np.arange(n_arms)[:, None]
+    under = cost_t <= cost_t[stop, cols]
+    chain = np.empty((n_arms, k), dtype=np.int64)
+    chain[0] = start
+    slopes = np.full((n_arms - 1, k), -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for t in range(n_arms - 1):
+            here = chain[t]
+            dc = cost_t - cost_t[here, cols]
+            slope = np.where((dc > 0) & under, (value_t - value_t[here, cols]) / dc, -np.inf)
+            slopes[t] = slope.max(axis=0)
+            moves = slopes[t] > 0
+            if not moves.any():
+                chain[t + 1 :] = here
+                break
+            # the tie rule of the module docstring: of the steepest arms the
+            # cheapest, then the most valuable (arms of equal cost tie only on
+            # a slope that overflows), then the lowest
+            pick = slope == slopes[t]
+            pick &= cost_t == np.where(pick, cost_t, np.inf).min(axis=0)
+            pick &= value_t == np.where(pick, value_t, -np.inf).max(axis=0)
+            chain[t + 1] = np.where(moves, np.where(pick, arm_ids, n_arms).min(axis=0), here)
+    walk = chain, cols
+    return chain, np.diff(value_t[walk], axis=0), np.diff(cost_t[walk], axis=0), slopes
 
 
 def solve_lagrangian(problem: AllocationProblem) -> AllocationPlan:
-    """Near-optimal plan by bisection on the budget multiplier.
+    """Near-optimal plan from the Lagrangian bracket and the critical customers' hulls.
 
-    For a multiplier lam, each customer independently picks the arm
-    maximizing value - lam * cost. Cost decreases as lam grows, so bisection
-    finds the critical multiplier; the plan kept is the best feasible one
-    seen. A final greedy pass walks customers from the spend-heavy side of
-    the critical multiplier to the thrifty side in order of value lost per
-    unit of cost saved, stopping at the budget, which brings the plan within
-    one customer's value spread of the dual bound. The returned
-    ``dual_bound`` is a certified upper bound on the optimum.
+    For a multiplier lam, each customer takes the arm maximizing
+    value - lam * cost. The lam = 0 plan is returned if it fits; otherwise
+    lam doubles from 1 until the plan fits, which brackets the critical
+    multiplier in [lo, hi]: the lo plan is over budget, the hi plan fits.
 
-    Only customers whose arm can still change are rescored at a bisection
-    step. A customer is settled once it has the same arm at both ends of the
-    bracket [lo, hi] and, at both ends, leads the runner-up by more than
-    ``tau = 8 * 2**-53 * (max_j |value_ij| + 2 * hi * max_j cost_ij)`` (plus
-    the smallest normal float, for products that underflow). ``tau`` is four
-    times the rounding bound on the difference of two computed scores at any
-    lam <= hi, and the exact difference is linear in lam, so inside the
-    bracket the computed argmax is that same arm, strictly ahead and never
-    decided by a tie. A NaN lead never settles. Each step writes the active
-    rows into the plan's chosen-value and chosen-cost vectors and sums the
-    full vectors, so every arm, total and dual value is the same float as
-    rescoring every customer at every step gives.
-
-    Once one customer is active, the lo and hi plans differ only in its arm,
-    so the steps left, under the same cap and adjacent-float stop, score its
-    arms alone as Python floats ``v - mid * k`` (lowest arm on ties, as
-    ``np.argmax``) and sum the full vectors once per arm it takes.
+    A customer's best arm changes only at the breakpoints of its upper hull
+    in (cost, value) (Sinha & Zoltners 1979, The multiple-choice knapsack
+    problem), and in exact arithmetic it moves along that hull toward cheaper
+    arms as lam grows. So a customer with the same arm at lo and at hi keeps
+    it throughout [lo, hi], and only the others walk their hulls, from the hi
+    arm up to the lo arm (``_hull_steps``). Their steps, steepest first by a
+    stable sort (on equal slopes earlier hull steps, then lower rows, first),
+    are applied to the hi plan while they fit; then each later step is taken
+    if it still fits and its customer sits on its from-arm. ``dual_bound``,
+    the hi plan's value plus the applied steps plus the fraction of the next
+    step that fills the budget, is the LP optimum (Kellerer, Pferschy &
+    Pisinger 2004, Knapsack Problems, ch. 11), so the plan is within one
+    customer's value spread of it. Like ``check_feasible``, both count a
+    cost up to ``problem.budget + BUDGET_TOLERANCE`` as fitting.
     """
     rows = np.arange(problem.n)
     limit = problem.budget + BUDGET_TOLERANCE
-    # arm-major copies: reducing over the arms of many customers is one pass per arm
-    value_t = np.ascontiguousarray(problem.value.T)
-    cost_t = np.ascontiguousarray(problem.cost.T)
-    scores = np.empty_like(value_t)
+    scores = np.empty_like(problem.value)
 
-    def score_all(lam: float):
-        # the bytes of problem.value - lam * problem.cost, in one reused buffer
-        np.multiply(cost_t, lam, out=scores)
-        np.subtract(value_t, scores, out=scores)
-        arms, lead = _arms_and_leads(scores)
-        return arms, lead, value_t[arms, rows], cost_t[arms, rows]
-
-    def dual(lam: float, value: float, cost: float):
-        return value - lam * cost + lam * problem.budget
-
-    def totals(lam: float):
-        value = float(chosen_value.sum())
-        cost = float(chosen_cost.sum())
-        return value, cost, dual(lam, value, cost)
+    def lagrangian_plan(lam: float):
+        # the argmax of problem.value - lam * problem.cost, in one reused buffer
+        np.multiply(problem.cost, lam, out=scores)
+        np.subtract(problem.value, scores, out=scores)
+        arms = np.argmax(scores, axis=1)
+        return arms, float(problem.value[rows, arms].sum()), float(problem.cost[rows, arms].sum())
 
     # lam = 0: unconstrained spend. If already affordable we are done.
-    arms_lo, lead_lo, chosen_value, chosen_cost = score_all(0.0)
-    value0, cost0, best_dual = totals(0.0)
+    arms_lo, value0, cost0 = lagrangian_plan(0.0)
     if cost0 <= limit:
         return AllocationPlan(arms=arms_lo, total_value=value0, total_cost=cost0, dual_bound=value0)
-
-    lo = 0.0
     hi = _LAMBDA_START
     for _ in range(60):
-        arms_hi, lead_hi, chosen_value, chosen_cost = score_all(hi)
-        value_hi, cost_hi, dual_hi = totals(hi)
-        best_dual = min(best_dual, dual_hi)
+        arms_hi, value_hi, cost_hi = lagrangian_plan(hi)
         if cost_hi <= limit:
             break
-        lo, arms_lo, lead_lo = hi, arms_hi, lead_hi
+        arms_lo = arms_hi
         hi *= 2.0
     else:
         # costs are still above budget at a huge multiplier; with a zero-cost
         # arm available this cannot happen
-        raise InfeasiblePlanError("bisection failed to find a feasible multiplier")
+        raise InfeasiblePlanError("no multiplier up to 2**59 makes the plan fit the budget")
 
-    # The active customers and, aligned with them, what each step reads; a
-    # customer's tau is floor_a + hi * slope_a.
-    active = rows
-    value_a, cost_a = value_t, cost_t
-    floor_a = _LEAD_MARGIN * np.abs(value_t).max(axis=0) + _UNDERFLOW
-    slope_a = 2.0 * _LEAD_MARGIN * cost_t.max(axis=0)
-    lo_a, hi_a = arms_lo, arms_hi
-    best_feasible = (arms_hi.copy(), value_hi, cost_hi)
-    for step in range(_LAGRANGIAN_ITERATIONS):
-        settled = (lo_a == hi_a) & (np.minimum(lead_lo, lead_hi) > floor_a + hi * slope_a)
-        if settled.any():
-            keep = ~settled
-            active, value_a, cost_a = active[keep], value_a[:, keep], cost_a[:, keep]
-            floor_a, slope_a = floor_a[keep], slope_a[keep]
-            lo_a, hi_a, lead_lo, lead_hi = lo_a[keep], hi_a[keep], lead_lo[keep], lead_hi[keep]
-        if len(active) == 1:
-            # lo and hi differ only at this customer, which so never settles
-            c = int(active[0])
-            values, costs = problem.value[c].tolist(), problem.cost[c].tolist()
-            arm_totals = {}  # the plan's value and cost with c on each arm it took
-            for _ in range(_LAGRANGIAN_ITERATIONS - step):
-                mid = 0.5 * (lo + hi)
-                if mid <= lo or mid >= hi:
-                    break
-                scores_c = [v - mid * k for v, k in zip(values, costs)]
-                arm = scores_c.index(max(scores_c))  # lowest arm on ties, as np.argmax
-                if arm not in arm_totals:
-                    chosen_value[c], chosen_cost[c] = values[arm], costs[arm]
-                    arm_totals[arm] = float(chosen_value.sum()), float(chosen_cost.sum())
-                value_m, cost_m = arm_totals[arm]
-                best_dual = min(best_dual, dual(mid, value_m, cost_m))
-                if cost_m <= limit:
-                    hi, arms_hi[c] = mid, arm
-                    if value_m > best_feasible[1]:
-                        best_feasible = (arms_hi.copy(), value_m, cost_m)
-                else:
-                    lo, arms_lo[c] = mid, arm
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # lo and hi are adjacent floats: every further step re-evaluates one of them
-            break
-        arms_m, lead_m = _arms_and_leads(value_a - mid * cost_a)
-        picked = arms_m, np.arange(len(active))
-        chosen_value[active] = value_a[picked]
-        chosen_cost[active] = cost_a[picked]
-        value_m, cost_m, dual_m = totals(mid)
-        best_dual = min(best_dual, dual_m)
-        if cost_m <= limit:
-            hi, hi_a, lead_hi = mid, arms_m, lead_m
-            arms_hi[active] = arms_m
-            if value_m > best_feasible[1]:
-                best_feasible = (arms_hi.copy(), value_m, cost_m)
-        else:
-            lo, lo_a, lead_lo = mid, arms_m, lead_m
-            arms_lo[active] = arms_m
-    arms, value, cost = best_feasible
+    critical = np.flatnonzero(arms_lo != arms_hi)
+    # arm-major copies: reducing over the arms of many customers is one pass per arm
+    chain, gain_value, gain_cost, slope = _hull_steps(
+        np.ascontiguousarray(problem.value[critical].T),
+        np.ascontiguousarray(problem.cost[critical].T),
+        arms_hi[critical],
+        arms_lo[critical],
+    )
+    # slopes fall along a hull; keep them falling where rounding says otherwise
+    np.minimum.accumulate(slope, axis=0, out=slope)
+    steps = np.flatnonzero(gain_cost > 0)  # by hull step, then by customer
+    steps = steps[np.argsort(-slope.flat[steps], kind="stable")]
+    step_value, step_cost = gain_value.flat[steps], gain_cost.flat[steps]
+    spent = cost_hi + np.cumsum(step_cost)
+    taken = int(np.searchsorted(spent, limit, side="right"))
+    dual_bound = value_hi + float(step_value[:taken].sum())
+    # depth[k]: how many of critical customer k's hull steps the plan takes
+    depth = np.bincount(steps[:taken] % len(critical), minlength=len(critical))
+    if taken < len(steps):
+        slack = limit - (spent[taken - 1] if taken else cost_hi)
+        dual_bound += float(slack / step_cost[taken] * step_value[taken])
+        # each pass takes the first later step that fits from its customer's arm
+        t, customer = np.divmod(steps[taken + 1 :], len(critical))
+        later_cost = step_cost[taken + 1 :]
+        while True:
+            fits = np.flatnonzero((later_cost <= slack) & (depth[customer] == t))
+            if not len(fits):
+                break
+            i = fits[0]
+            depth[customer[i]] += 1
+            slack -= later_cost[i]
+            t, customer, later_cost = t[i + 1 :], customer[i + 1 :], later_cost[i + 1 :]
 
-    # Greedy completion: starting from the feasible (hi) side, adopt the
-    # spendier lo-side choices in decreasing value gained per cost added.
-    diff = np.flatnonzero(arms_lo != arms_hi)
-    if len(diff) > 0:
-        dv = problem.value[diff, arms_lo[diff]] - problem.value[diff, arms_hi[diff]]
-        dc = problem.cost[diff, arms_lo[diff]] - problem.cost[diff, arms_hi[diff]]
-        useful = (dv > 0) & (dc > 0)
-        diff, dv, dc = diff[useful], dv[useful], dc[useful]
-        order = np.argsort(-dv / dc, kind="stable")
-        cand = arms_hi.copy()
-        cand_value = float(problem.value[rows, cand].sum())
-        cand_cost = float(problem.cost[rows, cand].sum())
-        for idx in order:
-            i = diff[idx]
-            if cand_cost + dc[idx] <= problem.budget + BUDGET_TOLERANCE:
-                cand[i] = arms_lo[i]
-                cand_cost += dc[idx]
-                cand_value += dv[idx]
-        if cand_value > value:
-            arms, value, cost = cand, cand_value, cand_cost
-
+    arms = arms_hi.copy()
+    arms[critical] = chain[depth, np.arange(len(critical))]
     value, cost = plan_totals(problem, arms)  # recompute exactly
     _check_cost(problem, cost)
-    return AllocationPlan(arms=arms, total_value=value, total_cost=cost, dual_bound=best_dual)
+    return AllocationPlan(arms=arms, total_value=value, total_cost=cost, dual_bound=dual_bound)
 
 
 def build_problem(

@@ -35,7 +35,7 @@ import yaml
 
 from .allocator import build_problem, solve_exact_dp, solve_lagrangian
 from .datagen import FeatureConfig, GenConfig, RctDataset, generate_rct
-from .errors import PromolabError, ValidationError, at_least, check_fields, rule
+from .errors import NONNEGATIVE, PromolabError, ValidationError, at_least, check_fields, rule
 from .evaluator import (
     EvalReport,
     budget_sweep,
@@ -66,8 +66,8 @@ class PipelineConfig:
     generation: GenConfig
     model: ModelConfig
     n_folds: int = rule("integer", 5, at_least(2))
-    budget: float | None = rule("real", None, at_least(0))
-    budget_grid: tuple = rule("reals", (), at_least(0))
+    budget: float | None = rule("real", None, at_least(0))  # inf: no spending limit
+    budget_grid: tuple = rule("reals", (), NONNEGATIVE)  # finite: each is a curve.csv row
 
     def __post_init__(self):
         check_fields(self, "evaluation")

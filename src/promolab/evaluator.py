@@ -134,9 +134,18 @@ def estimate_policy_cost(plan_arms, trial_arms, s, coupon_values) -> PolicyEstim
     """Estimated expected incentive spend: a coupon costs its face value when
     the matched record shows a direct purchase."""
     coupon_values = np.asarray(coupon_values, dtype=np.float64)
+    trial_arms = np.asarray(trial_arms, dtype=np.int64)
     s = np.asarray(s, dtype=np.float64)
-    realized = coupon_values[np.asarray(trial_arms, dtype=np.int64)] * s
-    return _grouped_estimate(plan_arms, trial_arms, realized, len(coupon_values))
+    # checked before the product, which would index past the coupons or warn on 0 * inf
+    if np.any(trial_arms < 0) or np.any(trial_arms >= len(coupon_values)):
+        raise ValidationError(f"trial arm index out of range [0, {len(coupon_values)})")
+    if s.shape != trial_arms.shape:
+        raise ValidationError("trial arms and direct flags must have equal length")
+    if not np.all(np.isfinite(s)):
+        raise ValidationError("direct flags contain non-finite entries")
+    if not np.all((s == 0) | (s == 1)):
+        raise ValidationError("direct flags must be 0 or 1")
+    return _grouped_estimate(plan_arms, trial_arms, coupon_values[trial_arms] * s, len(coupon_values))
 
 
 def _control_value(trial_arms, y, n_arms: int, control_arm: int) -> float:

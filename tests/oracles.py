@@ -1,10 +1,13 @@
 """Reference implementations that tests compare the package against.
 
 ``brute_force`` is the exact knapsack optimum by enumeration.
-``full_bisection_lagrangian`` is the Lagrangian solver that runs every
-bisection step and rescores every customer at each one, through
-``lagrangian_argmax``; ``solve_lagrangian`` must match its plans byte for
-byte. ``tie_averaged_actuals_loop`` is the Gini's tie averaging
+``lp_optimum`` is the optimum of the knapsack's LP relaxation, from every
+customer's whole upper hull; ``solve_lagrangian``'s dual bound must equal it.
+``full_bisection_lagrangian`` is the earlier Lagrangian solver, which bisects
+on the multiplier and completes the plan greedily; ``solve_lagrangian``'s
+plans must be worth at least its plans, and its bound no more than its dual
+plus what the budget tolerance is worth.
+``tie_averaged_actuals_loop`` is the Gini's tie averaging
 walked one element at a time. The gradient checks compare ``backward_pass`` and the model's
 backward walk with central finite differences of the loss, evaluated in
 extended precision.
@@ -73,18 +76,55 @@ def brute_force(problem: AllocationProblem) -> AllocationPlan:
     return AllocationPlan(arms=best_arms, total_value=value, total_cost=cost)
 
 
-def lagrangian_argmax(problem: AllocationProblem, lam: float) -> np.ndarray:
-    """Per-customer argmax of value - lam * cost (lowest arm index on ties).
+def lp_optimum(problem: AllocationProblem, limit: float | None = None) -> float:
+    """Optimum of the knapsack's LP relaxation at cost ``limit``.
 
-    ``solve_lagrangian`` rescores in arm-major blocks instead; this is the
-    whole-problem form.
+    By default ``limit`` is the budget plus ``BUDGET_TOLERANCE``, the cost
+    that ``check_feasible`` and ``brute_force`` still count as fitting. Each
+    customer starts on its cheapest arm (the most valuable of those) and
+    walks its upper hull in (cost, value) while value still rises. Every step
+    of every customer, steepest first, is taken whole while it fits and the
+    next in part. A customer's steps fall in slope, so the taken steps are a
+    start of each customer's walk.
     """
+    if limit is None:
+        limit = problem.budget + BUDGET_TOLERANCE
+    total, steps = 0.0, []
+    for values, costs in zip(problem.value.tolist(), problem.cost.tolist()):
+        arms = range(len(values))
+        here = min(arms, key=lambda j: (costs[j], -values[j]))
+        total += values[here]
+        while True:
+            up = [j for j in arms if costs[j] > costs[here] and values[j] > values[here]]
+            if not up:
+                break
+            # the steepest, the most valuable where slopes overflow to a tie
+            nxt = max(
+                up, key=lambda j: ((values[j] - values[here]) / (costs[j] - costs[here]), values[j])
+            )
+            steps.append((values[nxt] - values[here], costs[nxt] - costs[here]))
+            here = nxt
+    spent = float(problem.cost.min(axis=1).sum())
+    for dv, dc in sorted(steps, key=lambda step: step[0] / step[1], reverse=True):
+        if spent + dc > limit:
+            return total + dv * (limit - spent) / dc
+        total, spent = total + dv, spent + dc
+    return total
+
+
+def lagrangian_argmax(problem: AllocationProblem, lam: float) -> np.ndarray:
+    """Per-customer argmax of value - lam * cost (lowest arm index on ties)."""
     scores = problem.value - lam * problem.cost
     return np.argmax(scores, axis=1).astype(np.int64)
 
 
 def full_bisection_lagrangian(problem, iterations=100, lambda_hi=1.0):
-    """Reference solver: ``solve_lagrangian`` with every bisection step run."""
+    """The earlier ``solve_lagrangian``: every bisection step run on every customer.
+
+    Bisects the doubling bracket ``iterations`` times, keeps the best plan
+    that fits and the smallest dual seen, then adopts lo-side arms greedily
+    from the hi plan, by value gained per cost added, while they fit.
+    """
     rows = np.arange(problem.n)
     tol = allocator.BUDGET_TOLERANCE
 

@@ -1,7 +1,6 @@
 """Knapsack allocator oracles: hand instances, exact-vs-brute sweeps, duality."""
 
 import hashlib
-import sys
 import tracemalloc
 
 import numpy as np
@@ -10,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from promolab import allocator
 from promolab.allocator import (
     AllocationProblem,
     build_problem,
@@ -145,40 +143,6 @@ class TestLagrangian:
             # certified gap: optimum is sandwiched between plan value and dual
             assert exact.total_value <= plan.dual_bound + 1e-6
 
-    def test_bisection_stops_once_converged(self, monkeypatch):
-        # once lo and hi are adjacent floats the remaining steps change
-        # nothing, so stopping early must give the full loop's plan exactly.
-        # The solver scores through _arms_and_leads, the reference through
-        # lagrangian_argmax. Two identical customers that switch arm at
-        # lam = 3 both stay active to the end, so the solver's block steps,
-        # not its single-customer finish, have to stop at adjacent floats.
-        twins = AllocationProblem(value=[[0.0, 3.0]] * 2, cost=[[0.0, 1.0]] * 2, budget=1.0)
-        blocks, argmax_calls = [], []
-        arms_and_leads, argmax = allocator._arms_and_leads, oracles.lagrangian_argmax
-
-        def counting_blocks(scores):
-            blocks.append(scores.shape[1])
-            return arms_and_leads(scores)
-
-        def counting_argmax(problem, lam):
-            argmax_calls.append(lam)
-            return argmax(problem, lam)
-
-        monkeypatch.setattr(allocator, "_arms_and_leads", counting_blocks)
-        monkeypatch.setattr(oracles, "lagrangian_argmax", counting_argmax)
-        for problem in [*seven_arm_problems(), twins]:
-            blocks.clear()
-            plan = solve_lagrangian(problem)
-            calls = len(blocks)
-            argmax_calls.clear()
-            reference = full_bisection_lagrangian(problem)
-            np.testing.assert_array_equal(plan.arms, reference.arms)
-            assert plan.total_value == reference.total_value
-            assert plan.total_cost == reference.total_cost
-            assert plan.dual_bound == reference.dual_bound
-            # a float64 interval shrinks to adjacent floats in about 55 halvings
-            assert calls < len(argmax_calls) - 40
-
     def test_gap_bounded_by_one_customer_spread(self):
         rng = make_rng(203)
         for trial in range(80):
@@ -215,13 +179,33 @@ class TestLagrangian:
         assert np.all(np.diff(values) >= -1e-9)
 
 
-def assert_matches_full_bisection(problem):
+def assert_solver_contract(problem, reference=None):
+    """``solve_lagrangian``'s promises on one problem; returns its plan.
+
+    The plan fits, its totals are its arms' totals, ``dual_bound`` is the LP
+    optimum (so at least the plan's value and, where enumeration runs, the
+    exact optimum) and within one customer's value spread of the value, and
+    it is never looser than the bisection's dual, which bounds plans that
+    fit the budget itself: the tolerance can add its worth, the LP optimum at
+    the tolerance minus that at the budget.
+    """
     plan = solve_lagrangian(problem)
-    reference = full_bisection_lagrangian(problem)
-    np.testing.assert_array_equal(plan.arms, reference.arms)
-    assert plan.total_value == reference.total_value
-    assert plan.total_cost == reference.total_cost
-    assert plan.dual_bound == reference.dual_bound
+    check_feasible(problem, plan.arms)
+    assert (plan.total_value, plan.total_cost) == plan_totals(problem, plan.arms)
+    scale = 1.0 + float(np.abs(problem.value).max(axis=1).sum())
+    tol = 1e-12 * scale
+    lp = oracles.lp_optimum(problem)
+    assert plan.dual_bound == pytest.approx(lp, rel=1e-9, abs=tol)
+    assert plan.dual_bound >= plan.total_value - tol
+    spread = float((problem.value.max(axis=1) - problem.value.min(axis=1)).max())
+    assert plan.dual_bound - plan.total_value <= spread + tol
+    if problem.n_arms**problem.n <= 5_000:
+        assert plan.dual_bound >= brute_force(problem).total_value - tol
+    if reference is None:
+        reference = full_bisection_lagrangian(problem)
+    tolerance_worth = lp - oracles.lp_optimum(problem, problem.budget)
+    assert plan.dual_bound <= reference.dual_bound + tolerance_worth + tol
+    return plan
 
 
 @st.composite
@@ -237,240 +221,208 @@ def small_problems(draw):
     return AllocationProblem(value=value, cost=cost, budget=budget, zero_arm=zero_arm)
 
 
-class TestActiveSetExactness:
-    """Rescoring only unsettled customers gives the full bisection's plan, bytes and all."""
+def collinear_ties_and_duplicated_arms():
+    # v_j = v_0 + k * c_j on exact grids: at lam = k every arm of a customer
+    # scores the same, and one arm repeats the arm before it
+    rng = make_rng(501)
+    for _ in range(40):
+        n, m = int(rng.integers(1, 40)), int(rng.integers(2, 7))
+        cost = rng.integers(0, 5, size=(n, m)) * 0.5
+        cost[:, 0] = 0.0
+        value = rng.integers(0, 4, size=(n, 1)) + rng.integers(0, 4, size=(n, 1)) * cost
+        dup = int(rng.integers(1, m))
+        value[:, dup], cost[:, dup] = value[:, dup - 1], cost[:, dup - 1]
+        budget = float(rng.uniform(0.0, 0.7)) * float(cost.max(axis=1).sum())
+        yield AllocationProblem(value=value, cost=cost, budget=budget)
+
+
+def arms_a_few_ulps_apart():
+    # arms 1 and 2 differ by a few ulps in value and cost, so rounding
+    # decides which one scores higher at every multiplier
+    rng = make_rng(506)
+    for _ in range(40):
+        n = int(rng.integers(5, 200))
+        value = rng.uniform(1.0, 5.0, size=n)
+        cost = rng.uniform(0.05, 2.0, size=n)
+        near_value = value + rng.integers(-3, 4, size=n) * np.spacing(value)
+        near_cost = cost + rng.integers(-3, 4, size=n) * np.spacing(cost)
+        yield AllocationProblem(
+            value=np.column_stack([np.zeros(n), value, near_value]),
+            cost=np.column_stack([np.zeros(n), cost, near_cost]),
+            budget=float(rng.uniform(0.05, 0.9)) * float(cost.sum()),
+        )
+
+
+def values_and_costs_on_a_tenth_grid():
+    rng = make_rng(502)
+    for _ in range(40):
+        n, m = int(rng.integers(1, 60)), int(rng.integers(2, 8))
+        value = np.round(rng.uniform(0.0, 3.0, size=(n, m)), 1)
+        cost = np.round(rng.uniform(0.0, 2.0, size=(n, m)), 1)
+        cost[:, 0] = 0.0
+        budget = round(float(rng.uniform(0.0, 0.6)) * float(cost.sum()), 1)
+        yield AllocationProblem(value=value, cost=cost, budget=budget)
+
+
+def magnitudes_from_micro_to_mega():
+    rng = make_rng(503)
+    for _ in range(40):
+        n, m = int(rng.integers(1, 60)), int(rng.integers(2, 8))
+        value = rng.uniform(0.0, 5.0, size=(n, m)) * 10.0 ** rng.uniform(-6, 6, size=(n, 1))
+        cost = rng.uniform(0.0, 2.0, size=(n, m)) * 10.0 ** rng.uniform(-6, 6, size=(n, 1))
+        cost[:, 0] = 0.0
+        budget = float(rng.uniform(0.0, 0.6)) * float(cost.sum())
+        yield AllocationProblem(value=value, cost=cost, budget=budget)
+
+
+def customers_with_only_zero_costs():
+    rng = make_rng(504)
+    value = rng.uniform(0.0, 5.0, size=(30, 5))
+    cost = rng.uniform(0.05, 2.0, size=(30, 5))
+    cost[:, 0] = 0.0
+    cost[7] = 0.0
+    value[8] = 1.0  # and one that ties on every arm
+    cost[8] = 0.0
+    for share in (0.05, 0.2, 0.5):
+        yield AllocationProblem(value=value, cost=cost, budget=share * float(cost.sum()))
+
+
+def budgets_binding_at_the_first_doubling():
+    # the plan at lam = 1 fits and the plan at lam = 0 does not, so the
+    # bracket is [0, 1] and the lo plan is the unconstrained one
+    rng = make_rng(505)
+    value = rng.uniform(0.0, 5.0, size=(200, 7))
+    cost = rng.uniform(0.05, 2.0, size=(200, 7))
+    cost[:, 0] = 0.0
+    problem = AllocationProblem(value=value, cost=cost, budget=0.0)
+    _, cost_at_0 = plan_totals(problem, oracles.lagrangian_argmax(problem, 0.0))
+    _, cost_at_1 = plan_totals(problem, oracles.lagrangian_argmax(problem, 1.0))
+    assert cost_at_1 < cost_at_0
+    for fraction in (0.0, 0.3, 0.9):
+        budget = cost_at_1 + fraction * (cost_at_0 - cost_at_1)
+        yield AllocationProblem(value=value, cost=cost, budget=budget)
+
+
+def oracle_curve_budgets():
+    # the benchmark's oracle curve: true means of a 6 000-customer world at
+    # eight budget shares
+    coupons = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    _, truth = generate_rct(GenConfig(n_customers=6000, coupon_values=coupons, seed=73))
+    for share in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4):
+        yield build_problem(truth.mean_enduring, truth.p_direct, coupons, share * truth.n)
+
+
+def one_critical_customer():
+    # customer 0 changes arm inside the bracket while four customers near
+    # 2**-200 switch arm early; customer 0's hull breaks at 1.5 * 2**-100,
+    # 1.5 * 2**-101 and 2**-150, far below the first doubling
+    tiny = 2.0**-200
+    value = np.zeros((5, 4))
+    cost = np.zeros((5, 4))
+    value[0] = 0.0, 9 * 2.0**-105 + 3 * 2.0**-152, 9 * 2.0**-105, 3 * 2.0**-104
+    cost[0] = 0.0, 1.0, 0.25, 0.125
+    value[1:, 1] = np.array([3.0, 5.0, 7.0, 9.0]) * tiny
+    value[1:, 2:] = -tiny
+    cost[1:, 1] = np.array([8.0, 16.0, 32.0, 64.0]) * tiny
+    yield AllocationProblem(value=value, cost=cost, budget=0.5)
+    # customers whose arm 1 leads by about 100 at every multiplier, each
+    # adding 1 to the cost of every plan, beside customer 0: arms 1 and 2 the
+    # same arm and at lam = 1/4 arms 1, 2 and 3 all scoring 1, then a hull
+    # breaking at 7.875, 7.75, 7.625 and 4.5, inside the bracket [4, 8]
+    for value_c, cost_c, budget in (
+        ([0.0, 1.5, 1.5, 2.0], [0.0, 2.0, 2.0, 4.0], 4 + 2.0),
+        ([0.0, 7.875, 15.625, 23.25, 27.75], [0.0, 1.0, 2.0, 3.0, 4.0], 4 + 1.5),
+    ):
+        value = np.full((5, len(value_c)), -1.0)
+        cost = np.zeros((5, len(value_c)))
+        value[1:, :2] = 0.0, 100.0
+        cost[1:, 1] = 1.0
+        value[0], cost[0] = value_c, cost_c
+        yield AllocationProblem(value=value, cost=cost, budget=budget)
+
+
+CONTRACT_CASES = [
+    seven_arm_problems,
+    collinear_ties_and_duplicated_arms,
+    arms_a_few_ulps_apart,
+    values_and_costs_on_a_tenth_grid,
+    magnitudes_from_micro_to_mega,
+    customers_with_only_zero_costs,
+    budgets_binding_at_the_first_doubling,
+    oracle_curve_budgets,
+    one_critical_customer,
+]
+
+
+class TestSolverContract:
+    """Every plan fits, and its dual bound is the LP optimum, within one spread of its value."""
 
     @settings(max_examples=200, deadline=None)
     @given(problem=small_problems())
     def test_small_random_problems(self, problem):
-        assert_matches_full_bisection(problem)
+        assert_solver_contract(problem)
 
-    def test_collinear_ties_and_duplicated_arms(self):
-        # v_j = v_0 + k * c_j on exact grids: at lam = k every arm of a
-        # customer scores the same, and bisection midpoints reach integers
-        rng = make_rng(501)
-        for _ in range(40):
-            n, m = int(rng.integers(1, 40)), int(rng.integers(2, 7))
-            cost = rng.integers(0, 5, size=(n, m)) * 0.5
-            cost[:, 0] = 0.0
-            value = rng.integers(0, 4, size=(n, 1)) + rng.integers(0, 4, size=(n, 1)) * cost
-            dup = int(rng.integers(1, m))
-            value[:, dup], cost[:, dup] = value[:, dup - 1], cost[:, dup - 1]
-            budget = float(rng.uniform(0.0, 0.7)) * float(cost.max(axis=1).sum())
-            assert_matches_full_bisection(AllocationProblem(value=value, cost=cost, budget=budget))
+    @pytest.mark.parametrize("problems", CONTRACT_CASES, ids=lambda case: case.__name__)
+    def test_cases(self, problems):
+        for problem in problems():
+            assert_solver_contract(problem)
 
-    def test_arms_a_few_ulps_apart(self):
-        # arms 1 and 2 differ by a few ulps in value and cost, so which one
-        # scores higher is decided by rounding at every multiplier; a lead
-        # of a few ulps at both ends of the bracket must not settle them
-        rng = make_rng(506)
-        for _ in range(40):
-            n = int(rng.integers(5, 200))
-            value = rng.uniform(1.0, 5.0, size=n)
-            cost = rng.uniform(0.05, 2.0, size=n)
-            near_value = value + rng.integers(-3, 4, size=n) * np.spacing(value)
-            near_cost = cost + rng.integers(-3, 4, size=n) * np.spacing(cost)
-            problem = AllocationProblem(
-                value=np.column_stack([np.zeros(n), value, near_value]),
-                cost=np.column_stack([np.zeros(n), cost, near_cost]),
-                budget=float(rng.uniform(0.05, 0.9)) * float(cost.sum()),
-            )
-            assert_matches_full_bisection(problem)
-
-    def test_values_and_costs_on_a_tenth_grid(self):
-        rng = make_rng(502)
-        for _ in range(40):
-            n, m = int(rng.integers(1, 60)), int(rng.integers(2, 8))
-            value = np.round(rng.uniform(0.0, 3.0, size=(n, m)), 1)
-            cost = np.round(rng.uniform(0.0, 2.0, size=(n, m)), 1)
-            cost[:, 0] = 0.0
-            budget = round(float(rng.uniform(0.0, 0.6)) * float(cost.sum()), 1)
-            assert_matches_full_bisection(AllocationProblem(value=value, cost=cost, budget=budget))
-
-    def test_magnitudes_from_micro_to_mega(self):
-        rng = make_rng(503)
-        for _ in range(40):
-            n, m = int(rng.integers(1, 60)), int(rng.integers(2, 8))
-            value = rng.uniform(0.0, 5.0, size=(n, m)) * 10.0 ** rng.uniform(-6, 6, size=(n, 1))
-            cost = rng.uniform(0.0, 2.0, size=(n, m)) * 10.0 ** rng.uniform(-6, 6, size=(n, 1))
-            cost[:, 0] = 0.0
-            budget = float(rng.uniform(0.0, 0.6)) * float(cost.sum())
-            assert_matches_full_bisection(AllocationProblem(value=value, cost=cost, budget=budget))
-
-    def test_customer_with_only_zero_costs(self):
-        rng = make_rng(504)
-        value = rng.uniform(0.0, 5.0, size=(30, 5))
-        cost = rng.uniform(0.05, 2.0, size=(30, 5))
-        cost[:, 0] = 0.0
-        cost[7] = 0.0
-        value[8] = 1.0  # and one that ties on every arm
-        cost[8] = 0.0
-        for share in (0.05, 0.2, 0.5):
-            budget = share * float(cost.sum())
-            assert_matches_full_bisection(AllocationProblem(value=value, cost=cost, budget=budget))
-
-    def test_budget_binding_at_the_first_doubling(self):
-        # cost at lam = 1 fits and cost at lam = 0 does not, so every step
-        # bisects [0, 1] and the low end keeps the lam = 0 scores
-        rng = make_rng(505)
-        value = rng.uniform(0.0, 5.0, size=(200, 7))
-        cost = rng.uniform(0.05, 2.0, size=(200, 7))
-        cost[:, 0] = 0.0
-        problem = AllocationProblem(value=value, cost=cost, budget=0.0)
-        _, cost_at_0 = plan_totals(problem, oracles.lagrangian_argmax(problem, 0.0))
-        _, cost_at_1 = plan_totals(problem, oracles.lagrangian_argmax(problem, 1.0))
-        assert cost_at_1 < cost_at_0
-        for fraction in (0.0, 0.3, 0.9):
-            budget = cost_at_1 + fraction * (cost_at_0 - cost_at_1)
-            assert_matches_full_bisection(AllocationProblem(value=value, cost=cost, budget=budget))
-
-    def test_oracle_curve_budgets(self):
-        # the benchmark's oracle curve: true means of a 6 000-customer world
-        # at eight budget shares
-        coupons = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
-        _, truth = generate_rct(GenConfig(n_customers=6000, coupon_values=coupons, seed=73))
-        for share in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4):
-            problem = build_problem(truth.mean_enduring, truth.p_direct, coupons, share * truth.n)
-            assert_matches_full_bisection(problem)
-
-    def test_bisection_rescores_at_most_n_rows(self, monkeypatch):
-        # full scorings at lam = 0 and each doubling, then the bisection
-        # steps together rescore no more customers than there are (rescoring
-        # everyone at every step is about 52 n), and a lone active customer is
-        # scored outside the blocks
-        blocks = []
-        arms_and_leads = allocator._arms_and_leads
-
-        def counting(scores):
-            blocks.append(scores.shape[1])
-            return arms_and_leads(scores)
-
-        monkeypatch.setattr(allocator, "_arms_and_leads", counting)
-        for problem in seven_arm_problems():
-            limit = problem.budget + allocator.BUDGET_TOLERANCE
-            full, lam = 2, allocator._LAMBDA_START
-            while plan_totals(problem, oracles.lagrangian_argmax(problem, lam))[1] > limit:
-                full, lam = full + 1, 2.0 * lam
-            blocks.clear()
-            solve_lagrangian(problem)
-            assert blocks[:full] == [problem.n] * full
-            assert sum(blocks[full:]) <= problem.n
-            assert 1 not in blocks[full:]
-
-
-def critical_among_settled(value_c, cost_c, n_settled=4):
-    """Customer 0 as given, then customers whose arm 1 leads by about 100 at
-    every multiplier the bisection visits, so they settle at its first step.
-
-    Each settled customer adds 1 to the cost of every plan.
-    """
-    m = len(value_c)
-    value = np.full((n_settled + 1, m), -1.0)
-    cost = np.zeros((n_settled + 1, m))
-    value[1:, :2] = 0.0, 100.0
-    cost[1:, 1] = 1.0
-    value[0], cost[0] = value_c, cost_c
-    return value, cost
-
-
-def visited_scores(monkeypatch, problem, customer):
-    """``{lam: scores}`` of one customer at every multiplier the full bisection visits."""
-    seen = []
-    argmax = oracles.lagrangian_argmax
-
-    def recording(p, lam):
-        seen.append(lam)
-        return argmax(p, lam)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(oracles, "lagrangian_argmax", recording)
-        full_bisection_lagrangian(problem)
-    return {lam: problem.value[customer] - lam * problem.cost[customer] for lam in seen}
-
-
-class TestSingleCustomerFinish:
-    """Once one customer is active, the steps left score it alone, with the same bytes."""
-
-    def test_step_cap_ends_the_bisection_far_above_the_critical_multiplier(self):
-        # customer 0's hull breaks from arm 0 to 3 at 1.5 * 2**-100, from 3 to 2 at
-        # 1.5 * 2**-101 and from 2 to the over-budget arm 1 at 2**-150. From the
-        # bracket [0, 1] every step is feasible, so the 100-step cap ends it at
-        # hi = 2**-100 on arm 3, about 1000 halvings before lo = 0 and hi are
-        # adjacent; one step fewer keeps arm 0 and one more takes arm 2.
-        tiny = 2.0**-200
-        value = np.zeros((5, 4))
-        cost = np.zeros((5, 4))
-        value[0] = 0.0, 9 * 2.0**-105 + 3 * 2.0**-152, 9 * 2.0**-105, 3 * 2.0**-104
-        cost[0] = 0.0, 1.0, 0.25, 0.125
-        # four customers near 2**-200, so their totals do not drown customer 0's
-        # values; they switch arm at 3/8, 5/16, 7/32 and 9/64 and leave the
-        # active set three steps in, so customer 0 alone takes the 97 steps left
-        value[1:, 1] = np.array([3.0, 5.0, 7.0, 9.0]) * tiny
-        value[1:, 2:] = -tiny
-        cost[1:, 1] = np.array([8.0, 16.0, 32.0, 64.0]) * tiny
-        problem = AllocationProblem(value=value, cost=cost, budget=0.5)
-        assert_matches_full_bisection(problem)
-        assert solve_lagrangian(problem).arms[0] == 3
-
-    def test_tied_arms_go_to_the_lowest(self, monkeypatch):
-        # arms 1 and 2 are the same arm, and at lam = 1/4 arms 1, 2 and 3 all score 1;
-        # the plan fits on arm 1 and not on arm 3, so the bisection visits 1/2, where
-        # arms 1 and 2 lead tied, and 1/4, then closes in on 1/4 from below
-        value, cost = critical_among_settled([0.0, 1.5, 1.5, 2.0], [0.0, 2.0, 2.0, 4.0])
-        problem = AllocationProblem(value=value, cost=cost, budget=4 + 2.0)
-        scores = visited_scores(monkeypatch, problem, 0)
-        assert np.sum(scores[0.25] == scores[0.25].max()) == 3
-        assert scores[0.5][1] == scores[0.5][2] == scores[0.5].max() > scores[0.5][3]
-        assert_matches_full_bisection(problem)
-
-    def test_three_arms_crossed_inside_the_last_doubling(self, monkeypatch):
-        # customer 0's hull breaks at 7.875, 7.75, 7.625 and 4.5, so inside the
-        # last doubling bracket [4, 8] the visited multipliers take arms 3, 2 and 1
-        value, cost = critical_among_settled(
-            [0.0, 7.875, 15.625, 23.25, 27.75], [0.0, 1.0, 2.0, 3.0, 4.0]
+    def test_collinear_arms_are_separate_steps(self):
+        # arms 1 and 2 lie on the line from arm 0 to arm 3; only arm 1 fits,
+        # and arm 2 duplicates arm 1, so the plan stops on arm 1
+        problem = AllocationProblem(
+            value=[[0.0, 1.0, 1.0, 3.0]], cost=[[0.0, 1.0, 1.0, 3.0]], budget=1.5
         )
-        problem = AllocationProblem(value=value, cost=cost, budget=4 + 1.5)
-        scores = visited_scores(monkeypatch, problem, 0)
-        inside = {int(np.argmax(s)) for lam, s in scores.items() if 4.0 < lam < 8.0}
-        assert inside == {1, 2, 3}
-        assert_matches_full_bisection(problem)
+        plan = assert_solver_contract(problem)
+        assert tuple(plan.arms) == (1,)
+        assert plan.dual_bound == pytest.approx(1.5 + 1e-9)
 
-    def test_finish_stops_once_lo_and_hi_are_adjacent(self, monkeypatch):
-        # the finish picks its customer's arm through the module's max, so a
-        # max seen from solve_lagrangian records each step's bracket. The
-        # bisection closes in on 1/4 from below (see the test above): hi stays
-        # at 1/4 and every step raises lo, until lo and hi are adjacent floats
-        # and the next midpoint would be one of them
-        brackets = []
 
-        def watched_max(*args, **kwargs):
-            frame = sys._getframe(1)
-            if frame.f_code is solve_lagrangian.__code__:
-                brackets.append(tuple(frame.f_locals[k] for k in ("lo", "mid", "hi")))
-            return max(*args, **kwargs)
+def criterion_4_problems():
+    """The instances of acceptance criterion 4, from the same seed."""
+    rng = make_rng(271)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        m = int(rng.integers(2, 5))
+        value = rng.uniform(-1.0, 5.0, size=(n, m))
+        cost = np.round(rng.uniform(0.05, 2.0, size=(n, m)), 2)
+        cost[:, 0] = 0.0
+        budget = round(float(rng.uniform(0.0, 0.6 * cost.sum())), 2)
+        yield AllocationProblem(value=value, cost=cost, budget=budget)
 
-        monkeypatch.setattr(allocator, "max", watched_max, raising=False)
-        value, cost = critical_among_settled([0.0, 1.5, 1.5, 2.0], [0.0, 2.0, 2.0, 4.0])
-        solve_lagrangian(AllocationProblem(value=value, cost=cost, budget=4 + 2.0))
-        assert 40 < len(brackets) < allocator._LAGRANGIAN_ITERATIONS - 2
-        assert all(lo < mid < hi for lo, mid, hi in brackets)
-        assert [hi for _, _, hi in brackets[2:]] == [0.25] * (len(brackets) - 2)
-        _, mid, hi = brackets[-1]
-        assert np.nextafter(mid, np.inf) == hi
 
-    def test_one_active_customer_is_not_rescored_in_blocks(self, monkeypatch):
-        blocks = []
-        arms_and_leads = allocator._arms_and_leads
+def bench_oracle_problems(seeds=(1, 2, 3)):
+    """Oracle curves shaped like the benchmark's: 2 000 customers, 7 coupons, 8 shares."""
+    coupons = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    for seed in seeds:
+        _, truth = generate_rct(GenConfig(n_customers=2000, coupon_values=coupons, seed=seed))
+        for share in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4):
+            yield build_problem(truth.mean_enduring, truth.p_direct, coupons, share * truth.n)
 
-        def counting(scores):
-            blocks.append(scores.shape[1])
-            return arms_and_leads(scores)
 
-        monkeypatch.setattr(allocator, "_arms_and_leads", counting)
-        value, cost = critical_among_settled([0.0, 1.5, 1.5, 2.0], [0.0, 2.0, 2.0, 4.0])
-        solve_lagrangian(AllocationProblem(value=value, cost=cost, budget=4 + 2.0))
-        # lam = 0 and lam = 1 score everyone, then customer 0 is alone for every step
-        assert blocks == [5, 5]
+class TestAgainstBisection:
+    """No plan is worth less than the bisection solver's plan on the same problem."""
+
+    @pytest.mark.parametrize(
+        "problems", [criterion_4_problems, bench_oracle_problems], ids=lambda case: case.__name__
+    )
+    def test_plans_worth_at_least_the_bisections(self, problems):
+        for problem in problems():
+            plan = solve_lagrangian(problem)
+            reference = full_bisection_lagrangian(problem)
+            tol = 1e-12 * max(1.0, abs(reference.total_value))
+            assert plan.total_value >= reference.total_value - tol
+
+    def test_gap_is_a_fraction_of_the_bisections(self):
+        # both duals are the LP optimum on the bench-shaped oracle curve, but
+        # the bisection's plans sit well below it and the hull steps' do not
+        gaps, reference_gaps = [], []
+        for problem in bench_oracle_problems(seeds=(1,)):
+            reference = full_bisection_lagrangian(problem)
+            plan = assert_solver_contract(problem, reference)
+            gaps.append(plan.dual_bound - plan.total_value)
+            reference_gaps.append(reference.dual_bound - reference.total_value)
+        assert np.mean(gaps) < 0.25 * np.mean(reference_gaps)
 
 
 class TestValidationAndLimits:

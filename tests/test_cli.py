@@ -315,6 +315,41 @@ class TestExitCodes:
         assert calls == []
         assert not (tmp_path / "eval_full.json").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_infinite_budget_grid_rejected_before_training(
+        self, workdir, tmp_path, capsys, monkeypatch, source
+    ):
+        # an infinite grid budget once wrote a curve.csv row that `report --curve` refuses
+        root, cfg = workdir
+        calls = []
+        train_model = evaluator.train_model
+        monkeypatch.setattr(
+            evaluator, "train_model", lambda *a, **k: calls.append(1) or train_model(*a, **k)
+        )
+        argv = ["sweep", "--data", str(root / "dataset.csv"), "--out", str(tmp_path)]
+        if source == "flag":
+            argv += ["--config", str(cfg), "--budget-grid", "100,inf"]
+        else:
+            raw = yaml.safe_load(cfg.read_text())
+            raw["evaluation"]["budget_grid"] = [100.0, float("inf")]
+            grid_cfg = tmp_path / "grid.yaml"
+            grid_cfg.write_text(yaml.safe_dump(raw))
+            argv += ["--config", str(grid_cfg)]
+        assert main(argv) == 1
+        assert "evaluation.budget_grid must be finite" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "curve.csv").exists()
+
+    def test_infinite_budget_still_allocates(self, workdir, tmp_path):
+        # a budget without a limit stays allowed where no table row holds it
+        root, cfg = workdir
+        argv = [
+            "allocate", "--config", str(cfg), "--model", str(root / "model.npz"),
+            "--data", str(root / "dataset.csv"), "--budget", "inf", "--out", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        assert parse_config(cfg, budget=float("inf")).budget == float("inf")
+
     @pytest.mark.parametrize("key, value", [("budget", ".nan"), ("budget_grid", "[10.0, .nan]")])
     def test_nan_config_budget_rejected(self, tmp_path, key, value):
         cfg = tmp_path / "nan.yaml"

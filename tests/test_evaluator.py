@@ -115,6 +115,27 @@ class TestHandEstimates:
         with pytest.raises(ValidationError, match="non-finite"):
             estimate_policy_cost(np.array([0, 0, 1]), np.array([1, 0, 1]), s, np.array([0.0, 2.0]))
 
+    @pytest.mark.parametrize(
+        "trial, s, message",
+        [
+            ([1, 2], [1.0, 1.0], "trial arm index out of range"),
+            ([0, 1], [np.inf, 1.0], "non-finite"),
+            ([1, 1], [0.5, 1.0], "0 or 1"),
+            ([1, 1], [1.0], "equal length"),
+        ],
+        ids=[
+            "arm_past_the_last_coupon", "infinite_flag_on_the_free_arm", "fractional_flag",
+            "one_flag_for_two_records",
+        ],
+    )
+    def test_cost_inputs_checked_before_the_product(self, trial, s, message):
+        # these once raised a bare IndexError, warned on 0 * inf before the
+        # ValidationError, scored half a coupon, and spread one flag over every
+        # record; the suite's config turns a warning into an error, so none may
+        # come first
+        with pytest.raises(ValidationError, match=message):
+            estimate_policy_cost(np.array([1, 1]), np.array(trial), np.array(s), np.array([0.0, 2.0]))
+
 
 class TestUnbiasedness:
     def test_estimator_mean_tracks_exact_policy_value(self, small_world):
@@ -369,10 +390,13 @@ class TestCrossFittedPlan:
         assert len(calls) == 2
 
     def test_report_json_pinned(self, budgeted_eval):
-        # computed when `to_json` serialized a hand-built dict in place of `asdict`
+        # computed when `to_json` serialized a hand-built dict in place of
+        # `asdict`, and re-derived when the Lagrangian solver took its hull
+        # steps in place of bisecting: the plan moved, and its estimated value
+        # with it (4972.98 to 4975.56); the fold metrics did not
         _, report, _ = budgeted_eval
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
-            "df7cc6faaf77b157985b5230ff51868fa31d0c56be5bf4945fdf3a6292a50822"
+            "b90c1f9d20f94027d4ebb11f9f33ff3f5786bef3f8586987f7c7662b8fdaa5df"
         )
 
     def test_plan_solved_on_out_of_fold_matrix(self, budgeted_eval, small_world, fast_model_config):

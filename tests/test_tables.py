@@ -130,11 +130,14 @@ evaluation:
 # own stream (see promolab.datagen). predictions.csv, plan.csv and curve.csv
 # are also what train, predict, allocate and sweep wrote from that dataset.csv
 # before the generator changed, so only the world moved, not the pipeline.
+# plan.csv was then re-derived when the Lagrangian solver took its hull steps
+# in place of bisecting: one customer changed arm, and the plan's predicted
+# value rose from 3472.601 to 3472.626 within the same budget of 40.
 PINNED_DIGESTS = {
     "dataset.csv": "0d2dc5638637c7bb918a1f8fc33ea20ed63ee3cd94830f143aadd8fb2f51c00a",
     "ground_truth.csv": "a42281d0de5bd14ab61fe08f58ee90c5b5beba6e8f0a624bbee5cc690253b638",
     "predictions.csv": "75f426e6b7e3216887203b439f94296b0c04dcfe08c13112a68ef558a2aec0b9",
-    "plan.csv": "07f7c2aff33d6a5a30df97b50596023990c14409ca293a11b95c6a080440b0ce",
+    "plan.csv": "aadc6f7b96f60110230a309131e44b86b6a9162152731ba160e587cfa9c0cf85",
     "curve.csv": "d7431e8f193dc0155396947f451eb015e377b4939baa24d98f1ee3b093d0d61e",
 }
 
