@@ -292,6 +292,37 @@ class TestGenerateRct:
             truth.policy_value(arms)
 
 
+    # SHA-256 of the log columns and the three truth matrices, at seed 3 and
+    # 3 000 customers, for both worlds with the zero coupon first, in the
+    # middle and last: the response arithmetic may be restated, never moved.
+    WORLD_DIGESTS = {
+        ("default", (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)):
+            "68e91105273a3d737009a175220a20ff338fa14b768004615ac59b501aaee39d",
+        ("default", (1.0, 0.0, 2.0)):
+            "8cf71514bc73bdfc0610d1484826e464f1305e2e59f5152e5a2672e1d680f41e",
+        ("default", (1.0, 2.0, 0.0)):
+            "faff0a5d2453e704596caad857d1703211dfc7ed8999ea03bdce855c68ef8b59",
+        ("decorrelated", (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)):
+            "759cb1f5b5e92df51d7423c3474b839ae1b16b67a7ce7e97dc9652abf813043d",
+        ("decorrelated", (1.0, 0.0, 2.0)):
+            "435f90a00f3403f0e6d84b021e4bed9c6d00fc140adaa051b1bfd4f83b9182b0",
+        ("decorrelated", (1.0, 2.0, 0.0)):
+            "9706f6615f1dcbb5a644419bc6078d8cc7804a64fe12394183a904bafff96e68",
+    }
+
+    @pytest.mark.parametrize("world, coupons", list(WORLD_DIGESTS))
+    def test_world_bytes_pinned(self, world, coupons):
+        cfg = GenConfig(n_customers=3000, coupon_values=np.array(coupons), seed=3, world=world)
+        dataset, truth = generate_rct(cfg)
+        digest = hashlib.sha256()
+        for arr in (
+            dataset.customer_id, dataset.features, dataset.arm, dataset.s, dataset.y,
+            truth.p_direct, truth.mu_promo_given_direct, truth.mu_post,
+        ):
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == self.WORLD_DIGESTS[world, coupons]
+
+
 class TestRedrawOutcomes:
     def test_mean_tracks_truth(self, small_world):
         cfg, dataset, truth = small_world

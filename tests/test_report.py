@@ -1,5 +1,6 @@
 """Report rendering: table correctness, SVG validity, byte determinism."""
 
+import hashlib
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -104,6 +105,9 @@ class TestSvgChart:
         a = curve_chart_svg(self.curves())
         b = curve_chart_svg(self.curves())
         assert a == b
+        assert hashlib.sha256(a.encode()).hexdigest() == (
+            "fe13ebec6eff7659d95aa024170831f4de9efa64da74db9ed8e9c26b81172b99"
+        )
 
     def test_y_field_selectable(self):
         svg = curve_chart_svg(self.curves(), y_field="value")
