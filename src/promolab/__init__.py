@@ -15,10 +15,8 @@ from .datagen import (
     GenConfig,
     GroundTruth,
     RctDataset,
-    ResponseSpec,
     generate_rct,
     sample_cpg,
-    true_response,
 )
 from .errors import (
     EstimationError,
@@ -82,7 +80,6 @@ __all__ = [
     "PromolabError",
     "RctDataset",
     "ResponseModel",
-    "ResponseSpec",
     "ShapeError",
     "TrainResult",
     "TrainingError",
@@ -113,6 +110,5 @@ __all__ = [
     "solve_lagrangian",
     "spearman",
     "train_model",
-    "true_response",
     "tweedie_loss",
 ]

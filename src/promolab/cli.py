@@ -259,6 +259,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.model is not None and args.variant is not None:
+        raise ValidationError("--variant cannot be combined with --model: the checkpoint fixes the variant")
     cfg = parse_config(
         args.config, seed=args.seed, variant=args.variant,
         budget_grid=_parse_budget_grid(args.budget_grid),

@@ -6,12 +6,16 @@ currency units). An incentive arm is assigned at random, independent of the
 features. The response has three true components per (customer, arm):
 
 * ``p_direct`` - probability of a purchase during the promotion window
-  (logistic link over standardized features, arm effect, arm x feature
-  interactions);
+  (logistic link);
 * ``mu_promo_given_direct`` - mean spend of that promotion-window purchase
   when it happens (log link, gamma distributed);
 * ``mu_post`` - mean of the post-window spend, drawn from a compound
   Poisson-Gamma distribution (point mass at zero plus continuous part).
+
+A world is one entry of ``_WORLD_COEFFICIENTS``, and ``GenConfig.surfaces``
+evaluates it over the config's coupon values for any feature rows. Every arm
+effect and arm x feature interaction is proportional to the arm's coupon
+value, so the zero-coupon (control) arm has none.
 
 The recorded enduring amount is ``y = y_promo + y_post`` where ``y_promo`` is
 positive exactly when the direct flag ``s`` is 1, so the true mean enduring
@@ -137,94 +141,12 @@ class FeatureConfig:
         )
 
 
-@dataclass
-class LinearResponse:
-    """One link's linear form: intercept + z.coefs + arm effect + z.interactions[arm]."""
-
-    intercept: float
-    feature_coefs: np.ndarray  # (F,)
-    arm_effects: np.ndarray  # (M,), control entry must be 0
-    interactions: np.ndarray  # (M, F), control row must be 0
-
-    def __post_init__(self):
-        self.feature_coefs = np.asarray(self.feature_coefs, dtype=np.float64)
-        self.arm_effects = np.asarray(self.arm_effects, dtype=np.float64)
-        self.interactions = np.asarray(self.interactions, dtype=np.float64)
-        if self.interactions.shape != (len(self.arm_effects), len(self.feature_coefs)):
-            raise ValidationError(
-                f"interactions shape {self.interactions.shape} does not match "
-                f"({len(self.arm_effects)} arms, {len(self.feature_coefs)} features)"
-            )
-
-    def linear(self, z: np.ndarray, arm: int) -> np.ndarray:
-        """Linear predictor for standardized features ``z`` (N, F) under one arm."""
-        coefs = self.feature_coefs + self.interactions[arm]
-        return self.intercept + z @ coefs + self.arm_effects[arm]
-
-
-@dataclass
-class ResponseSpec:
-    """True response surfaces: feature standardization plus three linear blocks."""
-
-    feature_center: np.ndarray  # (F,)
-    feature_scale: np.ndarray  # (F,)
-    direct: LinearResponse  # logistic link -> p_direct
-    promo: LinearResponse  # log link -> mean promo spend given a direct purchase
-    post: LinearResponse  # log link -> mean of the post-window CPG component
-
-    def __post_init__(self):
-        self.feature_center = np.asarray(self.feature_center, dtype=np.float64)
-        self.feature_scale = np.asarray(self.feature_scale, dtype=np.float64)
-        if np.any(self.feature_scale <= 0):
-            raise ValidationError("feature_scale entries must be positive")
-
-    @property
-    def n_arms(self) -> int:
-        return len(self.direct.arm_effects)
-
-    def standardize(self, features: np.ndarray) -> np.ndarray:
-        """Center, scale, then squash through tanh so response inputs stay bounded.
-
-        The monetary features are lognormal, so raw z-scores can reach 20 or
-        more in a large population. Feeding those into exponential links would
-        let a handful of customers dominate every aggregate. The squash is
-        near-identity for |z| < 2 and caps the magnitude at the saturation
-        level, keeping the world heavy-tailed but not degenerate.
-        """
-        z = (np.asarray(features, dtype=np.float64) - self.feature_center) / self.feature_scale
-        return np.tanh(z / _Z_SATURATION) * _Z_SATURATION
-
-    def surfaces(self, features: np.ndarray):
-        """(p_direct, mu_promo_given_direct, mu_post), each (N, M)."""
-        z = self.standardize(np.atleast_2d(features))
-        n = z.shape[0]
-        m = self.n_arms
-        p = np.empty((n, m))
-        mu_promo = np.empty((n, m))
-        mu_post = np.empty((n, m))
-        for j in range(m):
-            p[:, j] = sigmoid(self.direct.linear(z, j))
-            mu_promo[:, j] = np.exp(self.promo.linear(z, j))
-            mu_post[:, j] = np.exp(self.post.linear(z, j))
-        return p, mu_promo, mu_post
-
-
-def true_response(features, arm: int, spec: ResponseSpec):
-    """(p_direct, mean enduring amount) for one feature row under one arm."""
-    p, mu_promo, mu_post = spec.surfaces(np.atleast_2d(features))
-    p_j = p[:, arm]
-    mu_j = p_j * mu_promo[:, arm] + mu_post[:, arm]
-    if np.ndim(features) == 1:
-        return float(p_j[0]), float(mu_j[0])
-    return p_j, mu_j
-
-
 # ---------------------------------------------------------------------------
 # Default worlds
 # ---------------------------------------------------------------------------
 
-# Standardization constants of the default FeatureConfig (approximate
-# analytic moments, frozen so the response spec is a fixed object).
+# Standardization constants of the default FeatureConfig: approximate analytic
+# moments, fixed so a world's surfaces do not move with the features sampled.
 _DEFAULT_CENTER = np.array([33.3, 9.0, 2.0, 3.74, 2.23])
 _DEFAULT_SCALE = np.array([32.8, 6.0, 2.0, 3.55, 2.92])
 
@@ -249,18 +171,6 @@ _WORLD_COEFFICIENTS = {
         "post": (0.7, (-0.4, 0.3, 0.2, 0.5, 0.3), 0.10, (0.0, 0.0, -0.12, 0.30, 0.0)),
     },
 }
-
-
-def _world_spec(world: str, coupon_values: np.ndarray) -> ResponseSpec:
-    """One world's response spec: one arm per coupon value, with effects
-    proportional to the coupon value, so the zero-coupon (control) arm's are zero."""
-    c = np.asarray(coupon_values, dtype=np.float64)
-    blocks = {}
-    for name, (intercept, coefs, slope, interaction_slopes) in _WORLD_COEFFICIENTS[world].items():
-        arm_effects = slope * c
-        interactions = np.outer(c, interaction_slopes)
-        blocks[name] = LinearResponse(intercept, np.array(coefs), arm_effects, interactions)
-    return ResponseSpec(feature_center=_DEFAULT_CENTER.copy(), feature_scale=_DEFAULT_SCALE.copy(), **blocks)
 
 
 @dataclass
@@ -289,10 +199,28 @@ class GenConfig:
             self.assignment_probs = np.full(self.n_arms, 1.0 / self.n_arms)
         self.assignment_probs = _checked_probs(self.assignment_probs, self.n_arms)
 
-    @property
-    def response(self) -> ResponseSpec:
-        """The world's true response surfaces over this config's coupon values."""
-        return _world_spec(self.world, self.coupon_values)
+    def surfaces(self, features: np.ndarray):
+        """The world's true (p_direct, mu_promo_given_direct, mu_post), each
+        (N, M), for feature rows (N, F); a 1-D row counts as one row.
+
+        Standardized features are squashed through tanh: the lognormal
+        monetary features reach z-scores of 20 or more in a large population,
+        which the exponential links would let dominate every aggregate. The
+        squash is near-identity for |z| < 2 and caps |z| at the saturation
+        level. In each block, arm j with coupon value c_j then gets
+        ``intercept + z @ (coefs + c_j interaction_slopes) + slope c_j``
+        through the block's link (logistic for ``direct``, log otherwise).
+        """
+        z = (np.atleast_2d(np.asarray(features, dtype=np.float64)) - _DEFAULT_CENTER) / _DEFAULT_SCALE
+        z = np.tanh(z / _Z_SATURATION) * _Z_SATURATION
+        c = self.coupon_values
+        out = []
+        for name, link in (("direct", sigmoid), ("promo", np.exp), ("post", np.exp)):
+            intercept, coefs, slope, interaction_slopes = _WORLD_COEFFICIENTS[self.world][name]
+            arm_coefs = np.asarray(coefs) + np.outer(c, interaction_slopes)  # (M, F)
+            arms = [link(intercept + z @ arm_coefs[j] + slope * c[j]) for j in range(len(c))]
+            out.append(np.stack(arms, axis=1))
+        return tuple(out)
 
     @property
     def n_arms(self) -> int:
@@ -432,7 +360,7 @@ def generate_rct(config: GenConfig):
     n = config.n_customers
     rngs = [make_rng(config.seed, _WORLD_STREAM, k) for k in range(N_FEATURES + 5)]
     features = config.features.sample(rngs[:N_FEATURES], n)
-    p, mu_promo, mu_post = config.response.surfaces(features)
+    p, mu_promo, mu_post = config.surfaces(features)
     truth = GroundTruth(
         p_direct=p,
         mu_promo_given_direct=mu_promo,

@@ -94,14 +94,6 @@ def _grouped_estimate(
             f"plan uses arms {unmatched.tolist()} with no matching trial records; "
             "the estimate is undefined"
         )
-    small = np.flatnonzero((matched_count > 0) & (matched_count < SMALL_MATCH_WARNING))
-    if len(small) > 0:
-        logger.warning(
-            "arms %s matched by fewer than %d trial records; estimates will be noisy",
-            small.tolist(),
-            SMALL_MATCH_WARNING,
-        )
-
     arms = []
     total = 0.0
     for j in range(n_arms):
@@ -122,17 +114,37 @@ def _grouped_estimate(
     return PolicyEstimate(total=float(total), arms=arms)
 
 
+def _warn_small_matches(estimate: PolicyEstimate) -> PolicyEstimate:
+    """``estimate``, after warning about the arms its plan matched to few records.
+
+    The matches depend only on the plan and the logged arms, so one warning
+    covers every estimate of the same plan."""
+    small = [a.arm for a in estimate.arms if a.matched_count < SMALL_MATCH_WARNING]
+    if small:
+        logger.warning(
+            "arms %s matched by fewer than %d trial records; estimates will be noisy",
+            small,
+            SMALL_MATCH_WARNING,
+        )
+    return estimate
+
+
 def estimate_policy_value(plan_arms, trial_arms, y, n_arms: int) -> PolicyEstimate:
     """Estimated expected total enduring amount if the plan had been deployed."""
     y = np.asarray(y, dtype=np.float64)
     if np.any(y < 0):
         raise ValidationError("y must be nonnegative")
-    return _grouped_estimate(plan_arms, trial_arms, y, n_arms)
+    return _warn_small_matches(_grouped_estimate(plan_arms, trial_arms, y, n_arms))
 
 
 def estimate_policy_cost(plan_arms, trial_arms, s, coupon_values) -> PolicyEstimate:
     """Estimated expected incentive spend: a coupon costs its face value when
     the matched record shows a direct purchase."""
+    return _warn_small_matches(_policy_cost(plan_arms, trial_arms, s, coupon_values))
+
+
+def _policy_cost(plan_arms, trial_arms, s, coupon_values) -> PolicyEstimate:
+    """``estimate_policy_cost`` without the small-match warning."""
     coupon_values = np.asarray(coupon_values, dtype=np.float64)
     trial_arms = np.asarray(trial_arms, dtype=np.int64)
     s = np.asarray(s, dtype=np.float64)
@@ -194,7 +206,8 @@ def budget_sweep(
         problem = build_problem(value_matrix, direct_matrix, coupon_values, float(b))
         plan = solve_lagrangian(problem)
         est_value = estimate_policy_value(plan.arms, trial_arms, y, n_arms).total
-        est_cost = estimate_policy_cost(plan.arms, trial_arms, s, coupon_values).total
+        # the value estimate has warned about this plan's small matches already
+        est_cost = _policy_cost(plan.arms, trial_arms, s, coupon_values).total
         lpa = est_value - baseline
         points.append(CurvePoint(budget=float(b), cost=est_cost, lpa=lpa, value=est_value))
         plans.append(plan)

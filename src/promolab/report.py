@@ -22,6 +22,9 @@ _METRIC_COLUMNS = (
     ("nmae", "NMAE", False),
 )
 
+# size of the budget chart, in SVG user units
+_CHART_WIDTH, _CHART_HEIGHT = 640, 400
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -76,12 +79,7 @@ def allocation_table(reports: list[EvalReport]) -> str:
     return "\n".join(lines)
 
 
-def curve_chart_svg(
-    curves: dict,
-    y_field: str = "lpa",
-    width: int = 640,
-    height: int = 400,
-) -> str:
+def curve_chart_svg(curves: dict, y_field: str = "lpa") -> str:
     """Line chart of budget sweeps, one polyline per named curve.
 
     ``curves`` maps a label to a list of :class:`CurvePoint`. Assembled by
@@ -104,8 +102,8 @@ def curve_chart_svg(
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
 
     left, right, top, bottom = 70, 20, 20, 45
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    plot_w = _CHART_WIDTH - left - right
+    plot_h = _CHART_HEIGHT - top - bottom
 
     def sx(x: float) -> float:
         return left + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -114,19 +112,19 @@ def curve_chart_svg(
         return top + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{height - bottom}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CHART_WIDTH}" height="{_CHART_HEIGHT}" '
+        f'viewBox="0 0 {_CHART_WIDTH} {_CHART_HEIGHT}">',
+        f'<rect width="{_CHART_WIDTH}" height="{_CHART_HEIGHT}" fill="white"/>',
+        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{_CHART_HEIGHT - bottom}" '
         'stroke="black" stroke-width="1"/>',
-        f'<line x1="{left}" y1="{height - bottom}" x2="{width - right}" '
-        f'y2="{height - bottom}" stroke="black" stroke-width="1"/>',
+        f'<line x1="{left}" y1="{_CHART_HEIGHT - bottom}" x2="{_CHART_WIDTH - right}" '
+        f'y2="{_CHART_HEIGHT - bottom}" stroke="black" stroke-width="1"/>',
     ]
     for frac in (0.0, 0.5, 1.0):
         xv = x_lo + frac * (x_hi - x_lo)
         yv = y_lo + frac * (y_hi - y_lo)
         parts.append(
-            f'<text x="{sx(xv):.2f}" y="{height - bottom + 18}" font-size="11" '
+            f'<text x="{sx(xv):.2f}" y="{_CHART_HEIGHT - bottom + 18}" font-size="11" '
             f'text-anchor="middle">{xv:.4g}</text>'
         )
         parts.append(
@@ -134,7 +132,7 @@ def curve_chart_svg(
             f'text-anchor="end">{yv:.4g}</text>'
         )
     parts.append(
-        f'<text x="{left + plot_w / 2:.2f}" y="{height - 8}" font-size="12" '
+        f'<text x="{left + plot_w / 2:.2f}" y="{_CHART_HEIGHT - 8}" font-size="12" '
         'text-anchor="middle">budget</text>'
     )
     parts.append(
@@ -150,7 +148,7 @@ def curve_chart_svg(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>'
         )
         ly = top + 16 + 16 * k
-        lx = width - right - 150
+        lx = _CHART_WIDTH - right - 150
         parts.append(
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="2"/>'

@@ -237,6 +237,37 @@ class TestEvaluateSweepReport:
             report.budget, report.estimated_value, report.estimated_cost, report.lpa
         )
 
+    def test_evaluate_budget_warns_once_per_plan(self, workdir, tmp_path, caplog):
+        # at this budget the plan's arms 1 and 2 match few records; its value and
+        # cost estimates once warned twice
+        root, cfg = workdir
+        argv = [
+            "evaluate", "--config", str(cfg), "--seed", "3", "--data", str(root / "dataset.csv"),
+            "--budget", "50", "--out", str(tmp_path),
+        ]
+        with caplog.at_level(logging.WARNING, logger="promolab.evaluator"):
+            assert main(argv) == 0
+        assert [r.getMessage() for r in caplog.records if "fewer than" in r.getMessage()] == [
+            "arms [1, 2] matched by fewer than 30 trial records; estimates will be noisy"
+        ]
+
+    def test_sweep_model_and_variant_conflict(self, workdir, tmp_path, capsys):
+        # the checkpoint fixes the variant, so `--variant` once was silently ignored;
+        # neither file exists, so reading either would fail with another message
+        root, cfg = workdir
+        argv = [
+            "sweep", "--config", str(cfg), "--model", str(tmp_path / "none.npz"),
+            "--variant", "two_model", "--data", str(tmp_path / "none.csv"),
+            "--budget-grid", "300", "--out", str(tmp_path),
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "--variant" in err and "--model" in err
+        assert not (tmp_path / "curve.csv").exists()
+        common = ["--config", str(cfg), "--seed", "3", "--data", str(root / "dataset.csv")]
+        assert main(["sweep", *common, "--variant", "two_model", "--budget-grid", "300", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "curve.csv").exists()
+
     def test_sweep_requires_budget_grid(self, workdir, tmp_path):
         root, cfg = workdir
         code = main(

@@ -11,18 +11,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from promolab import datagen
 from promolab.datagen import (
     FeatureConfig,
     GenConfig,
     GroundTruth,
-    LinearResponse,
     RctDataset,
     cpg_parameters,
     generate_rct,
     load_ground_truth_csv,
     redraw_outcomes,
     sample_cpg,
-    true_response,
 )
 from promolab.errors import ValidationError
 from promolab.nncore import make_rng
@@ -86,42 +85,42 @@ class TestSampleCpg:
             sample_cpg(1.0, 0.0, 1.5, rng)
 
 
-class TestResponseSpec:
-    def test_control_row_is_zero_in_every_world(self):
-        for world in ("default", "decorrelated"):
-            for coupons in ([0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]):
-                cfg = GenConfig(n_customers=10, coupon_values=np.array(coupons), world=world)
-                for block in (cfg.response.direct, cfg.response.promo, cfg.response.post):
-                    assert block.arm_effects[cfg.control_arm] == 0.0, (world, coupons)
-                    assert np.all(block.interactions[cfg.control_arm] == 0.0), (world, coupons)
+def _logit(p):
+    return np.log(p / (1.0 - p))
+
+
+class TestSurfaces:
+    LAYOUTS = ([0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0], [0.5, 3.0, 0.0, 2.5])
+    ROWS = np.array([[10.0, 5.0, 1.0, 2.0, 1.0], [60.0, 12.0, 4.0, 8.0, 3.0], [400.0, 1.0, 0.0, 90.0, 0.1]])
+
+    @pytest.mark.parametrize("world", ["default", "decorrelated"])
+    def test_control_column_ignores_the_other_coupons(self, world):
+        # the control arm carries no arm effect and no interaction, so its
+        # column is the same bytes whatever the other coupons are and wherever the zero sits
+        columns = []
+        for coupons in self.LAYOUTS:
+            cfg = GenConfig(n_customers=10, coupon_values=np.array(coupons), world=world)
+            columns.append([surface[:, cfg.control_arm].tobytes() for surface in cfg.surfaces(self.ROWS)])
+        assert all(c == columns[0] for c in columns[1:]), world
 
     def test_unknown_world_rejected(self):
         with pytest.raises(ValidationError, match="generation.world must be one of .*, got 'exotic'"):
             GenConfig(n_customers=10, world="exotic")
 
     def test_effects_monotone_in_coupon(self):
-        coupons = np.array([0.0, 1.0, 2.0, 3.0])
-        spec = GenConfig(n_customers=10, coupon_values=coupons).response
-        features = np.array([40.0, 9.0, 2.0, 3.7, 2.2])
-        p = [true_response(features, j, spec)[0] for j in range(4)]
-        assert np.all(np.diff(p) > 0)
+        cfg = GenConfig(n_customers=10, coupon_values=np.array([0.0, 1.0, 2.0, 3.0]))
+        p, _, _ = cfg.surfaces(np.array([40.0, 9.0, 2.0, 3.7, 2.2]))
+        assert np.all(np.diff(p[0]) > 0)
 
-    def test_true_response_matches_surfaces(self):
-        spec = GenConfig(n_customers=10, coupon_values=np.array([0.0, 1.0, 2.0])).response
-        features = np.array([[10.0, 5.0, 1.0, 2.0, 1.0], [60.0, 12.0, 4.0, 8.0, 3.0]])
-        p, mu = true_response(features, 1, spec)
-        ps, promos, posts = spec.surfaces(features)
-        np.testing.assert_allclose(p, ps[:, 1], atol=1e-15)
-        np.testing.assert_allclose(mu, ps[:, 1] * promos[:, 1] + posts[:, 1], atol=1e-12)
-
-    def test_interaction_shape_validated(self):
-        with pytest.raises(ValidationError):
-            LinearResponse(
-                intercept=0.0,
-                feature_coefs=np.zeros(5),
-                arm_effects=np.zeros(3),
-                interactions=np.zeros((2, 5)),
-            )
+    @pytest.mark.parametrize("world", ["default", "decorrelated"])
+    def test_one_row_is_one_row_of_a_batch(self, world):
+        cfg = GenConfig(n_customers=10, coupon_values=np.array([1.0, 0.0, 2.0]), world=world)
+        batch = cfg.surfaces(self.ROWS)
+        # a one-row matmul may round differently from a batch one, in the last bit
+        for i, row in enumerate(self.ROWS):
+            for one, many, atol in zip(cfg.surfaces(row), batch, (1e-15, 1e-12, 1e-12)):
+                assert one.shape == (1, 3)
+                np.testing.assert_allclose(one[0], many[i], rtol=0, atol=atol)
 
 
 class TestGenConfigValidation:
@@ -131,16 +130,14 @@ class TestGenConfigValidation:
         with pytest.raises(ValidationError):
             GenConfig(n_customers=10, coupon_values=np.array([0.5, 1.0]))
 
-    def test_default_world_follows_coupon_values(self):
-        coupons = np.array([0.0, 0.5, 1.0])
-        cfg = GenConfig(n_customers=10, coupon_values=coupons)
-        # the default world's direct coupon slope is 0.30
-        np.testing.assert_allclose(cfg.response.direct.arm_effects, [0.0, 0.15, 0.3], rtol=1e-15)
-
-    def test_default_world_control_arm_need_not_come_first(self):
-        cfg = GenConfig(n_customers=10, coupon_values=np.array([1.0, 0.0]))
-        assert cfg.control_arm == 1
-        assert cfg.response.direct.arm_effects.tolist() == [0.3, 0.0]
+    @pytest.mark.parametrize("coupons", [[0.0, 0.5, 1.0], [1.0, 0.0], [2.5, 1.0, 0.0]])
+    def test_default_world_direct_coupon_slope(self, coupons):
+        # at the feature center z = 0 and the interactions vanish, so the direct
+        # logit over the control's is the default world's coupon slope 0.30 times the coupon
+        cfg = GenConfig(n_customers=10, coupon_values=np.array(coupons))
+        p, _, _ = cfg.surfaces(datagen._DEFAULT_CENTER)
+        lift = _logit(p[0]) - _logit(p[0, cfg.control_arm])
+        np.testing.assert_allclose(lift, 0.30 * cfg.coupon_values, rtol=0, atol=1e-12)
 
     def test_probs_must_sum_to_one(self):
         with pytest.raises(ValidationError):

@@ -203,6 +203,28 @@ class TestBudgetSweep:
             lpa = lift_purchase_amount(plan.arms, dataset.arm, dataset.y, cfg.n_arms, cfg.control_arm)
             assert point.lpa == lpa
 
+    def test_small_match_warning_once_per_plan(self, caplog):
+        # the value and the cost estimate of a plan share its matches, so one warning covers both
+        rng = make_rng(89)
+        n, coupons = 200, np.array([0.0, 1.0, 2.0])
+        value = rng.uniform(0.5, 3.0, size=(n, 3))
+        direct = rng.uniform(0.2, 0.8, size=(n, 3))
+        trial = np.repeat([0, 1, 2], [180, 10, 10])
+        s = rng.integers(0, 2, size=n).astype(np.float64)
+        y = rng.gamma(2.0, 1.0, size=n)
+        with caplog.at_level(logging.WARNING, logger="promolab.evaluator"):
+            budget_sweep(value, direct, coupons, [1e6], trial, s, y, 0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "arms [1, 2] matched by fewer than 30 trial records; estimates will be noisy"
+        ]
+
+    def test_direct_cost_estimate_still_warns(self, caplog):
+        plan = np.ones(100, dtype=np.int64)
+        trial = np.repeat([0, 1], [95, 5])
+        with caplog.at_level(logging.WARNING, logger="promolab.evaluator"):
+            estimate_policy_cost(plan, trial, np.ones(100), coupon_values=np.array([0.0, 2.0]))
+        assert len(caplog.records) == 1 and "fewer than" in caplog.records[0].message
+
     def test_bad_control_arm_rejected(self, small_world):
         cfg, dataset, truth = small_world
         with pytest.raises(ValidationError, match="control_arm"):

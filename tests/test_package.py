@@ -23,7 +23,6 @@ PUBLIC_NAMES = [
     "PromolabError",
     "RctDataset",
     "ResponseModel",
-    "ResponseSpec",
     "ShapeError",
     "TrainResult",
     "TrainingError",
@@ -54,7 +53,6 @@ PUBLIC_NAMES = [
     "solve_lagrangian",
     "spearman",
     "train_model",
-    "true_response",
     "tweedie_loss",
 ]
 
