@@ -253,6 +253,60 @@ class TestBudgetSweep:
             load_curve_csv(path)
 
 
+def _trial_log(n_arms, seed, n=600):
+    """Random score matrices and a uniformly randomized log over ``n_arms`` arms."""
+    rng = make_rng(seed)
+    coupons = np.linspace(0.0, 2.0, n_arms)
+    value = rng.uniform(0.5, 3.0, size=(n, n_arms))
+    direct = rng.uniform(0.2, 0.8, size=(n, n_arms))
+    trial = rng.integers(0, n_arms, size=n)
+    s = rng.integers(0, 2, size=n).astype(np.float64)
+    y = rng.gamma(2.0, 1.0, size=n)
+    return coupons, value, direct, trial, s, y
+
+
+def _arm_bytes(estimate):
+    rows = [(a.arm, a.policy_count, a.matched_count) for a in estimate.arms]
+    sums = [(a.matched_total, a.estimate, estimate.total) for a in estimate.arms]
+    return np.array(rows, dtype=np.int64).tobytes() + np.array(sums, dtype=np.float64).tobytes()
+
+
+class TestEstimatorBytes:
+    # computed before the value, spend and lift estimates shared one match of
+    # the plan to the log; any change to the estimator's arithmetic moves them
+    SWEEP_DIGESTS = {
+        3: "e0e993794f34d2e5e07b5fd10ecfcc0df50b6e5c9c9ab2525b9f06f2eae00995",
+        5: "f458954256576fc2901c3de771ec3b7edb7aaed9112e9520d6866f5b1b4f0ff7",
+    }
+    SMALL_MATCH_DIGESTS = {
+        3: "77929609ac8c35b3c60f5fee07b70d8a30e9faeb9c2fe497bbde20d0f6e1ab91",
+        5: "d557af232199610620ad220d7cd748e2ab6514f8f995d93d00ed5ef19f81ca5a",
+    }
+
+    @pytest.mark.parametrize("n_arms", [3, 5])
+    def test_sweep_bytes_pinned(self, n_arms):
+        coupons, value, direct, trial, s, y = _trial_log(n_arms, seed=90 + n_arms)
+        budgets = [0.0, 80.0, 200.0, 1e6]
+        points, plans = budget_sweep(value, direct, coupons, budgets, trial, s, y, 0)
+        data = np.array([(p.value, p.cost, p.lpa) for p in points], dtype=np.float64).tobytes()
+        data += b"".join(plan.arms.tobytes() for plan in plans)
+        assert hashlib.sha256(data).hexdigest() == self.SWEEP_DIGESTS[n_arms]
+
+    @pytest.mark.parametrize("n_arms", [3, 5])
+    def test_small_match_estimates_pinned(self, n_arms, caplog):
+        coupons, _, _, trial, s, y = _trial_log(n_arms, seed=70 + n_arms, n=240)
+        # the top arm is planned for only 40 customers, so its match is small
+        plan = make_rng(71).integers(0, n_arms - 1, size=len(trial))
+        plan[:40] = n_arms - 1
+        with caplog.at_level(logging.WARNING, logger="promolab.evaluator"):
+            value = estimate_policy_value(plan, trial, y, n_arms)
+            cost = estimate_policy_cost(plan, trial, s, coupons)
+            lpa = lift_purchase_amount(plan, trial, y, n_arms, control_arm=0)
+        assert caplog.records and all("fewer than" in r.getMessage() for r in caplog.records)
+        data = _arm_bytes(value) + _arm_bytes(cost) + np.float64(lpa).tobytes()
+        assert hashlib.sha256(data).hexdigest() == self.SMALL_MATCH_DIGESTS[n_arms]
+
+
 @pytest.fixture(scope="module")
 def cv_result(small_world, fast_model_config):
     cfg, dataset, _ = small_world
