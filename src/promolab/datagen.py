@@ -28,8 +28,12 @@ feature columns in ``FEATURE_NAMES`` order (k = 0-4), the assignment and
 direct-purchase uniforms (5, 6), the promo-spend gamma (7) and the CPG count
 and gamma (8, 9). Every stream is filled in customer order, one draw per
 customer (the CPG gamma only for positive counts), so customer i's record and
-ground truth do not depend on ``n_customers``. The key 300 keeps these streams
-apart from the ones ``train_model`` derives from the same seed.
+ground truth do not depend on ``n_customers``, with one exception: a
+one-customer world's ``z @ arm_coefs[j]`` in ``GenConfig.surfaces`` is a
+one-row product, which BLAS computes with another kernel, so its truth (and
+through it, rarely, its draws) can differ in the last bits from customer 0's
+in a larger world. The key 300 keeps these streams apart from the ones
+``train_model`` derives from the same seed.
 """
 
 from __future__ import annotations

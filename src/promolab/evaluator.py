@@ -8,9 +8,9 @@ scaled by ``policy_count_j / matched_count_j``; the plan's value is the sum
 over arms. Because assignment is independent of features, each matched group
 is a uniform subsample of the plan group and the estimate is unbiased
 whenever every used arm has at least one match. Substituting realized
-incentive cost for the outcome gives the cost estimator, and the lift in
-purchase amount (LPA) is the value estimate minus the value of the
-all-control plan.
+incentive cost for the outcome gives the spend. One match of a plan to the
+log gives its value and its spend, and so its lift in purchase amount (LPA):
+that value less the all-control plan's, which a sweep estimates once.
 
 Evaluation is cross-fitted: each of k fold models scores every arm of the
 fold it never saw. Metrics read the logged arm's column of that out-of-fold
@@ -63,90 +63,66 @@ class PolicyEstimate:
     arms: list  # list[ArmEstimate]
 
 
-def _grouped_estimate(
-    plan_arms: np.ndarray,
-    trial_arms: np.ndarray,
-    values: np.ndarray,
-    n_arms: int,
-) -> PolicyEstimate:
-    plan_arms = np.asarray(plan_arms, dtype=np.int64)
-    trial_arms = np.asarray(trial_arms, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
+def _arm_indices(arms, name: str) -> np.ndarray:
+    """``arms`` unchanged, once it is 1-D and of an integer dtype or of floats that are all
+    finite whole numbers (bools are neither); it is cast only after the range check."""
+    arms = np.asarray(arms)
+    kind = arms.dtype.kind
+    whole = kind in "iu" or (kind == "f" and np.all(np.isfinite(arms)) and np.all(arms == np.trunc(arms)))
+    if arms.ndim != 1 or not whole:
+        raise ValidationError(f"{name} arms must be 1-D whole-number indices, got {arms.dtype} {arms.shape}")
+    return arms
+
+
+def _plan_estimates(plan_arms, trial_arms, columns, n_arms: int) -> list:
+    """One ``PolicyEstimate`` per column of per-record values, all read off one match of the
+    plan to the log; warns once about small matches, raises on a used arm with none."""
+    plan_arms = _arm_indices(plan_arms, "plan")
+    trial_arms = _arm_indices(trial_arms, "trial")
+    columns = [np.asarray(values, dtype=np.float64) for values in columns]
     n = len(plan_arms)
-    if trial_arms.shape != (n,) or values.shape != (n,):
+    if trial_arms.shape != (n,) or any(values.shape != (n,) for values in columns):
         raise ValidationError("plan, trial arms and values must have equal length")
     if n == 0:
         raise ValidationError("cannot estimate from an empty log")
-    if not np.all(np.isfinite(values)):
+    if not all(np.all(np.isfinite(values)) for values in columns):
         raise ValidationError("values to estimate from contain non-finite entries")
     for name, arr in (("plan", plan_arms), ("trial", trial_arms)):
         if np.any(arr < 0) or np.any(arr >= n_arms):
             raise ValidationError(f"{name} arm index out of range [0, {n_arms})")
-
+    plan_arms, trial_arms = np.asarray(plan_arms, dtype=np.int64), np.asarray(trial_arms, dtype=np.int64)
     match = plan_arms == trial_arms
-    policy_count = np.bincount(plan_arms, minlength=n_arms)
-    matched_count = np.bincount(plan_arms[match], minlength=n_arms)
-    matched_total = np.bincount(plan_arms[match], weights=values[match], minlength=n_arms)
-
-    unmatched = np.flatnonzero((policy_count > 0) & (matched_count == 0))
-    if len(unmatched) > 0:
+    matched_arms = plan_arms[match]
+    policy_count = np.bincount(plan_arms, minlength=n_arms).tolist()
+    matched_count = np.bincount(matched_arms, minlength=n_arms).tolist()
+    used = [j for j in range(n_arms) if policy_count[j] > 0]
+    unmatched = [j for j in used if matched_count[j] == 0]
+    if unmatched:
         raise EstimationError(
-            f"plan uses arms {unmatched.tolist()} with no matching trial records; "
-            "the estimate is undefined"
+            f"plan uses arms {unmatched} with no matching trial records; the estimate is undefined"
         )
-    arms = []
-    total = 0.0
-    for j in range(n_arms):
-        if policy_count[j] == 0:
-            continue
-        scale = policy_count[j] / matched_count[j]
-        est = matched_total[j] * scale
-        arms.append(
-            ArmEstimate(
-                arm=j,
-                policy_count=int(policy_count[j]),
-                matched_count=int(matched_count[j]),
-                matched_total=float(matched_total[j]),
-                estimate=float(est),
-            )
-        )
-        total += est
-    return PolicyEstimate(total=float(total), arms=arms)
-
-
-def _warn_small_matches(estimate: PolicyEstimate) -> PolicyEstimate:
-    """``estimate``, after warning about the arms its plan matched to few records.
-
-    The matches depend only on the plan and the logged arms, so one warning
-    covers every estimate of the same plan."""
-    small = [a.arm for a in estimate.arms if a.matched_count < SMALL_MATCH_WARNING]
+    small = [j for j in used if matched_count[j] < SMALL_MATCH_WARNING]
     if small:
         logger.warning(
             "arms %s matched by fewer than %d trial records; estimates will be noisy",
-            small,
-            SMALL_MATCH_WARNING,
+            small, SMALL_MATCH_WARNING,
         )
-    return estimate
+    estimates = []
+    for values in columns:
+        matched_total = np.bincount(matched_arms, weights=values[match], minlength=n_arms).tolist()
+        estimate = PolicyEstimate(total=0.0, arms=[])
+        for j in used:
+            est = matched_total[j] * (policy_count[j] / matched_count[j])
+            estimate.arms.append(ArmEstimate(j, policy_count[j], matched_count[j], matched_total[j], est))
+            estimate.total += est
+        estimates.append(estimate)
+    return estimates
 
 
-def estimate_policy_value(plan_arms, trial_arms, y, n_arms: int) -> PolicyEstimate:
-    """Estimated expected total enduring amount if the plan had been deployed."""
-    y = np.asarray(y, dtype=np.float64)
-    if np.any(y < 0):
-        raise ValidationError("y must be nonnegative")
-    return _warn_small_matches(_grouped_estimate(plan_arms, trial_arms, y, n_arms))
-
-
-def estimate_policy_cost(plan_arms, trial_arms, s, coupon_values) -> PolicyEstimate:
-    """Estimated expected incentive spend: a coupon costs its face value when
-    the matched record shows a direct purchase."""
-    return _warn_small_matches(_policy_cost(plan_arms, trial_arms, s, coupon_values))
-
-
-def _policy_cost(plan_arms, trial_arms, s, coupon_values) -> PolicyEstimate:
-    """``estimate_policy_cost`` without the small-match warning."""
+def _spend(trial_arms, s, coupon_values) -> np.ndarray:
+    """Each record's realized coupon cost: its face value where the record shows a direct purchase."""
     coupon_values = np.asarray(coupon_values, dtype=np.float64)
-    trial_arms = np.asarray(trial_arms, dtype=np.int64)
+    trial_arms = _arm_indices(trial_arms, "trial")
     s = np.asarray(s, dtype=np.float64)
     # checked before the product, which would index past the coupons or warn on 0 * inf
     if np.any(trial_arms < 0) or np.any(trial_arms >= len(coupon_values)):
@@ -157,7 +133,22 @@ def _policy_cost(plan_arms, trial_arms, s, coupon_values) -> PolicyEstimate:
         raise ValidationError("direct flags contain non-finite entries")
     if not np.all((s == 0) | (s == 1)):
         raise ValidationError("direct flags must be 0 or 1")
-    return _grouped_estimate(plan_arms, trial_arms, coupon_values[trial_arms] * s, len(coupon_values))
+    return coupon_values[np.asarray(trial_arms, dtype=np.int64)] * s
+
+
+def estimate_policy_value(plan_arms, trial_arms, y, n_arms: int) -> PolicyEstimate:
+    """Estimated expected total enduring amount if the plan had been deployed."""
+    y = np.asarray(y, dtype=np.float64)
+    if np.any(y < 0):
+        raise ValidationError("y must be nonnegative")
+    return _plan_estimates(plan_arms, trial_arms, [y], n_arms)[0]
+
+
+def estimate_policy_cost(plan_arms, trial_arms, s, coupon_values) -> PolicyEstimate:
+    """Estimated expected incentive spend: a coupon costs its face value when
+    the matched record shows a direct purchase."""
+    spend = _spend(trial_arms, s, coupon_values)
+    return _plan_estimates(plan_arms, trial_arms, [spend], len(coupon_values))[0]
 
 
 def _control_value(trial_arms, y, n_arms: int, control_arm: int) -> float:
@@ -202,14 +193,14 @@ def budget_sweep(
     plans: list[AllocationPlan] = []
     n_arms = len(coupon_values)
     baseline = _control_value(trial_arms, y, n_arms, control_arm)
+    # the baseline's estimate has checked y
+    columns = [np.asarray(y, dtype=np.float64), _spend(trial_arms, s, coupon_values)]
     for b in budgets:
         problem = build_problem(value_matrix, direct_matrix, coupon_values, float(b))
         plan = solve_lagrangian(problem)
-        est_value = estimate_policy_value(plan.arms, trial_arms, y, n_arms).total
-        # the value estimate has warned about this plan's small matches already
-        est_cost = _policy_cost(plan.arms, trial_arms, s, coupon_values).total
-        lpa = est_value - baseline
-        points.append(CurvePoint(budget=float(b), cost=est_cost, lpa=lpa, value=est_value))
+        value, cost = _plan_estimates(plan.arms, trial_arms, columns, n_arms)
+        lpa = value.total - baseline
+        points.append(CurvePoint(budget=float(b), cost=cost.total, lpa=lpa, value=value.total))
         plans.append(plan)
     return points, plans
 

@@ -94,13 +94,28 @@ class TestHandEstimates:
         control_est = estimate_policy_value(np.zeros(4, dtype=np.int64), trial, y, 2)
         assert lpa == pytest.approx(9.0 - control_est.total)
 
-    def test_validation_errors(self):
-        with pytest.raises(ValidationError):
-            estimate_policy_value(np.array([0]), np.array([0]), np.array([-1.0]), 1)
-        with pytest.raises(ValidationError):
-            estimate_policy_value(np.array([2]), np.array([0]), np.array([1.0]), 2)
-        with pytest.raises(ValidationError):
-            estimate_policy_value(np.array([], dtype=np.int64), np.array([], dtype=np.int64), np.array([]), 2)
+    @pytest.mark.parametrize(
+        "plan, trial, y, message",
+        [
+            ([0], [0], [-1.0], "nonnegative"),
+            ([2], [0], [1.0], "plan arm index out of range"),
+            (np.array([], dtype=np.int64), np.array([], dtype=np.int64), [], "empty log"),
+            ([0.9, 1.2], [0, 1], [1.0, 2.0], "plan arms must be 1-D whole-number"),
+            ([[0], [1]], [0, 1], [1.0, 2.0], "plan arms must be 1-D whole-number"),
+            ([0.0, np.nan], [0, 1], [1.0, 2.0], "plan arms must be 1-D whole-number"),
+            ([True, False], [0, 1], [1.0, 2.0], "plan arms must be 1-D whole-number"),
+            ([0, 1], [0.0, 0.5], [1.0, 2.0], "trial arms must be 1-D whole-number"),
+        ],
+        ids=[
+            "negative_amount", "plan_arm_past_the_last", "empty_log", "fractional_plan_arms",
+            "plan_column", "nan_plan_arm", "bool_plan_arms", "fractional_trial_arm",
+        ],
+    )
+    def test_validation_errors(self, plan, trial, y, message):
+        # a fractional plan was once truncated and scored, a column failed
+        # inside numpy, and a NaN arm warned on its cast before being refused
+        with pytest.raises(ValidationError, match=message):
+            estimate_policy_value(np.array(plan), np.array(trial), np.array(y), 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_amount_rejected(self, bad):
@@ -122,10 +137,12 @@ class TestHandEstimates:
             ([0, 1], [np.inf, 1.0], "non-finite"),
             ([1, 1], [0.5, 1.0], "0 or 1"),
             ([1, 1], [1.0], "equal length"),
+            ([1.0, np.nan], [1.0, 1.0], "trial arms must be 1-D whole-number"),
+            ([[1], [1]], [1.0, 1.0], "trial arms must be 1-D whole-number"),
         ],
         ids=[
             "arm_past_the_last_coupon", "infinite_flag_on_the_free_arm", "fractional_flag",
-            "one_flag_for_two_records",
+            "one_flag_for_two_records", "nan_trial_arm", "trial_column",
         ],
     )
     def test_cost_inputs_checked_before_the_product(self, trial, s, message):

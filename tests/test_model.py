@@ -479,50 +479,13 @@ class TestTrainingMemory:
         assert len(overlaps) == 2 * 6  # 180 training rows in batches of 32, two epochs
         assert overlaps == [0] * len(overlaps)
 
-    # tracemalloc peaks of the train_model calls below when every step
-    # allocated its layer outputs, dropout draws, gradients and Adam
-    # temporaries afresh and validation scored on fresh arrays (numpy 2.4).
-    # At 1 100 customers the validation set is smaller than a step's arrays;
-    # at 20 000 its 2 000 rows are not. Validation runs after the epoch's
-    # steps have freed their arrays at both sizes.
-    FRESH_ARRAYS_PEAK = {1100: 130_191_816, 20_000: 134_121_781}
-
-    @pytest.mark.parametrize("n_customers", sorted(FRESH_ARRAYS_PEAK))
-    def test_peak_no_higher_than_with_fresh_arrays(self, n_customers):
-        # the fit must peak no higher than before its steps spent their traces
-        dataset, _ = generate_rct(GenConfig(n_customers=n_customers, seed=2))
-        config = ModelConfig(max_epochs=1)
-        tracemalloc.start()
-        try:
-            train_model(dataset.features, dataset.arm, dataset.s, dataset.y, 7, config=config, seed=2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= self.FRESH_ARRAYS_PEAK[n_customers]
-
-    # tracemalloc peaks of the same calls once a step's backward writes each
-    # relu layer's pre-activation gradient over its spent output and the
-    # direct and enduring heads add their input gradients into their trunk's
-    # through shared scratch (numpy 2.4), rounded up to the next 0.1 MB, as
-    # they move by a few KB from run to run: about 20 MB below the peaks above
-    SPENT_TRACE_PEAK = {1100: 106_800_000, 20_000: 109_900_000}
-
-    @pytest.mark.parametrize("n_customers", sorted(SPENT_TRACE_PEAK))
-    def test_peak_with_spent_traces(self, n_customers):
-        dataset, _ = generate_rct(GenConfig(n_customers=n_customers, seed=2))
-        config = ModelConfig(max_epochs=1)
-        tracemalloc.start()
-        try:
-            train_model(dataset.features, dataset.arm, dataset.s, dataset.y, 7, config=config, seed=2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= self.SPENT_TRACE_PEAK[n_customers]
-
-    # tracemalloc peaks of the same calls once every input gradient is also
-    # written over the activation it differentiates, inside a trunk and from
-    # a trunk onto the trunk it reads (numpy 2.4), rounded up to the next
-    # 0.1 MB: about 20 MB below the peaks above
+    # tracemalloc peaks of these default-width, one-epoch train_model calls
+    # once a step's backward writes each input gradient over the activation
+    # it differentiates, inside a trunk and from a trunk onto the trunk it
+    # reads (numpy 2.4), rounded up to the next 0.1 MB. At 1 100 customers
+    # the validation set is smaller than a step's arrays; at 20 000 its 2 000
+    # rows are not. Steps that allocated every array afresh peaked at 130.2
+    # and 134.1 MB, and steps that only spent their traces at 106.8 and 109.9.
     IN_PLACE_GRADIENT_PEAK = {1100: 87_300_000, 20_000: 89_800_000}
 
     @pytest.mark.parametrize("n_customers", sorted(IN_PLACE_GRADIENT_PEAK))

@@ -1,5 +1,10 @@
 """The public surface: ``promolab.__all__`` is pinned, so an API change edits this list on purpose."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import promolab
 
 PUBLIC_NAMES = [
@@ -70,3 +75,21 @@ def test_test_oracles_are_not_public():
     # the gradient checks live in tests/oracles.py; hybrid_loss is a reference kept in losses
     for name in ("gradient_check", "model_gradient_check", "hybrid_loss", "TweedieIndex"):
         assert not hasattr(promolab, name), name
+
+
+# heavy modules the package must not load: xml.sax.saxutils alone pulls in
+# about 40 modules and 6 MB of RSS, and the test-only deps are never needed
+HEAVY_MODULES = ("xml", "urllib.request", "http", "email", "ssl", "scipy", "hypothesis")
+
+
+def test_import_loads_no_heavy_module():
+    # a fresh interpreter, so that no module an earlier test loaded counts
+    code = (
+        "import sys\n"
+        "import numpy, yaml\n"
+        "import promolab, promolab.cli\n"
+        f"print([m for m in {HEAVY_MODULES!r} if m in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(promolab.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
