@@ -720,6 +720,53 @@ class TestVariantBytes:
         assert digests == self.PINNED[variant]
 
 
+
+class TestDecayBytes:
+    """Trained bytes of a run whose learning rate decays, pinned by SHA-256.
+
+    ``TestVariantBytes`` stops before any plateau. Here every epoch without a
+    validation gain halves the rate (``plateau_epochs=1``), and the restored
+    best epoch trained after at least two such cuts, so its parameters pin
+    the decayed steps of every part. The digests were computed while one
+    ``AdamState`` still stepped every part.
+    """
+
+    # variant -> (learning rate, seed, digests of parameters, history, predict_matrix)
+    PINNED = {
+        "full": (0.03, 26, {
+            "parameters": "95e119e2ea9a581b962b4d896a5dab81b53027b4b78243d848965e325d4f2e9b",
+            "history": "34646fdb29a497dd4784f7e5c4efbaed84c0d88d1f85827ed5096948055bc531",
+            "predict_matrix": "65418f6f2399c8f85758fb8001f43d543b42a90f4c54e37fb97f06dc77a54677",
+        }),
+        "two_model": (0.01, 23, {
+            "parameters": "9d1167377b2ce97348af02184fbc404dca545d88e49306caf74f69478c45e759",
+            "history": "7211b85ef6f9eadd1d5b4a200a02b205fe95ca2589bf851983b645e38941a8eb",
+            "predict_matrix": "8b615d6b2e90cdecfe69c4eec24cfb08b6cecad5c07093a6dd55a4e584b6ac9a",
+        }),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(PINNED))
+    def test_decayed_bytes_pinned(self, variant):
+        learning_rate, seed, pinned = self.PINNED[variant]
+        features, arms, s, y = tiny_batch(n=400, seed=8)
+        config = ModelConfig(
+            variant=variant, batch_size=64, learning_rate=learning_rate, max_epochs=10,
+            patience_epochs=10, plateau_epochs=1, lr_decay=0.5, **NARROW,
+        )
+        result = train_model(features, arms, s, y, 3, config=config, seed=seed)
+        rates = [h.learning_rate for h in result.history]
+        assert rates[result.best_epoch - 1] <= learning_rate * 0.5**2
+        history = np.array([[h.train_loss, h.val_loss, h.learning_rate] for h in result.history])
+        pm = predict_matrix(result.model, features[:50])
+        digests = {
+            "parameters": _sha256(b"".join(p.tobytes() for p in result.model.parameters())),
+            "history": _sha256(history.tobytes()),
+            "predict_matrix": _sha256(
+                pm.direct.tobytes() + pm.enduring_propensity.tobytes() + pm.amount.tobytes()
+            ),
+        }
+        assert digests == pinned
+
 _BLAS_DIGEST_SCRIPT = """
 import hashlib
 from promolab.datagen import GenConfig, generate_rct
