@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasiblePlanError, InstanceTooLargeError, ValidationError
+from .errors import InfeasiblePlanError, InstanceTooLargeError, ValidationError, arm_indices
 from .tables import read_table, write_table
 
 BUDGET_TOLERANCE = 1e-9
@@ -95,12 +95,12 @@ def load_plan_csv(path):
 
 
 def plan_totals(problem: AllocationProblem, arms: np.ndarray):
-    arms = np.asarray(arms, dtype=np.int64)
+    arms = arm_indices(arms, "arms")
     if arms.shape != (problem.n,):
         raise ValidationError(f"arms must have length {problem.n}")
     if np.any(arms < 0) or np.any(arms >= problem.n_arms):
         raise ValidationError("arm index out of range")
-    rows = np.arange(problem.n)
+    rows, arms = np.arange(problem.n), arms.astype(np.int64, copy=False)
     return float(problem.value[rows, arms].sum()), float(problem.cost[rows, arms].sum())
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NONNEGATIVE, POSITIVE, UNIT, ValidationError, at_least, check_fields, rule
+from .errors import NONNEGATIVE, POSITIVE, UNIT, ValidationError, arm_indices, at_least, check_fields, rule
 from .losses import TWEEDIE_RHO
 from .nncore import make_rng, sigmoid
 from .tables import pair_columns, read_table, write_table
@@ -329,12 +329,12 @@ class GroundTruth:
 
     def policy_value(self, arms: np.ndarray) -> float:
         """Exact expected total enduring amount under a per-customer arm choice."""
-        arms = np.asarray(arms, dtype=np.int64)
+        arms = arm_indices(arms, "arms")
         if arms.shape != (self.n,):
             raise ValidationError(f"arms must have length {self.n}")
         if np.any(arms < 0) or np.any(arms >= self.n_arms):
             raise ValidationError(f"arm index out of range [0, {self.n_arms})")
-        return float(self.mean_enduring[np.arange(self.n), arms].sum())
+        return float(self.mean_enduring[np.arange(self.n), arms.astype(np.int64, copy=False)].sum())
 
     def to_csv(self, path, customer_id: np.ndarray):
         columns = [

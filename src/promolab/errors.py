@@ -1,4 +1,5 @@
-"""Shared exception types, and the one check that every config field goes through.
+"""Shared exception types, the one check that every config field goes through, and the
+one check that every array of arm indices goes through.
 
 ValidationError (and subclasses) signal bad inputs or configuration and map
 to CLI exit code 1; every other PromolabError maps to exit code 2.
@@ -7,6 +8,8 @@ to CLI exit code 1; every other PromolabError maps to exit code 2.
 import dataclasses
 import math
 import numbers
+
+import numpy as np
 
 
 class PromolabError(Exception):
@@ -120,3 +123,18 @@ def check_fields(config, section: str) -> None:
                 plain = math.isfinite(x) or math.inf in bound or bound == FINITE
                 must, tail = (bound, "") if plain else ("be finite", f" ({where} must {bound})")
                 raise ValidationError(f"{where} must {must}, got {shown!r}{tail}")
+
+
+def arm_indices(arms, name: str) -> np.ndarray:
+    """``arms`` as an array, unchanged, once it is 1-D and of an integer dtype or of floats that
+    are all finite whole numbers (bools are neither); else ``ValidationError`` naming ``name``.
+
+    Nothing is cast, so a NaN or a fraction never warns or truncates: callers
+    cast to int64 only after their range check.
+    """
+    arms = np.asarray(arms)
+    kind = arms.dtype.kind
+    whole = kind in "iu" or (kind == "f" and np.all(np.isfinite(arms)) and np.all(arms == np.trunc(arms)))
+    if arms.ndim != 1 or not whole:
+        raise ValidationError(f"{name} must be 1-D whole-number indices, got {arms.dtype} {arms.shape}")
+    return arms

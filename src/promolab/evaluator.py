@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .allocator import AllocationPlan, build_problem, solve_lagrangian
-from .errors import EstimationError, ValidationError
+from .errors import EstimationError, ValidationError, arm_indices
 from .metrics import MetricReport, metric_report
 from .model import ModelConfig, PredictionMatrix, predict_matrix, train_model
 from .nncore import make_rng
@@ -63,22 +63,11 @@ class PolicyEstimate:
     arms: list  # list[ArmEstimate]
 
 
-def _arm_indices(arms, name: str) -> np.ndarray:
-    """``arms`` unchanged, once it is 1-D and of an integer dtype or of floats that are all
-    finite whole numbers (bools are neither); it is cast only after the range check."""
-    arms = np.asarray(arms)
-    kind = arms.dtype.kind
-    whole = kind in "iu" or (kind == "f" and np.all(np.isfinite(arms)) and np.all(arms == np.trunc(arms)))
-    if arms.ndim != 1 or not whole:
-        raise ValidationError(f"{name} arms must be 1-D whole-number indices, got {arms.dtype} {arms.shape}")
-    return arms
-
-
 def _plan_estimates(plan_arms, trial_arms, columns, n_arms: int) -> list:
     """One ``PolicyEstimate`` per column of per-record values, all read off one match of the
     plan to the log; warns once about small matches, raises on a used arm with none."""
-    plan_arms = _arm_indices(plan_arms, "plan")
-    trial_arms = _arm_indices(trial_arms, "trial")
+    plan_arms = arm_indices(plan_arms, "plan arms")
+    trial_arms = arm_indices(trial_arms, "trial arms")
     columns = [np.asarray(values, dtype=np.float64) for values in columns]
     n = len(plan_arms)
     if trial_arms.shape != (n,) or any(values.shape != (n,) for values in columns):
@@ -122,7 +111,7 @@ def _plan_estimates(plan_arms, trial_arms, columns, n_arms: int) -> list:
 def _spend(trial_arms, s, coupon_values) -> np.ndarray:
     """Each record's realized coupon cost: its face value where the record shows a direct purchase."""
     coupon_values = np.asarray(coupon_values, dtype=np.float64)
-    trial_arms = _arm_indices(trial_arms, "trial")
+    trial_arms = arm_indices(trial_arms, "trial arms")
     s = np.asarray(s, dtype=np.float64)
     # checked before the product, which would index past the coupons or warn on 0 * inf
     if np.any(trial_arms < 0) or np.any(trial_arms >= len(coupon_values)):

@@ -380,19 +380,26 @@ def backward_pass(
 
 
 def add_input_gradient(net: DenseNet, back: BackwardResult, into: np.ndarray) -> np.ndarray:
-    """Add the input gradient a deferred ``backward_pass`` left unformed into ``into``, in place.
+    """Add the input gradient a deferred ``backward_pass`` of a one-unit net left unformed into
+    ``into``, in place.
 
-    Forms ``back.pre_gradient @ W.T`` for the net's first weight W a block of
-    rows at a time in scratch of its own, so the product is never held whole,
-    and adds each block into ``into``'s rows. For a one-unit net each entry is
-    one product, so this gives the bytes of ``into += input_gradient``.
+    Forms ``back.pre_gradient @ W.T`` for the net's (K, 1) weight W a block
+    of rows at a time in scratch of its own, so the product is never held
+    whole, and adds each block into ``into``'s rows. Each entry is one
+    product, taken as an outer product (``np.multiply``) rather than a
+    one-term matmul. The two differ only in a zero's sign (the matmul's sum
+    starts at +0), which an addition keeps only where ``into`` holds -0, and
+    a matmul, which writes ``into`` in the model, never leaves -0. So this
+    gives the bytes of ``into += input_gradient``.
     """
     weight_t = net.layers[0].weight.T
+    if weight_t.shape[0] != 1:
+        raise ShapeError(f"add_input_gradient needs a one-unit first layer, got {weight_t.shape[0]} units")
     blocks = _blocks(into, back.pre_gradient)
     scratch = np.empty(blocks[0][0].shape, np.result_type(back.pre_gradient, weight_t))
     for block, pre in blocks:
         rows = len(block)
-        block += np.matmul(pre, weight_t, out=scratch[:rows])
+        block += np.multiply(pre, weight_t, out=scratch[:rows])
     return into
 
 

@@ -19,6 +19,8 @@ a variant's parts through them on fresh arrays: the backprop that the
 model's trace-spending backward walk must match byte for byte.
 ``reference_adam_update`` is Adam in its whole-array form, which the blocked
 in-place update must match byte for byte.
+``BAD_ARMS`` turns a valid arm array into each kind that every entry point
+taking arms must refuse with a ``ValidationError`` before any cast.
 """
 
 from typing import Callable, Sequence
@@ -46,6 +48,15 @@ from promolab.nncore import (
 )
 
 _BRUTE_FORCE_LIMIT = 10_000_000
+
+# a cast to int64 would truncate the first, warn on the second (or raise a
+# bare ValueError from a list), and index with the last two
+BAD_ARMS = {
+    "fractional": lambda arms: arms + 0.3,
+    "nan": lambda arms: np.where(np.arange(len(arms)) == 1, np.nan, arms),
+    "column": lambda arms: np.reshape(arms, (-1, 1)),
+    "bool": lambda arms: np.asarray(arms) > 0,
+}
 
 
 def brute_force(problem: AllocationProblem) -> AllocationPlan:

@@ -23,7 +23,7 @@ from promolab.errors import InfeasiblePlanError, InstanceTooLargeError, Validati
 from promolab.nncore import make_rng
 
 import oracles
-from oracles import brute_force, full_bisection_lagrangian
+from oracles import BAD_ARMS, brute_force, full_bisection_lagrangian
 
 
 def random_problem(rng, n_max=8, m_max=4):
@@ -464,6 +464,18 @@ class TestValidationAndLimits:
         )
         with pytest.raises(InfeasiblePlanError):
             check_feasible(problem, np.array([1]))
+
+    @pytest.mark.parametrize("bad", sorted(BAD_ARMS))
+    def test_plan_totals_refuses_non_index_arms(self, bad):
+        # [0.3, 1.3] once summed as the plan [0, 1]; the suite turns any
+        # warning into an error, so none may come before the refusal
+        problem = build_problem(np.ones((2, 2)), np.full((2, 2), 0.5), [0.0, 1.0], 10.0)
+        with pytest.raises(ValidationError, match="^arms must be 1-D whole-number"):
+            plan_totals(problem, BAD_ARMS[bad](np.array([0, 1])))
+
+    def test_plan_totals_takes_whole_float_arms(self):
+        problem = build_problem(np.ones((2, 2)), np.full((2, 2), 0.5), [0.0, 1.0], 10.0)
+        assert plan_totals(problem, np.array([0.0, 1.0])) == plan_totals(problem, np.array([0, 1]))
 
 
 class TestBuildProblem:

@@ -26,6 +26,8 @@ from promolab.datagen import (
 from promolab.errors import ValidationError
 from promolab.nncore import make_rng
 
+from oracles import BAD_ARMS
+
 
 class TestCpgParameters:
     @pytest.mark.parametrize("mu", [0.1, 1.0, 7.3])
@@ -278,6 +280,19 @@ class TestGenerateRct:
         arms = np.zeros(dataset.n, dtype=np.int64)
         expected = truth.mean_enduring[:, 0].sum()
         assert abs(truth.policy_value(arms) - expected) < 1e-9
+
+    @pytest.mark.parametrize("bad", sorted(BAD_ARMS))
+    def test_policy_value_refuses_non_index_arms(self, small_world, bad):
+        # a fractional arm was once truncated and scored; the suite turns any
+        # warning into an error, so none may come before the refusal
+        _, dataset, truth = small_world
+        arms = BAD_ARMS[bad](dataset.arm)
+        with pytest.raises(ValidationError, match="^arms must be 1-D whole-number"):
+            truth.policy_value(arms)
+
+    def test_policy_value_takes_whole_float_arms(self, small_world):
+        _, dataset, truth = small_world
+        assert truth.policy_value(dataset.arm.astype(np.float64)) == truth.policy_value(dataset.arm)
 
     @pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "past_the_last"])
     def test_policy_value_rejects_out_of_range_arms(self, small_world, bad):

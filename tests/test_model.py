@@ -30,7 +30,7 @@ from promolab.model import (
 )
 from promolab.nncore import init_adam, make_rng
 
-from oracles import model_gradient_check, reference_model_gradients
+from oracles import BAD_ARMS, model_gradient_check, reference_model_gradients
 
 NARROW = dict(hidden_dims=(16, 16, 8, 4), dropout_rate=0.1)
 
@@ -293,6 +293,38 @@ class TestEvalWalk:
                 predict(model, features, arms)
 
 
+class TestArmIndices:
+    """Each entry point refuses an arm array that is not 1-D whole-number indices before any cast."""
+
+    CALLS = {
+        "train_model": lambda model, f, arms, s, y: train_model(f, arms, s, y, 3, config=model.config),
+        "predict": lambda model, f, arms, s, y: predict(model, f, arms),
+        "_walk_parts": lambda model, f, arms, s, y: model_module._model_forward(model, f, arms),
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD_ARMS))
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_refused_before_any_cast(self, call, bad):
+        # train_model once fitted on arms + 0.3; the suite turns any warning
+        # into an error, so none may come before the refusal
+        model, _ = narrow_model("full")
+        features, arms, s, y = tiny_batch(n=64)
+        with pytest.raises(ValidationError, match="^arms must be 1-D whole-number"):
+            self.CALLS[call](model, features, BAD_ARMS[bad](arms), s, y)
+
+    def test_whole_float_arms_give_the_integer_bytes(self):
+        model, _ = narrow_model("full")
+        features, arms, s, y = tiny_batch(n=64)
+        config = ModelConfig(variant="full", batch_size=32, max_epochs=1, **NARROW)
+        runs = [
+            (predict(model, features, a), train_model(features, a, s, y, 3, config=config).model)
+            for a in (arms, arms.astype(np.float64))
+        ]
+        (pm, fit), (pm_float, fit_float) = runs
+        assert pm.amount.tobytes() == pm_float.amount.tobytes()
+        assert [p.tobytes() for p in fit.parameters()] == [p.tobytes() for p in fit_float.parameters()]
+
+
 @pytest.fixture(scope="module")
 def trained(small_world, fast_model_config):
     cfg, dataset, _ = small_world
@@ -376,13 +408,12 @@ class TestTraining:
         # that underflows to 0 outside the Tweedie loss's domain, is divergence
         model, _ = narrow_model("full")
         getattr(model.nets[part].layers[0], field)[...] = value
-        params = model.parameters()
+        params = model.part_parameters()
+        adam = {name: init_adam(p) for name, p in params.items()}
         features, arms, s, y = tiny_batch(n=64)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError):
-                model_module._train_step(
-                    model, params, init_adam(params), features, arms, s, y, make_rng(1), 1
-                )
+                model_module._train_step(model, params, adam, features, arms, s, y, make_rng(1), 1)
 
     def test_divergence_in_validation_is_a_training_error(self, monkeypatch):
         # an update that overflows the trunk first shows in the validation pass
@@ -455,9 +486,11 @@ class TestTrainingMemory:
         assert sum(a.nbytes for a in arrays.values()) == 8 * 64 * widths
 
     def test_steps_never_overlap(self, monkeypatch):
-        # a step's trace and gradients must be gone when the next forward starts
+        # a step's trace and gradients must be gone when the next forward
+        # starts; every part takes one update per step, each with its own state
         live: list = []
         overlaps: list = []
+        states: list = []
         forward, adam = model_module._model_forward, model_module.adam_update
 
         def watched_forward(*args, **kwargs):
@@ -469,24 +502,69 @@ class TestTrainingMemory:
 
         def watched_adam(params, grads, state):
             live.extend(weakref.ref(g) for g in grads)
+            states.append(state)
             return adam(params, grads, state)
 
         monkeypatch.setattr(model_module, "_model_forward", watched_forward)
         monkeypatch.setattr(model_module, "adam_update", watched_adam)
         features, arms, s, y = tiny_batch(n=200)
         config = ModelConfig(batch_size=32, max_epochs=2, patience_epochs=3, **NARROW)
-        train_model(features, arms, s, y, 3, config=config, seed=0)
-        assert len(overlaps) == 2 * 6  # 180 training rows in batches of 32, two epochs
+        result = train_model(features, arms, s, y, 3, config=config, seed=0)
+        steps = 2 * 6  # 180 training rows in batches of 32, two epochs
+        assert len(overlaps) == steps
         assert overlaps == [0] * len(overlaps)
+        n_parts = len(result.model.part_parameters())
+        assert len(states) == steps * n_parts
+        assert len({id(state) for state in states}) == n_parts
+        assert all(state.step_count == steps for state in states)
+
+    def test_walked_parts_are_gone_when_trunk_a_starts(self, monkeypatch):
+        # trunk_b and trunk_c are updated before trunk_a's backward starts, so
+        # by then neither their weight gradients nor their traces are alive
+        live: dict = {}  # part name -> weak references to its trace and gradients
+        checks: list = []
+        forward, backward = model_module.forward_pass, model_module.backward_pass
+        names: dict = {}
+
+        def watched_forward(net, *args, **kwargs):
+            trace = forward(net, *args, **kwargs)
+            live[names[id(net)]] = [weakref.ref(trace), *(weakref.ref(lt.output) for lt in trace.layers)]
+            return trace
+
+        def watched_backward(net, *args, **kwargs):
+            name = names[id(net)]
+            if name == "trunk_a":
+                checks.append([ref() is None for part in ("trunk_b", "trunk_c") for ref in live[part]])
+            back = backward(net, *args, **kwargs)
+            live[name].extend(weakref.ref(g) for g in back.weight_grads)
+            return back
+
+        monkeypatch.setattr(model_module, "forward_pass", watched_forward)
+        monkeypatch.setattr(model_module, "backward_pass", watched_backward)
+        features, arms, s, y = tiny_batch(n=200)
+        config = ModelConfig(batch_size=64, max_epochs=1, **NARROW)
+        model = build_model(config, 3, features.mean(axis=0), features.std(axis=0), make_rng(0))
+        names.update((id(net), name) for name, net in model.nets.items())
+        params = model.part_parameters()
+        adam = {name: init_adam(p) for name, p in params.items()}
+        for lo in range(0, 192, 64):
+            rows = slice(lo, lo + 64)
+            model_module._train_step(
+                model, params, adam, features[rows], arms[rows], s[rows], y[rows], make_rng(lo), 1
+            )
+        # per part: its trace, each layer's output and each weight gradient
+        watched = sum(1 + 2 * len(model.nets[part].layers) for part in ("trunk_b", "trunk_c"))
+        assert checks == [[True] * watched] * 3
 
     # tracemalloc peaks of these default-width, one-epoch train_model calls
-    # once a step's backward writes each input gradient over the activation
-    # it differentiates, inside a trunk and from a trunk onto the trunk it
-    # reads (numpy 2.4), rounded up to the next 0.1 MB. At 1 100 customers
-    # the validation set is smaller than a step's arrays; at 20 000 its 2 000
-    # rows are not. Steps that allocated every array afresh peaked at 130.2
-    # and 134.1 MB, and steps that only spent their traces at 106.8 and 109.9.
-    IN_PLACE_GRADIENT_PEAK = {1100: 87_300_000, 20_000: 89_800_000}
+    # once each part is updated as soon as its gradients exist and each spent
+    # trace is released (numpy 2.4), rounded up to the next 0.1 MB. At 1 100
+    # customers the validation set is smaller than a step's arrays; at 20 000
+    # its 2 000 rows are not. Steps that allocated every array afresh peaked
+    # at 130.2 and 134.1 MB, steps that only spent their traces at 106.8 and
+    # 109.9, and steps that wrote each input gradient over the activation it
+    # differentiates but updated every part at once at 85.5 and 87.9.
+    IN_PLACE_GRADIENT_PEAK = {1100: 77_000_000, 20_000: 85_800_000}
 
     @pytest.mark.parametrize("n_customers", sorted(IN_PLACE_GRADIENT_PEAK))
     def test_peak_with_in_place_input_gradients(self, n_customers):
@@ -498,72 +576,76 @@ class TestTrainingMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= self.IN_PLACE_GRADIENT_PEAK[n_customers]
+        assert peak <= self.IN_PLACE_GRADIENT_PEAK[n_customers], peak
 
     @staticmethod
     def _default_width_step(variant, monkeypatch):
-        """The model, its trace, every part's backward result and the traced
-        peak of one default-width forward and backward over 1 024 rows."""
+        """The model, where each part's input gradient landed, and the traced
+        peak of one default-width training step over 1 024 rows.
+
+        An input gradient lands nowhere (None: deferred), ``"onto"`` the
+        output of the trace the part read, or in an array of its own (its shape).
+        """
         dataset, _ = generate_rct(GenConfig(n_customers=1100, seed=2))
         features, arms, s, y = (a[:1024] for a in (dataset.features, dataset.arm, dataset.s, dataset.y))
         config = ModelConfig(variant=variant)
         model = build_model(config, 7, features.mean(axis=0), features.std(axis=0), make_rng(2))
+        params = model.part_parameters()
+        adam = {name: init_adam(p) for name, p in params.items()}
         names = {id(net): name for name, net in model.nets.items()}
-        backs = {}
+        landed = {}
         backward = model_module.backward_pass
 
-        def recorded_backward(net, *args, **kwargs):
-            backs[names[id(net)]] = backward(net, *args, **kwargs)
-            return backs[names[id(net)]]
+        def recorded_backward(net, *args, onto=None, **kwargs):
+            back = backward(net, *args, onto=onto, **kwargs)
+            din = back.input_gradient
+            if din is not None:
+                din = "onto" if onto is not None and np.shares_memory(din, onto.output) else din.shape
+            landed[names[id(net)]] = din
+            return back
 
         monkeypatch.setattr(model_module, "backward_pass", recorded_backward)
         tracemalloc.start()
         try:
-            mt = model_module._model_forward(model, features, arms, make_rng(3))
-            _, slot_grads = model_module._loss_terms(model, s, y, mt.slots)
-            model_module._model_backward(model, mt, slot_grads)
+            model_module._train_step(model, params, adam, features, arms, s, y, make_rng(3), 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return model, mt, backs, peak
+        return model, landed, peak
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_step_keeps_no_input_gradient_wider_than_the_model_input(self, variant, monkeypatch):
-        # after one default-width step of 1 024 rows, the gradient at each
-        # trunk output sits over that output, not in an array of its own;
-        # only the model input's gradient has storage of its own
-        model, mt, backs, _ = self._default_width_step(variant, monkeypatch)
+        # in one default-width step of 1 024 rows, the gradient at each trunk
+        # output goes over that output, not into an array of its own; only
+        # the model input's gradient has storage of its own
+        model, landed, _ = self._default_width_step(variant, monkeypatch)
         input_width = model.n_features + model.embedding_dim
         for part in model_module._VARIANTS[variant].parts:
-            if part.kind != "trunk":
-                continue
-            din = backs[part.name].input_gradient
-            if part.source in mt.traces:
-                assert np.shares_memory(din, mt.traces[part.source].output), part.name
-            else:
-                assert din.shape == (1024, input_width), part.name
+            if part.kind == "trunk":
+                expected = "onto" if part.source in model.nets else (1024, input_width)
+                assert landed[part.name] == expected, part.name
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_step_keeps_no_head_input_gradient(self, variant, monkeypatch):
         # every head's input gradient lands over, or is added into, the
         # gradient at its trunk's output
-        _, mt, backs, _ = self._default_width_step(variant, monkeypatch)
+        model, landed, _ = self._default_width_step(variant, monkeypatch)
         for part in model_module._VARIANTS[variant].parts:
             if part.kind == "head":
-                din = backs[part.name].input_gradient
-                assert din is None or np.shares_memory(din, mt.traces[part.source].output), part.name
+                assert landed[part.name] in (None, "onto"), part.name
 
-    # the sizes of the buffer cache that one such step filled when the passes
-    # wrote into reused buffers instead of arrays of their own: a step that
-    # allocates its own arrays and drops each relu mask once it is read
-    # peaks no higher (numpy 2.4)
-    STEP_PEAK = {"full": 34.0 * 2**20, "no_enduring_ce": 34.0 * 2**20,
-                 "l2_amount": 34.0 * 2**20, "direct_only": 25.5 * 2**20}
+    # traced peaks of one such training step (forward, loss, and a backward
+    # that updates each part as it goes) with each part's Adam state made
+    # beforehand, rounded up to the next 0.1 MiB (numpy 2.4). A forward and
+    # a backward that held every gradient at once peaked at 33.4 MiB (25.2
+    # MiB for direct_only), and the deeper trunks no longer add to the peak.
+    STEP_PEAK = {"full": 25.3 * 2**20, "no_enduring_ce": 25.3 * 2**20,
+                 "l2_amount": 25.3 * 2**20, "direct_only": 25.2 * 2**20}
 
     @pytest.mark.parametrize("variant", sorted(STEP_PEAK))
     def test_step_peak(self, variant, monkeypatch):
         *_, peak = self._default_width_step(variant, monkeypatch)
-        assert peak <= self.STEP_PEAK[variant]
+        assert peak <= self.STEP_PEAK[variant], peak / 2**20
 
 
 class TestCheckpoint:

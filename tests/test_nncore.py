@@ -556,6 +556,28 @@ class TestSpentTrace:
         with pytest.raises(ShapeError, match="onto"):
             backward_pass(b, tb, np.ones((6, 2)), onto=ta)
 
+    def test_added_input_gradient_matches_the_matmul_bytes(self, monkeypatch):
+        # each entry of a one-unit net's input gradient is a single product,
+        # so the outer product adds the bytes of the (rows, 1) @ (1, K) matmul
+        # into a matmul's output, over magnitudes from 1e-300 to 1e300
+        monkeypatch.setattr(nncore, "_BLOCK", 64)  # 4 rows of 16 per block
+        rng = make_rng(67)
+        head = init_dense_net([16, 1], ["sigmoid"], rng)
+        head.layers[0].weight[:, 0] = rng.normal(size=16) * 10.0 ** rng.integers(-150, 151, size=16)
+        pre = rng.normal(size=(30, 1)) * 10.0 ** rng.integers(-150, 151, size=(30, 1))
+        pre[3] = 0.0
+        into = rng.normal(size=(30, 5)) @ rng.normal(size=(5, 16))
+        back = nncore.BackwardResult([], [], None, pre_gradient=pre)
+        expected = into + pre @ head.layers[0].weight.T
+        assert _bits(add_input_gradient(head, back, into)) == _bits(expected)
+
+    def test_added_input_gradient_needs_a_one_unit_net(self):
+        rng = make_rng(68)
+        net = init_dense_net([4, 2], ["sigmoid"], rng)
+        back = nncore.BackwardResult([], [], None, pre_gradient=np.ones((3, 2)))
+        with pytest.raises(ShapeError, match="one-unit"):
+            add_input_gradient(net, back, np.zeros((3, 4)))
+
 
 class TestInit:
     def test_bounds_scale_with_fan_in(self):
