@@ -83,7 +83,7 @@ class AllocationPlan:
     dual_bound: float | None = None  # upper bound on the optimum, when the solver has one
 
     def __post_init__(self):
-        self.arms = np.asarray(self.arms, dtype=np.int64)
+        self.arms = arm_indices(self.arms, "arm", None)
 
     def to_csv(self, path, customer_id: np.ndarray):
         write_table(path, PLAN_HEADER, [np.asarray(customer_id, dtype=np.int64), self.arms])
@@ -95,12 +95,10 @@ def load_plan_csv(path):
 
 
 def plan_totals(problem: AllocationProblem, arms: np.ndarray):
-    arms = arm_indices(arms, "arms")
+    arms = arm_indices(arms, "arm", problem.n_arms)
     if arms.shape != (problem.n,):
         raise ValidationError(f"arms must have length {problem.n}")
-    if np.any(arms < 0) or np.any(arms >= problem.n_arms):
-        raise ValidationError("arm index out of range")
-    rows, arms = np.arange(problem.n), arms.astype(np.int64, copy=False)
+    rows = np.arange(problem.n)
     return float(problem.value[rows, arms].sum()), float(problem.cost[rows, arms].sum())
 
 

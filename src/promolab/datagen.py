@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NONNEGATIVE, POSITIVE, UNIT, ValidationError, arm_indices, at_least, check_fields, rule
+from .errors import whole_numbers
 from .losses import TWEEDIE_RHO
 from .nncore import make_rng, sigmoid
 from .tables import pair_columns, read_table, write_table
@@ -246,10 +247,15 @@ class RctDataset:
     y: np.ndarray
 
     def __post_init__(self):
-        self.customer_id = np.asarray(self.customer_id, dtype=np.int64)
+        # ids, arms and flags are checked before their int64 cast, which would truncate or warn
+        ids, s = np.asarray(self.customer_id), np.asarray(self.s)
+        if ids.ndim != 1 or not whole_numbers(ids):
+            raise ValidationError(f"customer_id values must be 1-D finite whole numbers, got {ids.dtype}")
+        if not np.all((s == 0) | (s == 1)):
+            raise ValidationError("s must be 0 or 1")
+        self.customer_id, self.s = ids.astype(np.int64, copy=False), s.astype(np.int64, copy=False)
+        self.arm = arm_indices(self.arm, "arm", None)
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.arm = np.asarray(self.arm, dtype=np.int64)
-        self.s = np.asarray(self.s, dtype=np.int64)
         self.y = np.asarray(self.y, dtype=np.float64)
         n = len(self.customer_id)
         if self.features.shape != (n, N_FEATURES):
@@ -257,10 +263,6 @@ class RctDataset:
         for name, arr in (("arm", self.arm), ("s", self.s), ("y", self.y)):
             if arr.shape != (n,):
                 raise ValidationError(f"{name} must have length {n}")
-        if np.any(self.arm < 0):
-            raise ValidationError("arm indices must be nonnegative")
-        if not np.all((self.s == 0) | (self.s == 1)):
-            raise ValidationError("s must be 0 or 1")
         if not (np.all(np.isfinite(self.features)) and np.all(np.isfinite(self.y))):
             raise ValidationError("features and y must be finite")
         if np.any(self.y < 0):
@@ -329,12 +331,10 @@ class GroundTruth:
 
     def policy_value(self, arms: np.ndarray) -> float:
         """Exact expected total enduring amount under a per-customer arm choice."""
-        arms = arm_indices(arms, "arms")
+        arms = arm_indices(arms, "arm", self.n_arms)
         if arms.shape != (self.n,):
             raise ValidationError(f"arms must have length {self.n}")
-        if np.any(arms < 0) or np.any(arms >= self.n_arms):
-            raise ValidationError(f"arm index out of range [0, {self.n_arms})")
-        return float(self.mean_enduring[np.arange(self.n), arms.astype(np.int64, copy=False)].sum())
+        return float(self.mean_enduring[np.arange(self.n), arms].sum())
 
     def to_csv(self, path, customer_id: np.ndarray):
         columns = [

@@ -1,5 +1,6 @@
 """Shared exception types, the one check that every config field goes through, and the
-one check that every array of arm indices goes through.
+one check that every array of arm indices goes through: whole numbers, in range, and
+only then cast to int64.
 
 ValidationError (and subclasses) signal bad inputs or configuration and map
 to CLI exit code 1; every other PromolabError maps to exit code 2.
@@ -125,16 +126,24 @@ def check_fields(config, section: str) -> None:
                 raise ValidationError(f"{where} must {must}, got {shown!r}{tail}")
 
 
-def arm_indices(arms, name: str) -> np.ndarray:
-    """``arms`` as an array, unchanged, once it is 1-D and of an integer dtype or of floats that
-    are all finite whole numbers (bools are neither); else ``ValidationError`` naming ``name``.
+def whole_numbers(values: np.ndarray) -> bool:
+    """Whether ``values`` is of an integer dtype, or of floats that are all whole numbers
+    inside int64's range, so none is NaN or infinite; bools are neither."""
+    if values.dtype.kind in "iu":
+        return True
+    return values.dtype.kind == "f" and np.all(np.abs(values) < 2**63) and np.all(values == np.trunc(values))
 
-    Nothing is cast, so a NaN or a fraction never warns or truncates: callers
-    cast to int64 only after their range check.
+
+def arm_indices(arms, noun: str, n_arms: int | None) -> np.ndarray:
+    """``arms`` as int64 once it is 1-D ``whole_numbers`` that all lie in ``[0, n_arms)``, or
+    in ``[0, 2**63)`` when ``n_arms`` is None; else ``ValidationError`` naming ``noun``.
+
+    Every check runs before the cast, so a NaN or a fraction never warns or truncates.
     """
     arms = np.asarray(arms)
-    kind = arms.dtype.kind
-    whole = kind in "iu" or (kind == "f" and np.all(np.isfinite(arms)) and np.all(arms == np.trunc(arms)))
-    if arms.ndim != 1 or not whole:
-        raise ValidationError(f"{name} must be 1-D whole-number indices, got {arms.dtype} {arms.shape}")
-    return arms
+    if arms.ndim != 1 or not whole_numbers(arms):
+        raise ValidationError(f"{noun}s must be 1-D whole-number indices, got {arms.dtype} {arms.shape}")
+    end = 2**63 if n_arms is None else n_arms
+    if np.any(arms < 0) or np.any(arms >= end):
+        raise ValidationError(f"{noun} index out of range [0, {end})")
+    return arms.astype(np.int64, copy=False)

@@ -66,8 +66,8 @@ class PolicyEstimate:
 def _plan_estimates(plan_arms, trial_arms, columns, n_arms: int) -> list:
     """One ``PolicyEstimate`` per column of per-record values, all read off one match of the
     plan to the log; warns once about small matches, raises on a used arm with none."""
-    plan_arms = arm_indices(plan_arms, "plan arms")
-    trial_arms = arm_indices(trial_arms, "trial arms")
+    plan_arms = arm_indices(plan_arms, "plan arm", n_arms)
+    trial_arms = arm_indices(trial_arms, "trial arm", n_arms)
     columns = [np.asarray(values, dtype=np.float64) for values in columns]
     n = len(plan_arms)
     if trial_arms.shape != (n,) or any(values.shape != (n,) for values in columns):
@@ -76,10 +76,6 @@ def _plan_estimates(plan_arms, trial_arms, columns, n_arms: int) -> list:
         raise ValidationError("cannot estimate from an empty log")
     if not all(np.all(np.isfinite(values)) for values in columns):
         raise ValidationError("values to estimate from contain non-finite entries")
-    for name, arr in (("plan", plan_arms), ("trial", trial_arms)):
-        if np.any(arr < 0) or np.any(arr >= n_arms):
-            raise ValidationError(f"{name} arm index out of range [0, {n_arms})")
-    plan_arms, trial_arms = np.asarray(plan_arms, dtype=np.int64), np.asarray(trial_arms, dtype=np.int64)
     match = plan_arms == trial_arms
     matched_arms = plan_arms[match]
     policy_count = np.bincount(plan_arms, minlength=n_arms).tolist()
@@ -111,18 +107,16 @@ def _plan_estimates(plan_arms, trial_arms, columns, n_arms: int) -> list:
 def _spend(trial_arms, s, coupon_values) -> np.ndarray:
     """Each record's realized coupon cost: its face value where the record shows a direct purchase."""
     coupon_values = np.asarray(coupon_values, dtype=np.float64)
-    trial_arms = arm_indices(trial_arms, "trial arms")
+    trial_arms = arm_indices(trial_arms, "trial arm", len(coupon_values))
     s = np.asarray(s, dtype=np.float64)
-    # checked before the product, which would index past the coupons or warn on 0 * inf
-    if np.any(trial_arms < 0) or np.any(trial_arms >= len(coupon_values)):
-        raise ValidationError(f"trial arm index out of range [0, {len(coupon_values)})")
+    # checked before the product, which would spread one flag or warn on 0 * inf
     if s.shape != trial_arms.shape:
         raise ValidationError("trial arms and direct flags must have equal length")
     if not np.all(np.isfinite(s)):
         raise ValidationError("direct flags contain non-finite entries")
     if not np.all((s == 0) | (s == 1)):
         raise ValidationError("direct flags must be 0 or 1")
-    return coupon_values[np.asarray(trial_arms, dtype=np.int64)] * s
+    return coupon_values[trial_arms] * s
 
 
 def estimate_policy_value(plan_arms, trial_arms, y, n_arms: int) -> PolicyEstimate:
@@ -249,8 +243,10 @@ def out_of_fold_predictions(
     if n < n_folds:
         raise ValidationError(f"cannot split {n} records into {n_folds} folds")
     features = np.asarray(features, dtype=np.float64)
-    arms = np.asarray(arms, dtype=np.int64)
-    s = np.asarray(s, dtype=np.int64)
+    arms = arm_indices(arms, "arm", n_arms)
+    s = np.asarray(s)
+    if not np.all((s == 0) | (s == 1)):  # each fold checks only its own rows
+        raise ValidationError("direct flags must be 0 or 1")
     y = np.asarray(y, dtype=np.float64)
 
     perm = make_rng(seed, _STREAM_FOLDS).permutation(n)
@@ -294,8 +290,8 @@ def cross_validated_eval(
     the fold is scored, so a fold whose metrics are undefined raises before
     the next model trains.
     """
-    arms = np.asarray(arms, dtype=np.int64)
-    s = np.asarray(s, dtype=np.int64)
+    arms = arm_indices(arms, "arm", n_arms)
+    s = np.asarray(s)
     y = np.asarray(y, dtype=np.float64)
     fold_metrics = []
 

@@ -339,13 +339,10 @@ def _walk_parts(model: ResponseModel, features, arms, run):
     on the way in. ``run(part, x)`` maps a trunk's or a head's input to its
     output. The walk runs in the dtype ``standardize`` gives the features.
     """
-    arms = arm_indices(arms, "arms")
+    arms = arm_indices(arms, "arm", model.n_arms)
     z = model.standardize(features)
     if arms.shape != (z.shape[0],):
         raise ShapeError(f"arms must have shape ({z.shape[0]},), got {arms.shape}")
-    if np.any(arms < 0) or np.any(arms >= model.n_arms):
-        raise ValidationError("arm index out of range")
-    arms = arms.astype(np.int64, copy=False)
     outputs: dict = {}
     slots: dict = {}
     for part in _VARIANTS[model.config.variant].parts:
@@ -512,7 +509,7 @@ def _predict_into(model: ResponseModel, features, arms, out: list):
 def predict(model: ResponseModel, features: np.ndarray, arms: np.ndarray) -> PredictionMatrix:
     """Head outputs for each record under its given arm (no dropout, chunked)."""
     features = np.asarray(features, dtype=np.float64)
-    arms = arm_indices(arms, "arms")  # range-checked and cast chunk by chunk
+    arms = arm_indices(arms, "arm", model.n_arms)
     out = PredictionMatrix(*(np.empty(len(features)) for _ in _SLOTS))
     columns = [getattr(out, f.name) for f in fields(out)]
     _predict_into(model, features, arms, columns)
@@ -650,7 +647,7 @@ def train_model(
     if config is None:
         config = ModelConfig()
     features = np.asarray(features, dtype=np.float64)
-    arms = arm_indices(arms, "arms")
+    arms = arm_indices(arms, "arm", n_arms)
     s = np.asarray(s, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = len(features)
@@ -667,9 +664,6 @@ def train_model(
         raise ValidationError("amounts must be finite and nonnegative")
     if not np.all((s == 0) | (s == 1)):
         raise ValidationError("direct flags must be 0 or 1")
-    if np.any(arms < 0) or np.any(arms >= n_arms):
-        raise ValidationError(f"arm indices must lie in [0, {n_arms})")
-    arms = arms.astype(np.int64, copy=False)
 
     perm = make_rng(seed, _STREAM_SPLIT).permutation(n)
     n_val = max(1, int(round(config.validation_fraction * n)))

@@ -49,11 +49,16 @@ from promolab.nncore import (
 
 _BRUTE_FORCE_LIMIT = 10_000_000
 
+def with_second(values, x) -> np.ndarray:
+    """``values`` with its second entry set to ``x``."""
+    return np.where(np.arange(len(values)) == 1, x, values)
+
+
 # a cast to int64 would truncate the first, warn on the second (or raise a
 # bare ValueError from a list), and index with the last two
 BAD_ARMS = {
     "fractional": lambda arms: arms + 0.3,
-    "nan": lambda arms: np.where(np.arange(len(arms)) == 1, np.nan, arms),
+    "nan": lambda arms: with_second(arms, np.nan),
     "column": lambda arms: np.reshape(arms, (-1, 1)),
     "bool": lambda arms: np.asarray(arms) > 0,
 }

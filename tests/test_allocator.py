@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from promolab.allocator import (
+    AllocationPlan,
     AllocationProblem,
     build_problem,
     check_feasible,
@@ -472,6 +473,12 @@ class TestValidationAndLimits:
         problem = build_problem(np.ones((2, 2)), np.full((2, 2), 0.5), [0.0, 1.0], 10.0)
         with pytest.raises(ValidationError, match="^arms must be 1-D whole-number"):
             plan_totals(problem, BAD_ARMS[bad](np.array([0, 1])))
+
+    @pytest.mark.parametrize("bad", sorted(BAD_ARMS))
+    def test_plan_refuses_non_index_arms(self, bad):
+        # a plan once cast [0.3, 1.3] to [0, 1] and warned on a NaN
+        with pytest.raises(ValidationError, match="^arms must be 1-D whole-number"):
+            AllocationPlan(arms=BAD_ARMS[bad](np.array([0, 1])), total_value=1.0, total_cost=0.5)
 
     def test_plan_totals_takes_whole_float_arms(self):
         problem = build_problem(np.ones((2, 2)), np.full((2, 2), 0.5), [0.0, 1.0], 10.0)

@@ -5,6 +5,7 @@ set at 4 standard errors to leave real failures visible without flakiness if
 seeds change.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -26,7 +27,7 @@ from promolab.datagen import (
 from promolab.errors import ValidationError
 from promolab.nncore import make_rng
 
-from oracles import BAD_ARMS
+from oracles import BAD_ARMS, with_second
 
 
 class TestCpgParameters:
@@ -293,6 +294,33 @@ class TestGenerateRct:
     def test_policy_value_takes_whole_float_arms(self, small_world):
         _, dataset, truth = small_world
         assert truth.policy_value(dataset.arm.astype(np.float64)) == truth.policy_value(dataset.arm)
+
+    # column -> (make it one the dataset must refuse, message); the int64 casts
+    # once truncated a fraction, warned on a NaN or, from a list holding NaN,
+    # raised a bare ValueError
+    IDS = "^customer_id values must be 1-D finite whole numbers"
+    BAD_COLUMNS = {
+        **{f"arm_{kind}": ("arm", bad, "^arms must be 1-D whole-number") for kind, bad in BAD_ARMS.items()},
+        "arm_negative": ("arm", lambda arm: arm - 1, r"^arm index out of range \[0, "),
+        "s_half": ("s", lambda s: with_second(s, 0.5), "^s must be 0 or 1"),
+        "s_nan": ("s", lambda s: with_second(s, np.nan), "^s must be 0 or 1"),
+        "id_half": ("customer_id", lambda ids: ids + 0.5, IDS),
+        "id_nan_list": ("customer_id", lambda ids: [np.nan, *ids[1:]], IDS),
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD_COLUMNS))
+    def test_dataset_refuses_before_the_cast(self, small_world, bad):
+        _, dataset, _ = small_world
+        sub = dataset.subset(np.arange(6))
+        name, make, message = self.BAD_COLUMNS[bad]
+        with pytest.raises(ValidationError, match=message):
+            dataclasses.replace(sub, **{name: make(getattr(sub, name))})
+
+    def test_dataset_keeps_negative_ids(self, small_world):
+        _, dataset, _ = small_world
+        sub = dataset.subset(np.arange(6))
+        shifted = dataclasses.replace(sub, customer_id=sub.customer_id - 3.0)
+        assert shifted.customer_id.tolist() == [-3, -2, -1, 0, 1, 2]
 
     @pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "past_the_last"])
     def test_policy_value_rejects_out_of_range_arms(self, small_world, bad):

@@ -22,9 +22,12 @@ from promolab.evaluator import (
     evaluate_variant,
     lift_purchase_amount,
     load_curve_csv,
+    out_of_fold_predictions,
 )
 from promolab.metrics import MetricReport
 from promolab.nncore import make_rng
+
+from oracles import BAD_ARMS, with_second
 
 
 class TestHandEstimates:
@@ -379,6 +382,49 @@ class TestCrossValidation:
                 dataset.features, dataset.arm, dataset.s, dataset.y, cfg.n_arms,
                 config=fast_model_config, n_folds=1,
             )
+
+    # column -> (make it one the log must be refused for, message); each entry
+    # point once cast a fractional arm or flag to its truncation and trained on
+    # it, warned on a NaN, or left an arm past the last to a later fold
+    BAD_LOGS = {
+        **{f"arms_{kind}": ("arms", bad, "^arms must be 1-D whole-number") for kind, bad in BAD_ARMS.items()},
+        "arm_past_the_last": ("arms", lambda arms: with_second(arms, 3), r"^arm index out of range \[0, 3\)"),
+        "flag_half": ("s", lambda s: with_second(s, 0.5), "^direct flags must be 0 or 1"),
+        "flag_nan": ("s", lambda s: with_second(s, np.nan), "^direct flags must be 0 or 1"),
+    }
+    CALLS = {
+        "out_of_fold_predictions": lambda cfg, config, log: out_of_fold_predictions(
+            **log, n_arms=cfg.n_arms, config=config, n_folds=2
+        ),
+        "cross_validated_eval": lambda cfg, config, log: cross_validated_eval(
+            **log, n_arms=cfg.n_arms, config=config, n_folds=2
+        ),
+        "evaluate_variant": lambda cfg, config, log: evaluate_variant(
+            **log, coupon_values=cfg.coupon_values, control_arm=cfg.control_arm, config=config, n_folds=2
+        ),
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD_LOGS))
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_bad_log_refused_before_any_fold_trains(
+        self, small_world, fast_model_config, monkeypatch, call, bad
+    ):
+        cfg, dataset, _ = small_world
+        sub = dataset.subset(np.arange(200))
+        trained = []
+        train_model = evaluator.train_model
+
+        def counting(*args, **kwargs):
+            trained.append(kwargs.get("seed"))
+            return train_model(*args, **kwargs)
+
+        monkeypatch.setattr(evaluator, "train_model", counting)
+        column, make, message = self.BAD_LOGS[bad]
+        log = {"features": sub.features, "arms": sub.arm, "s": sub.s, "y": sub.y}
+        log[column] = make(log[column])
+        with pytest.raises(ValidationError, match=message):
+            self.CALLS[call](cfg, fast_model_config, log)
+        assert trained == []
 
 
 class TestEvalReport:

@@ -312,6 +312,16 @@ class TestArmIndices:
         with pytest.raises(ValidationError, match="^arms must be 1-D whole-number"):
             self.CALLS[call](model, features, BAD_ARMS[bad](arms), s, y)
 
+    @pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "past_the_last"])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_out_of_range_refused(self, call, bad):
+        # train_model once said "arm indices must lie in [0, 3)", the others named no range
+        model, _ = narrow_model("full")
+        features, arms, s, y = tiny_batch(n=64)
+        arms[5] = bad
+        with pytest.raises(ValidationError, match=r"^arm index out of range \[0, 3\)$"):
+            self.CALLS[call](model, features, arms, s, y)
+
     def test_whole_float_arms_give_the_integer_bytes(self):
         model, _ = narrow_model("full")
         features, arms, s, y = tiny_batch(n=64)

@@ -1,6 +1,7 @@
 """The public surface: ``promolab.__all__`` is pinned, so an API change edits this list on purpose."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,3 +94,25 @@ def test_import_loads_no_heavy_module():
     env = dict(os.environ, PYTHONPATH=str(Path(promolab.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# an arm array by the names src/ gives one, compared to 0 or to an arm count, or cast to int64
+_ARM = r"(?<![\w.])(?:self\.)?(?:plan_arms|trial_arms|arms|arm)\b"
+_BOUND = r"(?:0\b|[\w.]*n_arms\b|len\()"
+ARM_RULE_COPIES = re.compile(
+    rf"{_ARM}\s*[<>]=?\s*{_BOUND}|{_BOUND}\s*[<>]=?\s*{_ARM}"
+    rf"|{_ARM}\.astype\(np\.int64|np\.(?:as)?array\({_ARM}, dtype=np\.int64"
+)
+
+
+def test_arm_rule_lives_in_errors():
+    # every other module hands its arm arrays to errors.arm_indices, which range-checks and casts
+    package = Path(promolab.__file__).parent
+    copies = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "errors.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if ARM_RULE_COPIES.search(line)
+    ]
+    assert copies == []
